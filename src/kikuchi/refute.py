@@ -372,7 +372,7 @@ def refute_regular(
             per_partition.append(entry)
             continue
         groups = ppruned.group_matrices()
-        sig = khintchine_sigma(groups, seed=(seed * 31 + r) % (2**31))
+        sig = khintchine_sigma(groups)
         kb = khintchine_bound(sig["sigma_sq"], N, N)
         f_khin = (N / ppruned.D_prime) * kb
         pfam = SignedFamily(
@@ -389,6 +389,7 @@ def refute_regular(
             "D": pgraph.D,
             "D_prime": ppruned.D_prime,
             "sigma_sq": sig["sigma_sq"],
+            "sigma_sq_guarantee": sig["guarantee"],
             "sigma_proxy": sig["proxy"],
             "f_bound_khintchine": f_khin,
             "f_bound_empirical_mean": (N / ppruned.D_prime) * float(np.mean(nv)),
@@ -530,8 +531,8 @@ def refute_bipartite(
 
     if family is not None:
         # sigma^2 on the actual sign-free pruned groups
-        gm = _group_mats_from_family(family, graph)
-        sig = khintchine_sigma(gm, seed=seed)
+        gm = pruned_obj.group_matrices()
+        sig = khintchine_sigma(gm)
         kb = khintchine_bound(sig["sigma_sq"], graph.shape[0], graph.shape[1])
         bound_khin = ratio * kb if family.nnz else 0.0
         nonempty = sum(1 for m in gm if m.nnz)
@@ -541,6 +542,7 @@ def refute_bipartite(
         bound_emp = ratio * mean_norm
         cert.update({
             "sigma_sq": sig["sigma_sq"],
+            "sigma_sq_guarantee": sig["guarantee"],
             "sigma_proxy": sig["proxy"],
             "norm_mc": {"mean": mean_norm, "stderr": stderr,
                         "exhaustive": exhaustive, "draws": draws,
@@ -566,26 +568,6 @@ def refute_bipartite(
         ratio=ratio, trivial_bound=m_total, fallback_applies=fallback,
         graph=graph, pruned=pruned_obj,
     )
-
-
-def _group_mats_from_family(family: SignedFamily, graph: KikuchiGraph):
-    """Unsigned per-group sparse matrices from a pruned family's entries."""
-    # reconstruct (left, right, label) from the family's sorted storage
-    rows = np.repeat(
-        np.arange(graph.shape[0], dtype=np.int64),
-        np.diff(family._indptr),
-    )
-    cols = family._indices
-    labs = family._label_seq
-    out = []
-    for g in range(len(graph.group_ids)):
-        m = graph.label_group[labs] == g
-        out.append(
-            sp.csr_matrix(
-                (np.ones(int(m.sum())), (rows[m], cols[m])), shape=graph.shape
-            )
-        )
-    return out
 
 
 @dataclass

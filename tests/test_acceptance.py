@@ -343,7 +343,7 @@ def test_criterion_5_matrix_khintchine(c4_runs):
 
     failures = 0
     for mats, (d1, d2) in families[:50]:
-        sig = khintchine_sigma(mats, seed=11)
+        sig = khintchine_sigma(mats)
         bound = khintchine_bound(sig["sigma_sq"], d1, d2)
         mean, _ = estimate_expected_norm(mats, seed=13)
         if mean > bound * (1 + 1e-9):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from kikuchi.decompose import Thresholds, compute_thresholds
@@ -253,6 +254,26 @@ def test_certificate_khintchine_dominates_empirical():
         c = ref.certificate
         if "norm_mc" in c and c["norm_mc"]["exhaustive"]:
             assert c["bound_khintchine"] >= c["bound_empirical"] * (1 - 1e-9)
+
+
+def test_sigma_sq_rigorous_in_certificates():
+    """Partition entries and pieces record sigma^2 as a rigorous upper bound
+    that matches a dense eigensolve of the piece's Gram matrices."""
+    inst = generate_random_matching_instance(12, 3, 4, 0.25, seed=3)
+    run = refute_full(inst, ell=1, n_partitions=2, seed=3, trials=20)
+    entries = [e for e in run.regular.certificate["partitions"] if "sigma_sq" in e]
+    pieces = [r for r in run.pieces.values() if "sigma_sq" in r.certificate]
+    assert entries and pieces
+    assert all(e["sigma_sq_guarantee"] == "rigorous" for e in entries)
+    for ref in pieces:
+        cert = ref.certificate
+        assert cert["sigma_sq_guarantee"] == "rigorous"
+        dense = [abs(m.toarray()) for m in ref.pruned.group_matrices()]
+        exact = max(
+            np.linalg.eigvalsh(sum(d @ d.T for d in dense))[-1],
+            np.linalg.eigvalsh(sum(d.T @ d for d in dense))[-1],
+        )
+        assert exact <= cert["sigma_sq"] <= exact * (1 + 1e-12)
 
 
 def test_identical_matchings_equality_case():

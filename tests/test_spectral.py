@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from kikuchi import spectral
 from kikuchi.spectral import (
+    DENSE_COMPONENT_MAX,
     estimate_expected_norm,
     khintchine_bound,
     khintchine_sigma,
-    psd_norm,
     sign_rows,
     spectral_norm,
 )
@@ -93,12 +94,142 @@ def test_norm_l1_upper_bound(rng):
     assert est <= upper * (1 + 1e-6)
 
 
-def test_psd_norm_matches_eig(rng):
-    A = rng.standard_normal((25, 25))
-    M = A @ A.T
-    got = psd_norm(lambda v: M @ v, 25).value
-    want = float(np.linalg.eigvalsh(M)[-1])
-    assert got == pytest.approx(want, rel=1e-7)
+def _dense_gram_tops(mats):
+    """Top eigenvalues of sum X X^T and sum X^T X by dense eigvalsh."""
+    dense = [np.abs(m.toarray()) for m in mats]
+    rows = sum(d @ d.T for d in dense)
+    cols = sum(d.T @ d for d in dense)
+    return tuple(
+        float(np.linalg.eigvalsh(g)[-1]) if g.size else 0.0 for g in (rows, cols)
+    )
+
+
+def _random_counting(rng, m, n, nnz):
+    return sp.coo_matrix(
+        (rng.integers(1, 4, nnz).astype(float),
+         (rng.integers(0, m, nnz), rng.integers(0, n, nnz))),
+        shape=(m, n),
+    ).tocsr()
+
+
+def test_sigma_matches_eigvalsh(rng):
+    # rigorous upper bound that equals the dense eigenvalue to rounding,
+    # on rectangular, empty and all-zero groups alike
+    for _ in range(60):
+        k = int(rng.integers(1, 6))
+        m, n = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        mats = []
+        for _ in range(k):
+            kind = rng.integers(0, 4)
+            if kind == 0:
+                mats.append(sp.csr_matrix((m, n)))
+            elif kind == 1:
+                mats.append(sp.csr_matrix((np.zeros(3), ([0, 0, m - 1], [0, n - 1, 0])),
+                                          shape=(m, n)))
+            elif kind == 2:
+                mats.append(abs(random_sparse(rng, m, n, int(rng.integers(1, 3 * (m + n))))))
+            else:
+                mats.append(_random_counting(rng, m, n, int(rng.integers(1, 2 * (m + n)))))
+        sig = khintchine_sigma(mats)
+        want_rows, want_cols = _dense_gram_tops(mats)
+        assert sig["guarantee"] == "rigorous"
+        for got, want in ((sig["row_norm"], want_rows), (sig["col_norm"], want_cols)):
+            assert got >= want
+            assert got <= want * (1 + 1e-12)
+        assert sig["sigma_sq"] == max(sig["row_norm"], sig["col_norm"])
+
+
+def test_sigma_split_dense_batches(rng, monkeypatch):
+    # many same-size components spread over several batched eigh calls;
+    # the one heavy block must be found in the first, a middle and the last
+    monkeypatch.setattr(spectral, "_DENSE_BATCH_ENTRIES", 8)
+    blocks = 40
+    for heavy in (0, blocks // 2, blocks - 1):
+        weight = np.ones(blocks)
+        weight[heavy] = 2.0
+        X = sp.block_diag([w * np.ones((2, 2)) for w in weight], format="csr")
+        sig = khintchine_sigma([X])  # 2x2 Gram blocks 2 w^2 J: top 4 w^2
+        assert 16.0 <= sig["sigma_sq"] <= 16.0 * (1 + 1e-12)
+    for _ in range(20):
+        mats = [_random_counting(rng, 30, 25, 20) for _ in range(2)]
+        sig = khintchine_sigma(mats)
+        want_rows, want_cols = _dense_gram_tops(mats)
+        assert want_rows <= sig["row_norm"] <= want_rows * (1 + 1e-12)
+        assert want_cols <= sig["col_norm"] <= want_cols * (1 + 1e-12)
+
+
+def test_sigma_signed_groups_use_absolute_values(rng):
+    # negative entries enter as |X|, an upper bound on the signed sigma^2
+    for _ in range(10):
+        mats = [random_sparse(rng, 15, 18, 40) for _ in range(3)]
+        sig = khintchine_sigma(mats)
+        dense = [m.toarray() for m in mats]
+        signed = max(
+            np.linalg.eigvalsh(sum(d @ d.T for d in dense))[-1],
+            np.linalg.eigvalsh(sum(d.T @ d for d in dense))[-1],
+        )
+        assert sig["sigma_sq"] >= signed
+        assert sig == khintchine_sigma([abs(m) for m in mats])
+
+
+def test_sigma_empty_family():
+    sig = khintchine_sigma([])
+    assert sig["sigma_sq"] == 0.0 and sig["proxy"] == 0.0
+    sig = khintchine_sigma([sp.csr_matrix((0, 4)), sp.csr_matrix((0, 4))])
+    assert sig["sigma_sq"] == 0.0
+
+
+def test_sigma_localized_perron_vector():
+    # a heavy hub row with a long chain: the Perron vector decays by ~1/50
+    # per hop, so eigh returns tail entries that are zero or pure noise and
+    # the bound at that vector alone is 2-4% high
+    length, hub = 30, 50
+    rows = np.r_[np.zeros(hub, int), np.arange(length), np.arange(length) + 1]
+    cols = np.r_[np.arange(hub), hub + np.arange(length), hub + np.arange(length)]
+    X = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                      shape=(length + 1, hub + length))
+    sig = khintchine_sigma([X])
+    want_rows, want_cols = _dense_gram_tops([X])
+    assert want_rows <= sig["row_norm"] <= want_rows * (1 + 1e-12)
+    assert want_cols <= sig["col_norm"] <= want_cols * (1 + 1e-12)
+
+
+def test_collatz_wielandt_is_upper_bound_at_every_stop(rng):
+    # however early power iteration stops, the bound is already rigorous,
+    # and more steps never loosen it
+    for _ in range(10):
+        X = _random_counting(rng, 60, 40, 90)
+        S = (X @ X.T).toarray() + np.eye(60)  # positive diagonal
+        want = float(np.linalg.eigvalsh(S)[-1])
+        mul = lambda live, w: w @ S
+        prev = np.inf
+        for steps in (1, 2, 3, 5, 8):
+            got = float(spectral._collatz_wielandt(mul, np.ones((1, 60)), maxit=steps)[0])
+            assert want * (1 - 1e-13) <= got <= prev
+            prev = got
+
+
+def test_sigma_large_component_power_fallback(rng, monkeypatch):
+    # a connected Gram block well above the dense cap runs power iteration
+    calls = []
+    power = spectral._perron_power
+    monkeypatch.setattr(spectral, "_perron_power",
+                        lambda B: calls.append(B.shape) or power(B))
+    m, n = DENSE_COMPONENT_MAX + 64, DENSE_COMPONENT_MAX + 40
+    chain = sp.csr_matrix(
+        (np.ones(2 * m - 1),
+         (np.r_[np.arange(m), np.arange(m - 1)],
+          np.r_[np.arange(m) % n, (np.arange(m - 1) + 1) % n])),
+        shape=(m, n),
+    )
+    mats = [chain, _random_counting(rng, m, n, 6 * m), _random_counting(rng, m, n, 6 * m)]
+    sig = khintchine_sigma(mats)
+    want_rows, want_cols = _dense_gram_tops(mats)
+    assert sig["row_norm"] >= want_rows
+    assert sig["col_norm"] >= want_cols
+    assert sig["row_norm"] <= want_rows * (1 + 1e-12)
+    assert sig["col_norm"] <= want_cols * (1 + 1e-12)
+    assert calls and all(size > DENSE_COMPONENT_MAX for size, _ in calls)
 
 
 def test_khintchine_bound_values():
@@ -135,7 +266,7 @@ def test_sigma_proxy_dominates(rng):
         k = int(rng.integers(2, 5))
         mats = [random_sparse(rng, 15, 18, 40) for _ in range(k)]
         mats = [abs(m) for m in mats]  # counting matrices
-        sig = khintchine_sigma(mats, seed=t)
+        sig = khintchine_sigma(mats)
         assert sig["proxy"] * (1 + 1e-9) >= sig["sigma_sq"]
 
 
@@ -157,7 +288,7 @@ def test_khintchine_inequality_holds(rng):
     for t in range(10):
         k = int(rng.integers(2, 6))
         mats = [abs(random_sparse(rng, 12, 14, 30)) for _ in range(k)]
-        sig = khintchine_sigma(mats, seed=t)
+        sig = khintchine_sigma(mats)
         bound = khintchine_bound(sig["sigma_sq"], 12, 14)
         mean, _ = estimate_expected_norm(mats, seed=t)
         assert mean <= bound * (1 + 1e-9)
