@@ -260,6 +260,20 @@ def decompose(inst: XorInstance, thr: Thresholds) -> DecomposedInstance:
     )
 
 
+def heavy_sets(inst: XorInstance, thr: Thresholds):
+    """Yield (Q, deg_H(Q), |Q|) for every heavy Q over the union multiset H,
+    by full rescan; smaller sizes first, then in first-seen order."""
+    union = [e for h in inst.hypergraphs for e in h]
+    for t in thr.t_range:
+        counts = {}
+        for e in union:
+            for sub in subsets_of_mask(mask_of(e), t):
+                counts[sub] = counts.get(sub, 0) + 1
+        for sub, d in counts.items():
+            if thr.is_heavy(d, t):
+                yield verts_of(sub), d, t
+
+
 def verify_decomposition(dec: DecomposedInstance) -> dict:
     """Check the five decomposition properties; returns a violation report.
 
@@ -312,17 +326,8 @@ def verify_decomposition(dec: DecomposedInstance) -> dict:
         if sorted(reconstructed) != sorted(orig):
             violations.append(f"H_{i}: reconstruction is not a bijection onto H_{i}")
 
-    union = [e for h in dec.leftover.hypergraphs for e in h]
-    for t in thr.t_range:
-        counts = {}
-        for e in union:
-            for sub in subsets_of_mask(mask_of(e), t):
-                counts[sub] = counts.get(sub, 0) + 1
-        for sub, d in counts.items():
-            if thr.is_heavy(d, t):
-                violations.append(
-                    f"leftover degree of {verts_of(sub)} is {d} > d_{t}"
-                )
+    for q_set, d, t in heavy_sets(dec.leftover, thr):
+        violations.append(f"leftover degree of {q_set} is {d} > d_{t}")
 
     from .instances import validate_matching
 

@@ -13,6 +13,11 @@ combined row-major.  Four variants are built:
 (+ is symmetric difference.)  Every per-constraint edge set has the same
 size D, which is what turns quadratic forms into D times the instance
 polynomial.
+
+``KikuchiGraph`` is the one representation of a signed edge family: the
+only code that turns its edge triples into CSR (``to_csr``), per-label
+signs (``signs_for``) and per-group counting matrices (``group_matrices``).
+A pruned graph is a ``KikuchiGraph`` too, over the kept edges.
 """
 
 from __future__ import annotations
@@ -116,7 +121,8 @@ class KikuchiGraph:
     label_sign_factors: list  # per label, tuple of indices into b
     D: int | None
     symmetric: bool
-    _csr_cache: tuple | None = field(default=None, repr=False)
+    _csr_cache: tuple | None = field(default=None, init=False, repr=False)
+    _sign_index: np.ndarray = field(init=False, repr=False)
 
     @property
     def n_edges(self) -> int:
@@ -130,20 +136,23 @@ class KikuchiGraph:
     def shape(self):
         return (self.left_space.cardinality, self.right_space.cardinality)
 
+    def __post_init__(self):
+        # per label its b-indices plus one, zero-padded: index 0 picks the
+        # neutral 1 that signs_for puts in front of b
+        width = max(map(len, self.label_sign_factors), default=0)
+        self._sign_index = np.zeros((self.n_labels, width), dtype=np.int64)
+        for j, factors in enumerate(self.label_sign_factors):
+            self._sign_index[j, :len(factors)] = np.add(factors, 1)
+
     def signs_for(self, b) -> np.ndarray:
         """Per-label sign: the product of the referenced b entries."""
-        out = np.ones(self.n_labels, dtype=np.int8)
-        for j, factors in enumerate(self.label_sign_factors):
-            s = 1
-            for i in factors:
-                bi = int(b[i])
-                if bi not in (-1, 1):
-                    raise ValueError("signs must be strictly +-1")
-                s *= bi
-            out[j] = s
-        return out
+        vals = np.concatenate(([1], np.asarray(b).astype(np.int64)))[self._sign_index]
+        if (np.abs(vals) != 1).any():
+            raise ValueError("signs must be strictly +-1")
+        return vals.prod(axis=1, dtype=np.int8)
 
     def _structure(self):
+        """(label per entry, column indices, indptr) in row-major entry order."""
         if self._csr_cache is None:
             nl, nr = self.shape
             if nl >= 2**62 or nr >= 2**62:
@@ -151,17 +160,30 @@ class KikuchiGraph:
             order = np.lexsort((self.right, self.left))
             rows = self.left[order]
             indptr = np.searchsorted(rows, np.arange(nl + 1))
-            self._csr_cache = (order, self.right[order].astype(np.int64), indptr)
+            self._csr_cache = (self.edge_label[order],
+                               self.right[order].astype(np.int64), indptr)
         return self._csr_cache
 
     def to_csr(self, label_signs=None) -> sp.csr_matrix:
         """Sparse matrix with entry = sign of its label (duplicates add)."""
-        order, indices, indptr = self._structure()
+        label_seq, indices, indptr = self._structure()
         if label_signs is None:
             data = np.ones(self.n_edges, dtype=np.float64)
         else:
-            data = np.asarray(label_signs, dtype=np.float64)[self.edge_label[order]]
+            data = np.asarray(label_signs, dtype=np.float64)[label_seq]
         return sp.csr_matrix((data, indices, indptr), shape=self.shape)
+
+    def group_matrices(self) -> list:
+        """One matrix per group; an entry counts the group's edges there."""
+        out = []
+        for g in range(len(self.group_ids)):
+            m = self.to_csr(self.label_group == g)
+            # one stored entry per position: khintchine_sigma's rounding
+            # margin counts stored entries per row
+            m.sum_duplicates()
+            m.eliminate_zeros()
+            out.append(m)
+        return out
 
     def to_dense(self, label_signs=None) -> np.ndarray:
         nl, nr = self.shape
@@ -178,9 +200,6 @@ class KikuchiGraph:
 
     def group_edge_mask(self, group_idx: int) -> np.ndarray:
         return self.label_group[self.edge_label] == group_idx
-
-    def label_edge_mask(self, label_idx: int) -> np.ndarray:
-        return self.edge_label == label_idx
 
     def verify_label_counts(self) -> bool:
         counts = np.bincount(self.edge_label, minlength=self.n_labels)
@@ -258,6 +277,16 @@ def closed_form_D(variant: str, n: int, ell: int, q: int, s: int = 0, p_size: in
     raise ValueError(f"unknown variant {variant}")
 
 
+def _product_edges(ones, twos, card_l2: int, card_r2: int):
+    """Entries ((S1,S2),(T1,T2)) of the product of two per-component edge
+    lists, ranked row-major with second-component cardinalities given."""
+    return [
+        (s1 * card_l2 + s2, t1 * card_r2 + t2)
+        for s1, t1 in ones
+        for s2, t2 in twos
+    ]
+
+
 def build_regular_cs(c1_set, c2_set, n: int, ell: int):
     """Entries ((S1,S2),(T1,T2)) with S1+T1=C1, S2+T2=C2, all sets size l.
 
@@ -269,13 +298,7 @@ def build_regular_cs(c1_set, c2_set, n: int, ell: int):
     ones = _one_sided_edges(tuple(sorted(c1_set)), n, ell, len(c1_set) // 2, ell)
     twos = _one_sided_edges(tuple(sorted(c2_set)), n, ell, len(c2_set) // 2, ell)
     card = comb(n, ell)
-    out = []
-    for s1, t1 in ones:
-        base_l = s1 * card
-        base_r = t1 * card
-        for s2, t2 in twos:
-            out.append((base_l + s2, base_r + t2))
-    return out
+    return _product_edges(ones, twos, card, card)
 
 
 def build_bipartite(c_set, p: int, n: int, ell: int, p_size: int, s: int):
@@ -285,34 +308,14 @@ def build_bipartite(c_set, p: int, n: int, ell: int, p_size: int, s: int):
     an empty list (reported, not an error).
     """
     c = tuple(sorted(c_set))
-    q = len(c) + s
-    h = (q - 1) // 2
-    t1_size = ell + 1 - s
-    if t1_size < 0 or ell - h < 0 or h > len(c):
-        return []
-    cset = set(c)
-    rest = [v for v in range(n) if v not in cset]
-    ones = []
-    for chalf in combinations(c, h):
-        other = tuple(sorted(cset - set(chalf)))
-        for w in combinations(rest, ell - h):
-            s1 = tuple(sorted(chalf + w))
-            t1 = tuple(sorted(other + w))
-            ones.append((subset_rank(s1, ell), subset_rank(t1, t1_size)))
+    h = (len(c) + s - 1) // 2
+    ones = _one_sided_edges(c, n, ell, h, ell + 1 - s)
     twos = []
     others = [u for u in range(p_size) if u != p]
     for s2 in combinations(others, ell):
         t2 = tuple(sorted(s2 + (p,)))
         twos.append((subset_rank(s2, ell), subset_rank(t2, ell + 1)))
-    card_l2 = comb(p_size, ell)
-    card_r2 = comb(p_size, ell + 1)
-    out = []
-    for s1, t1 in ones:
-        base_l = s1 * card_l2
-        base_r = t1 * card_r2
-        for s2, t2 in twos:
-            out.append((base_l + s2, base_r + t2))
-    return out
+    return _product_edges(ones, twos, comb(p_size, ell), comb(p_size, ell + 1))
 
 
 def _make_graph(variant, left_space, right_space, per_label, labels, groups,
@@ -321,17 +324,10 @@ def _make_graph(variant, left_space, right_space, per_label, labels, groups,
     if len(counts) > 1:
         raise AssertionError(f"unequal per-label edge counts: {sorted(counts)}")
     D = counts.pop() if counts else None
-    total = sum(len(e) for e in per_label)
-    left = np.empty(total, dtype=np.int64)
-    right = np.empty(total, dtype=np.int64)
-    lab = np.empty(total, dtype=np.int32)
-    at = 0
-    for j, edges in enumerate(per_label):
-        for l, r in edges:
-            left[at] = l
-            right[at] = r
-            lab[at] = j
-            at += 1
+    sizes = [len(e) for e in per_label]
+    left = np.fromiter((l for e in per_label for l, _ in e), np.int64, sum(sizes))
+    right = np.fromiter((r for e in per_label for _, r in e), np.int64, sum(sizes))
+    lab = np.repeat(np.arange(len(per_label), dtype=np.int32), sizes)
     return KikuchiGraph(
         variant=variant,
         left_space=left_space,
@@ -473,34 +469,17 @@ def quadratic_form(graph: KikuchiGraph, b, x, y=None):
 
 
 def matvec(graph: KikuchiGraph, label_signs, vec, side: str = "right"):
-    """A @ v for a right-space vector, or A^T @ v for a left-space one.
-
-    ``vec`` may be a dense array over the chosen space or a sparse
-    {rank: value} map, in which case only edges meeting the support are
-    touched and a map is returned.
-    """
+    """A @ v for a right-space vector, or A^T @ v for a left-space one."""
     nl, nr = graph.shape
-    signs = np.asarray(label_signs, dtype=np.float64)
-    if isinstance(vec, dict):
-        out: dict[int, float] = {}
-        for l, r, j in zip(graph.left, graph.right, graph.edge_label):
-            key = int(r) if side == "right" else int(l)
-            if key in vec:
-                tgt = int(l) if side == "right" else int(r)
-                out[tgt] = out.get(tgt, 0.0) + signs[j] * vec[key]
-        return out
     vec = np.asarray(vec, dtype=np.float64)
+    A = graph.to_csr(label_signs)
     if side == "right":
         if len(vec) != nr:
             raise ValueError("vector length must match the right space")
-        out = np.zeros(nl)
-        np.add.at(out, graph.left, signs[graph.edge_label] * vec[graph.right])
-        return out
+        return A @ vec
     if len(vec) != nl:
         raise ValueError("vector length must match the left space")
-    out = np.zeros(nr)
-    np.add.at(out, graph.right, signs[graph.edge_label] * vec[graph.left])
-    return out
+    return A.T @ vec
 
 
 def reverify_edges(graph: KikuchiGraph) -> bool:

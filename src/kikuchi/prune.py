@@ -9,7 +9,7 @@ label-edges, so pruning is independent of any sign assignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -89,9 +89,10 @@ def analytic_degree_shapes(
     }
 
 
-@dataclass
-class PrunedGraph:
-    """Per-label subgraphs with a common edge count D' and capped degrees."""
+@dataclass(kw_only=True)
+class PrunedGraph(KikuchiGraph):
+    """The kept edges of ``parent`` as a graph of their own: every label owns
+    D = D' edges and group degrees are capped at gamma times the targets."""
 
     parent: KikuchiGraph
     keep: np.ndarray  # indices into the parent's edge arrays
@@ -101,47 +102,14 @@ class PrunedGraph:
     d_right: Fraction
     report: dict
 
-    @property
-    def left(self):
-        return self.parent.left[self.keep]
 
-    @property
-    def right(self):
-        return self.parent.right[self.keep]
-
-    @property
-    def edge_label(self):
-        return self.parent.edge_label[self.keep]
-
-    def to_csr(self, label_signs=None):
-        import scipy.sparse as sp
-
-        if label_signs is None:
-            data = np.ones(len(self.keep))
-        else:
-            data = np.asarray(label_signs, dtype=np.float64)[self.edge_label]
-        return sp.csr_matrix(
-            (data, (self.left, self.right)), shape=self.parent.shape
-        )
-
-    def group_matrices(self, signed_by=None):
-        """One sparse matrix per group; entries 1 (multiplicity) by default."""
-        import scipy.sparse as sp
-
-        lab = self.edge_label
-        out = []
-        for g in range(len(self.parent.group_ids)):
-            m = self.parent.label_group[lab] == g
-            if signed_by is None:
-                data = np.ones(int(m.sum()))
-            else:
-                data = np.asarray(signed_by, dtype=np.float64)[lab[m]]
-            out.append(
-                sp.csr_matrix(
-                    (data, (self.left[m], self.right[m])), shape=self.parent.shape
-                )
-            )
-        return out
+def _pruned_graph(graph: KikuchiGraph, keep: np.ndarray, D_prime: int,
+                  **extra) -> PrunedGraph:
+    """The parent's edges at ``keep``, with every other graph field shared."""
+    shared = {f.name: getattr(graph, f.name) for f in fields(KikuchiGraph) if f.init}
+    shared.update(left=graph.left[keep], right=graph.right[keep],
+                  edge_label=graph.edge_label[keep], D=D_prime)
+    return PrunedGraph(**shared, parent=graph, keep=keep, D_prime=D_prime, **extra)
 
 
 def prune(graph: KikuchiGraph, gamma, d_left: Fraction, d_right: Fraction) -> PrunedGraph:
@@ -153,8 +121,8 @@ def prune(graph: KikuchiGraph, gamma, d_left: Fraction, d_right: Fraction) -> Pr
     largest surviving entries.
     """
     if graph.n_labels == 0:
-        return PrunedGraph(
-            parent=graph, keep=np.empty(0, dtype=np.int64), D_prime=0,
+        return _pruned_graph(
+            graph, np.empty(0, dtype=np.int64), 0,
             gamma=float(gamma), d_left=d_left, d_right=d_right,
             report={"D": 0, "D_prime": 0, "ratio": None,
                     "heavy_left": 0, "heavy_right": 0, "per_group": []},
@@ -243,8 +211,8 @@ def prune(graph: KikuchiGraph, gamma, d_left: Fraction, d_right: Fraction) -> Pr
         "meets_half_D": bool(graph.D and 2 * D_prime >= graph.D),
         "per_group": per_group,
     }
-    return PrunedGraph(
-        parent=graph, keep=keep, D_prime=D_prime, gamma=float(gamma),
+    return _pruned_graph(
+        graph, keep, D_prime, gamma=float(gamma),
         d_left=d_left, d_right=d_right, report=report,
     )
 
@@ -262,8 +230,7 @@ def verify_pruned(pruned: PrunedGraph) -> dict:
     )
     if not set(kept) <= parent_edges:
         violations.append("pruned edge set is not a subset of the original")
-    counts = np.bincount(pruned.edge_label, minlength=graph.n_labels)
-    if graph.n_labels and not (counts == pruned.D_prime).all():
+    if not pruned.verify_label_counts():
         violations.append("labels not equalized to D'")
     cap_l = Fraction(pruned.gamma) * pruned.d_left
     cap_r = Fraction(pruned.gamma) * pruned.d_right

@@ -25,15 +25,19 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._version import __version__ as _version
-from .decompose import DecomposedInstance, Thresholds, compute_thresholds, decompose
+from .decompose import (
+    DecomposedInstance,
+    Thresholds,
+    compute_thresholds,
+    decompose,
+    heavy_sets,
+)
 from .graphs import (
     KikuchiGraph,
     assemble_bipartite,
@@ -46,12 +50,24 @@ from .instances import (
     brute_force_val,
     val_for_all_signs,
 )
-from .prune import PruningError, analytic_degree_shapes, prune, target_degrees
-from .spectral import khintchine_bound, khintchine_sigma, sign_rows, spectral_norm
+from .prune import (
+    PrunedGraph,
+    PruningError,
+    analytic_degree_shapes,
+    prune,
+    target_degrees,
+)
+from .spectral import (
+    average_over_signs,
+    khintchine_bound,
+    khintchine_sigma,
+    sign_rows,
+    spectral_norm,
+)
 
 REFUTE_TOL = 1e-9
 SOUNDNESS_GUARD = 1e-6
-EXHAUSTIVE_SIGN_LIMIT = 12
+PARTITION_EMPIRICAL_DRAWS = 16  # sign draws per partition for f_bound_empirical_mean
 
 
 class RegularityError(RuntimeError):
@@ -96,91 +112,38 @@ def eval_f(inst: XorInstance, partition: Partition, b, x) -> int:
 
 def eval_full_pairs(inst: XorInstance, b, x) -> int:
     """F_b(x): the pair polynomial over all ordered i != j."""
-    total = 0
-    all_idx = list(range(inst.k))
-    for (i, j, u, c1, c2) in cs_pair_labels(inst, all_idx, all_idx):
-        mono = int(b[i]) * int(b[j])
-        for v in c1:
-            mono *= int(x[v])
-        for v in c2:
-            mono *= int(x[v])
-        total += mono
-    return total
+    everything = tuple(range(inst.k))
+    return eval_f(inst, Partition(everything, everything, seed=0), b, x)
 
 
 class SignedFamily:
-    """Pruned edge family with a per-sign-vector sparse matrix view.
+    """Norm cache over a pruned graph's signed matrices B(b).
 
-    Norms are cached by the realized label-sign vector; distinct b hitting
-    the same label signs (b and -b always do) share one power iteration.
+    The graph supplies the per-label signs and the CSR matrix; norms are
+    cached by the realized label-sign vector, so distinct b hitting the same
+    label signs (b and -b always do) share one power iteration.
     """
 
-    def __init__(self, left, right, edge_label, sign_factors, shape):
-        self.shape = shape
-        self.sign_factors = sign_factors
-        self.n_labels = len(sign_factors)
-        order = np.lexsort((right, left))
-        rows = left[order]
-        self._indptr = np.searchsorted(rows, np.arange(shape[0] + 1))
-        self._indices = right[order].astype(np.int64)
-        self._label_seq = edge_label[order]
-        self.nnz = len(rows)
+    def __init__(self, graph: PrunedGraph):
+        self.graph = graph
+        self.nnz = graph.n_edges
+        graph._structure()  # built once here, not racing in worker threads
         self._norm_cache: dict[bytes, float] = {}
-
-    def label_signs(self, b) -> np.ndarray:
-        out = np.ones(self.n_labels, dtype=np.int8)
-        for j, factors in enumerate(self.sign_factors):
-            s = 1
-            for i in factors:
-                s *= int(b[i])
-            out[j] = s
-        return out
-
-    def csr(self, b) -> sp.csr_matrix:
-        data = self.label_signs(b).astype(np.float64)[self._label_seq]
-        return sp.csr_matrix(
-            (data, self._indices, self._indptr), shape=self.shape
-        )
 
     def norm(self, b, tol=REFUTE_TOL, seed: int = 0) -> float:
         """Certificate-side norm: the power-iteration estimate inflated by
         its residual and raw-quotient lag, so slow-spectrum cases loosen
         bounds instead of undercutting them."""
+        signs = self.graph.signs_for(b)
         if self.nnz == 0:
             return 0.0
-        signs = self.label_signs(b)
         for key in (signs.tobytes(), (-signs).tobytes()):
             if key in self._norm_cache:
                 return self._norm_cache[key]
-        data = signs.astype(np.float64)[self._label_seq]
-        mat = sp.csr_matrix((data, self._indices, self._indptr), shape=self.shape)
-        est = spectral_norm(mat, tol=tol, seed=seed)
+        est = spectral_norm(self.graph.to_csr(signs), tol=tol, seed=seed)
         val = est.value * (1.0 + est.residual + est.lag)
         self._norm_cache[signs.tobytes()] = val
         return val
-
-
-def _mean_norm_over_signs(family: SignedFamily, k: int, trials: int, seed: int,
-                          threads: int = 1):
-    """(mean, stderr, exhaustive?, draws) of |B(b)| over uniform signs."""
-    if family.nnz == 0:
-        return 0.0, 0.0, True, 0
-    if k <= EXHAUSTIVE_SIGN_LIMIT:
-        rows = sign_rows(k, fix_first=True)
-        exhaustive = True
-    else:
-        rng = np.random.default_rng((seed, 7103))
-        rows = 1 - 2 * rng.integers(0, 2, size=(trials, k)).astype(np.int8)
-        exhaustive = False
-    fn = lambda b: family.norm(b, seed=seed)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            vals = list(ex.map(fn, rows))
-    else:
-        vals = [fn(b) for b in rows]
-    arr = np.asarray(vals)
-    stderr = 0.0 if exhaustive else float(arr.std(ddof=1) / np.sqrt(len(arr)))
-    return float(arr.mean()), stderr, exhaustive, len(rows)
 
 
 @dataclass
@@ -197,7 +160,7 @@ class RegularRefutation:
     f_trivial: int  # label count; |F_b(x)| never exceeds it
     used_trivial_f: bool
     graph: KikuchiGraph | None = None
-    pruned: object | None = None  # PrunedGraph actually used, if any
+    pruned: PrunedGraph | None = None  # the graph actually used, if any
 
     def f_bound_for_signs(self, b) -> float:
         if self.family is None or self.used_trivial_f:
@@ -219,19 +182,8 @@ class RegularRefutation:
 
 def check_regularity(inst: XorInstance, thr: Thresholds):
     """deg_H(Q) <= d_|Q| over the union multiset for 2 <= |Q| <= (q+1)/2."""
-    from .setops import mask_of, subsets_of_mask, verts_of
-
-    union = [e for h in inst.hypergraphs for e in h]
-    for t in thr.t_range:
-        counts = {}
-        for e in union:
-            for sub in subsets_of_mask(mask_of(e), t):
-                counts[sub] = counts.get(sub, 0) + 1
-        for sub, d in counts.items():
-            if thr.is_heavy(d, t):
-                raise RegularityError(
-                    f"set {verts_of(sub)} has degree {d} > d_{t}; decompose first"
-                )
+    for q_set, d, t in heavy_sets(inst, thr):
+        raise RegularityError(f"set {q_set} has degree {d} > d_{t}; decompose first")
 
 
 def refute_regular(
@@ -243,7 +195,6 @@ def refute_regular(
     n_partitions: int = 4,
     thresholds: Thresholds | None = None,
     threads: int = 1,
-    partition_empirical_draws: int = 16,
 ) -> RegularRefutation:
     """Certify an upper bound on E_b[val(Psi_b)] for a regular instance.
 
@@ -299,10 +250,7 @@ def refute_regular(
         d = tg["d"]
         try:
             pruned_obj = prune(full, gamma, d, d)
-            family = SignedFamily(
-                pruned_obj.left, pruned_obj.right, pruned_obj.edge_label,
-                full.label_sign_factors, full.shape,
-            )
+            family = SignedFamily(pruned_obj)
             ratio = N / pruned_obj.D_prime
             used_trivial_f = False
             cert["pruned"] = pruned_obj.report
@@ -328,8 +276,9 @@ def refute_regular(
 
     # empirical variant: full-pair graph, realized norms averaged over signs
     if family is not None and not used_trivial_f:
-        mean_norm, stderr, exhaustive, draws = _mean_norm_over_signs(
-            family, k, trials, seed, threads=threads
+        mean_norm, stderr, exhaustive, draws = average_over_signs(
+            lambda b: family.norm(b, seed=seed), k, trials,
+            np.random.default_rng((seed, 7103)), threads=threads,
         )
         f_emp_mean = ratio * mean_norm
         cert["full_graph_norm"] = {
@@ -375,13 +324,10 @@ def refute_regular(
         sig = khintchine_sigma(groups)
         kb = khintchine_bound(sig["sigma_sq"], N, N)
         f_khin = (N / ppruned.D_prime) * kb
-        pfam = SignedFamily(
-            ppruned.left, ppruned.right, ppruned.edge_label,
-            pgraph.label_sign_factors, pgraph.shape,
-        )
+        pfam = SignedFamily(ppruned)
         rng = np.random.default_rng((seed, 7207, r))
         draws = 1 - 2 * rng.integers(
-            0, 2, size=(min(partition_empirical_draws, 1 << min(k, 20)), k)
+            0, 2, size=(min(PARTITION_EMPIRICAL_DRAWS, 1 << min(k, 20)), k)
         ).astype(np.int8)
         nv = [pfam.norm(bb, seed=seed) for bb in draws]
         entry.update({
@@ -434,7 +380,7 @@ class BipartiteRefutation:
     trivial_bound: int
     fallback_applies: bool
     graph: KikuchiGraph | None = None
-    pruned: object | None = None
+    pruned: PrunedGraph | None = None
 
     def bound_for_signs(self, b, capped: bool = True) -> float:
         if self.family is None:
@@ -499,10 +445,7 @@ def refute_bipartite(
         tg = target_degrees(graph, delta_n, k)
         try:
             pruned_obj = prune(graph, gamma, tg["d_left"], tg["d_right"])
-            family = SignedFamily(
-                pruned_obj.left, pruned_obj.right, pruned_obj.edge_label,
-                graph.label_sign_factors, graph.shape,
-            )
+            family = SignedFamily(pruned_obj)
             ratio = math.sqrt(float(nl) * float(nr)) / pruned_obj.D_prime
             cert["pruned"] = pruned_obj.report
         except PruningError as exc:
@@ -536,8 +479,9 @@ def refute_bipartite(
         kb = khintchine_bound(sig["sigma_sq"], graph.shape[0], graph.shape[1])
         bound_khin = ratio * kb if family.nnz else 0.0
         nonempty = sum(1 for m in gm if m.nnz)
-        mean_norm, stderr, exhaustive, draws = _mean_norm_over_signs(
-            family, k, trials, seed, threads=threads
+        mean_norm, stderr, exhaustive, draws = average_over_signs(
+            lambda b: family.norm(b, seed=seed), k, trials,
+            np.random.default_rng((seed, 7103)), threads=threads,
         )
         bound_emp = ratio * mean_norm
         cert.update({

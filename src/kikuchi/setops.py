@@ -82,15 +82,6 @@ def subset_unrank(rank: int, size: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def isqrt_floor(x_num: int, x_den: int) -> int:
-    """floor(sqrt(x_num / x_den)) for nonnegative integers, exactly."""
-    if x_num < 0 or x_den <= 0:
-        raise ValueError("nonnegative rational required")
-    import math
-
-    return math.isqrt(x_num // x_den)
-
-
 def integer_root(x: int, r: int) -> int:
     """floor(x ** (1/r)) for nonnegative integer x, exactly."""
     if x < 0:

@@ -9,6 +9,12 @@ near-degenerate spectra where raw convergence is slow.  numpy's LAPACK SVD
 is deliberately not used here so the test suite can keep it as an
 independent oracle.
 
+Expectations over uniform signs go through one loop, ``average_over_signs``:
+exhaustive over b with b_1 = +1 up to EXHAUSTIVE_SIGN_LIMIT groups, Monte
+Carlo above, optionally threaded.  Certificates feed it the cached norms of
+a pruned graph (``refute.SignedFamily``), ``estimate_expected_norm`` the
+norms of explicit group-matrix sums.
+
 The Matrix-Khintchine variance sigma^2 needs no iteration over signs: the
 group matrices are sign-free, so both Gram matrices are built explicitly,
 split into connected components, and bounded per component by
@@ -393,16 +399,36 @@ def sign_rows(k: int, fix_first: bool = False) -> np.ndarray:
     return rows
 
 
+def average_over_signs(norm_of, k: int, trials: int, rng, threads: int = 1):
+    """(mean, stderr, exhaustive?, draws) of ``norm_of(b)`` over uniform
+    b in {+-1}^k.
+
+    Exhaustive when k <= EXHAUSTIVE_SIGN_LIMIT, using the global-flip
+    symmetry to halve the enumeration (stderr 0); otherwise ``trials`` rows
+    drawn from ``rng``.  Values are reduced in row order, threaded or not.
+    """
+    if k <= EXHAUSTIVE_SIGN_LIMIT:
+        rows = sign_rows(k, fix_first=True)
+        exhaustive = True
+    else:
+        rows = 1 - 2 * rng.integers(0, 2, size=(trials, k)).astype(np.int8)
+        exhaustive = False
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            vals = list(ex.map(norm_of, rows))
+    else:
+        vals = [norm_of(b) for b in rows]
+    arr = np.asarray(vals)
+    stderr = 0.0 if exhaustive else float(arr.std(ddof=1) / np.sqrt(len(arr)))
+    return float(arr.mean()), stderr, exhaustive, len(rows)
+
+
 def estimate_expected_norm(
     group_mats, trials: int = 200, seed: int = 0, tol: float = DEFAULT_TOL,
     threads: int = 1,
 ):
-    """Mean and stderr of |sum_i b_i X_i| over uniform signs b.
-
-    Exhaustive when k <= 12, using the global-flip symmetry to halve the
-    enumeration (stderr 0); Monte Carlo with per-trial derived seeds
-    otherwise.  Trials are reduced in draw order, threaded or not.
-    """
+    """Mean and stderr of |sum_i b_i X_i| over uniform signs b, by
+    ``average_over_signs`` with the Monte Carlo rows drawn from ``seed``."""
     mats = [m.tocsr() for m in group_mats]
     k = len(mats)
     if k == 0:
@@ -414,19 +440,7 @@ def estimate_expected_norm(
             acc = acc + float(b[i]) * mats[i]
         return spectral_norm(acc, tol=tol, seed=seed).value
 
-    if k <= EXHAUSTIVE_SIGN_LIMIT:
-        rows = sign_rows(k, fix_first=True)
-        exhaustive = True
-    else:
-        rng = np.random.default_rng(seed)
-        rows = 1 - 2 * rng.integers(0, 2, size=(trials, k)).astype(np.int8)
-        exhaustive = False
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            vals = list(ex.map(norm_for, rows))
-    else:
-        vals = [norm_for(b) for b in rows]
-    arr = np.asarray(vals)
-    if exhaustive:
-        return float(arr.mean()), 0.0
-    return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(trials))
+    mean, stderr, _, _ = average_over_signs(
+        norm_for, k, trials, np.random.default_rng(seed), threads=threads
+    )
+    return mean, stderr

@@ -1,11 +1,20 @@
 """Shared helpers: independent oracles the implementation must agree with."""
 
+import os
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kikuchi.instances import XorInstance, eval_phi, eval_psi_bipartite
+
+# subprocess tests run ``python -m kikuchi.cli``; let them find the sources
+# that pytest's ``pythonpath`` setting puts on sys.path
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def slow_brute_force(inst, b):

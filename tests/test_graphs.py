@@ -274,19 +274,6 @@ def test_matvec_indicator_recovers_column(rng):
     assert np.allclose(matvec(g, signs, e, side="right"), dense[:, j])
 
 
-def test_matvec_sparse_map_mode():
-    inst = generate_random_matching_instance(8, 3, 2, 0.25, seed=11)
-    g = assemble_regular_cs(inst, 1)
-    signs = g.signs_for([1, 1])
-    dense = g.to_dense(signs)
-    j = int(g.right[0])
-    out = matvec(g, signs, {j: 2.0}, side="right")
-    expect = 2.0 * dense[:, j]
-    for rank, val in out.items():
-        assert expect[rank] == val
-    assert sum(v != 0 for v in expect) == sum(1 for v in out.values() if v != 0)
-
-
 def test_to_csr_matches_dense():
     inst = generate_random_matching_instance(8, 3, 2, 0.25, seed=12)
     g = assemble_regular_cs(inst, 1)
