@@ -3,8 +3,9 @@ gen | decompose | build | refute | oracle | sweep | verify.
 
 Exit codes: 0 ok, 1 verification failure, 2 config error, 3 I/O error.
 Every output file embeds the tool version, the echoed config, and the
-master seed; timestamps live in a separate "meta" block so re-runs are
-byte-identical outside it.
+master seed; timestamps and input paths live in a separate "meta" block,
+so re-runs, also from another copy of the input, are byte-identical
+outside it.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ def cmd_decompose(args) -> int:
         for v in report["violations"]:
             print(f"violation: {v}", file=sys.stderr)
         return EXIT_VERIFY
-    extra = _meta({"in": args.inp, "ell": args.ell}, seed=None)
-    extra["meta"] = {"created_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    extra = _meta({"ell": args.ell}, seed=None)
+    extra["meta"] = _run_meta(args.inp)
     dump_decomposition(dec, args.out, extra=extra)
     print(
         f"wrote {args.out}: leftover={dec.leftover.total_edges} edges, "
@@ -116,7 +117,7 @@ def cmd_refute(args) -> int:
     if not isinstance(inst, XorInstance):
         raise ConfigError("refute expects a q-uniform instance file")
     config = {
-        "in": args.inp, "epsilon": args.epsilon, "gamma": args.gamma,
+        "epsilon": args.epsilon, "gamma": args.gamma,
         "trials": args.trials, "seed": args.seed, "ell": args.ell,
         "partitions": args.partitions,
     }
@@ -134,11 +135,11 @@ def cmd_refute(args) -> int:
             bad = [e for e in log if not e["ok"]]
             if bad:
                 print(f"soundness violations: {len(bad)}", file=sys.stderr)
-                dump_certificate(cert, args.out, extra_meta=_now())
+                dump_certificate(cert, args.out, extra_meta=_run_meta(args.inp))
                 return EXIT_VERIFY
         except OracleLimitExceeded as exc:
             print(f"soundness check skipped: {exc}", file=sys.stderr)
-    dump_certificate(cert, args.out, extra_meta=_now())
+    dump_certificate(cert, args.out, extra_meta=_run_meta(args.inp))
     print(
         f"wrote {args.out}: combined bound {cert['combined_bound']:.4f} "
         f"vs eps*delta*n*k = {cert['eps_delta_nk']:.4f} -> {cert['verdict']}"
@@ -146,8 +147,9 @@ def cmd_refute(args) -> int:
     return EXIT_OK
 
 
-def _now() -> dict:
-    return {"created_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
+def _run_meta(inp) -> dict:
+    """The ``meta`` block: what may differ between byte-identical runs."""
+    return {"created_at": time.strftime("%Y-%m-%dT%H:%M:%S"), "in": inp}
 
 
 def cmd_build(args) -> int:

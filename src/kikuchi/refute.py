@@ -121,7 +121,7 @@ class SignedFamily:
 
     The graph supplies the per-label signs and the CSR matrix; norms are
     cached by the realized label-sign vector, so distinct b hitting the same
-    label signs (b and -b always do) share one power iteration.
+    label signs (b and -b always do) share one norm solve.
     """
 
     def __init__(self, graph: PrunedGraph):
@@ -131,9 +131,10 @@ class SignedFamily:
         self._norm_cache: dict[bytes, float] = {}
 
     def norm(self, b, tol=REFUTE_TOL, seed: int = 0) -> float:
-        """Certificate-side norm: the power-iteration estimate inflated by
-        its residual and raw-quotient lag, so slow-spectrum cases loosen
-        bounds instead of undercutting them."""
+        """Certificate-side norm: the Lanczos estimate, a Ritz value from
+        below, inflated by its residual (a relative error bound on the
+        squared norm), so an unconverged solve loosens bounds instead of
+        undercutting them."""
         signs = self.graph.signs_for(b)
         if self.nnz == 0:
             return 0.0
@@ -141,7 +142,7 @@ class SignedFamily:
             if key in self._norm_cache:
                 return self._norm_cache[key]
         est = spectral_norm(self.graph.to_csr(signs), tol=tol, seed=seed)
-        val = est.value * (1.0 + est.residual + est.lag)
+        val = est.value * (1.0 + est.residual)
         self._norm_cache[signs.tobytes()] = val
         return val
 

@@ -1,13 +1,14 @@
 """Spectral norms for sparse/implicit matrices and Rademacher-series bounds.
 
-Signed norms |B(b)| come from power iteration on A^T A with a
-deterministic all-ones start plus one seeded random restart.  Rayleigh
-quotients of the power sequence increase geometrically toward the top
-eigenvalue, so the limit is read off by Aitken extrapolation of
-checkpointed quotients; this keeps iteration counts reasonable on
-near-degenerate spectra where raw convergence is slow.  numpy's LAPACK SVD
-is deliberately not used here so the test suite can keep it as an
-independent oracle.
+Signed norms |B(b)| come from Lanczos on the Gram operator of the smaller
+side (A^T A or A A^T), with a deterministic all-ones start plus one seeded
+random restart.  The recurrence keeps three vectors and the tridiagonal
+T, not a basis, and stops once the top Ritz pair's residual is below the
+tolerance; the Ritz value approaches the top eigenvalue from below, and
+the residual bounds its relative error.  The solver is numpy only:
+importing ``scipy.sparse.linalg`` would cost about 10 MB of resident
+memory, and numpy's LAPACK SVD stays out so the test suite can keep it as
+an independent oracle.
 
 Expectations over uniform signs go through one loop, ``average_over_signs``:
 exhaustive over b with b_1 = +1 up to EXHAUSTIVE_SIGN_LIMIT groups, Monte
@@ -34,7 +35,13 @@ import scipy.sparse as sp
 DEFAULT_TOL = 1e-9
 DEFAULT_MAXIT = 10_000
 EXHAUSTIVE_SIGN_LIMIT = 12  # enumerate all 2^k sign vectors up to here
-_CHECK_EVERY = 8
+# Lanczos steps per start: the error after m steps decays like
+# exp(-2 m sqrt(gap)), power iteration's like exp(-m gap), so on any gap
+# where 10^4 power steps would not have converged, 300 Lanczos steps reach
+# further; a dense eigh of T also stays cheap at this size
+_LANCZOS_MAX_STEPS = 300
+_RITZ_EVERY = 4  # Lanczos steps between eigensolves of T
+_BREAKDOWN = 1e-12  # beta below this share of |G q| ends the recurrence
 DENSE_COMPONENT_MAX = 32  # larger Gram components use power iteration
 _DENSE_BATCH_ENTRIES = 1 << 16  # float64 entries per batched eigh call
 _CW_TOL = 1e-13  # relative gap between Collatz-Wielandt and Rayleigh to stop
@@ -44,11 +51,10 @@ _CW_TOL = 1e-13  # relative gap between Collatz-Wielandt and Rayleigh to stop
 class NormEstimate:
     value: float
     method: str  # "dense_exact" | "power_iteration" | "empty"
-    iterations: int
-    residual: float  # relative error estimate of value; <= tol on success
+    iterations: int  # Lanczos steps of the start that gave ``value``
+    residual: float  # relative error bound on value^2; <= tol on success
     tol: float
     converged: bool
-    lag: float = 0.0  # how far the raw Rayleigh quotient trailed the limit
 
     def to_dict(self) -> dict:
         return {
@@ -58,84 +64,61 @@ class NormEstimate:
             "residual": self.residual,
             "tol": self.tol,
             "converged": self.converged,
-            "lag": self.lag,
         }
 
 
-def _extrapolate(hist):
-    """Aitken limit estimate from the last three checkpointed Rayleighs."""
-    r1, r2, r3 = hist[-3], hist[-2], hist[-1]
-    d1, d2 = r2 - r1, r3 - r2
-    if d1 > 0 and 0 < d2 < d1:
-        rho = d2 / d1
-        return r3 + d2 * rho / (1.0 - rho)
-    return r3
+def _lanczos_top(gram, start, tol, maxit, trace=None):
+    """Top Ritz value of the symmetric positive semidefinite operator
+    ``gram`` from the three-term Lanczos recurrence started at ``start``.
 
-
-def _power_limit(rayleigh, dim, tol, maxit, start, trace=None):
-    """Shared power loop: ``rayleigh(v)`` returns the quotient at the unit
-    vector v together with the next (unnormalized) iterate.
-
-    Stops when the raw quotient's increments die (plain convergence), or
-    when consecutive Aitken limit estimates agree to ``tol`` while the raw
-    quotient is reasonably close (geometric tail locked in), or at
-    ``maxit``.  Returns (limit, iters, residual, lag, converged): residual
-    estimates the limit's own relative error, lag reports how far the raw
-    quotient still trailed it.
+    No basis is stored and nothing is reorthogonalised: by Paige's analysis
+    the extreme Ritz value and its residual stay reliable in finite
+    precision; lost orthogonality only adds ghost copies of converged
+    values.  Every _RITZ_EVERY steps the top eigenpair (theta, s) of the
+    tridiagonal T is taken, and the loop stops once the residual
+    |G y - theta y| = beta_j |s_j| of its Ritz vector y is at most
+    tol * theta, when beta_j vanishes (an invariant subspace, where theta is
+    exact), or after min(maxit, _LANCZOS_MAX_STEPS) steps.  ``trace``, if a
+    list, receives theta at every checkpoint.  Returns
+    (theta, steps, residual / theta, converged).
     """
-    nrm = np.linalg.norm(start)
-    if nrm == 0:
-        return 0.0, 0, 0.0, 0.0, True
-    v = start / nrm
-    hist: list[float] = []
-    it = 0
-    last = 0.0
-    limit_prev = None
-    stable_count = 0
-    while it < maxit:
-        r, w = rayleigh(v)
-        last = r
-        if trace is not None:
-            trace.append(r)
-        it += 1
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return r, it, 0.0, 0.0, True
-        v = w / nw
-        if it % _CHECK_EVERY == 0 or it == 1:
-            hist.append(r)
-            scale = max(hist[-1], 1e-300)
-            if len(hist) >= 2 and hist[-1] - hist[-2] <= tol * scale:
-                # raw increments are dead; the quotient itself has converged
-                limit = _extrapolate(hist) if len(hist) >= 3 else r
-                scale = max(limit, 1e-300)
-                lag = max(limit - r, 0.0) / scale
-                return limit, it, min(lag, tol), lag, True
-            if len(hist) >= 3:
-                limit = _extrapolate(hist)
-                scale = max(limit, 1e-300)
-                lag = max(limit - r, 0.0) / scale
-                gap = abs(limit - limit_prev) / scale if limit_prev is not None else np.inf
-                if gap <= tol:
-                    stable_count += 1
-                else:
-                    stable_count = 0
-                if stable_count >= 2 and lag <= 0.05:
-                    # geometric tail locked in; the limit is the estimate
-                    return limit, it, gap, lag, True
-                limit_prev = limit
-    limit = _extrapolate(hist) if len(hist) >= 3 else last
-    scale = max(limit, 1e-300)
-    lag = max(limit - last, 0.0) / scale
-    return limit, it, max(lag, tol), lag, False
+    q = start / np.linalg.norm(start)
+    q_prev = np.zeros_like(q)
+    alphas: list[float] = []
+    betas: list[float] = []
+    beta = 0.0
+    steps = max(1, min(maxit, _LANCZOS_MAX_STEPS))
+    for j in range(1, steps + 1):
+        w = gram(q) - beta * q_prev
+        alpha = float(q @ w)
+        w -= alpha * q
+        beta_prev, beta = beta, float(np.linalg.norm(w))
+        # |G q|^2 = beta_prev^2 + alpha^2 + beta^2 in exact arithmetic
+        invariant = beta <= _BREAKDOWN * (abs(alpha) + beta_prev)
+        alphas.append(alpha)
+        betas.append(beta)
+        if invariant or j % _RITZ_EVERY == 0 or j == steps:
+            off = np.arange(j - 1)
+            T = np.diag(alphas)
+            T[off, off + 1] = T[off + 1, off] = betas[:-1]
+            vals, vecs = np.linalg.eigh(T)
+            theta = float(vals[-1])
+            bound = beta * abs(float(vecs[-1, -1]))
+            if trace is not None:
+                trace.append(theta)
+            if invariant or bound <= tol * theta or j == steps:
+                break
+        q_prev, q = q, w / beta
+    resid = 0.0 if bound == 0 else bound / max(theta, np.finfo(float).tiny)
+    return max(theta, 0.0), j, resid, resid <= tol
 
 
 def _matvec_pair(A):
     """(A@v, A.T@u) closures plus metadata for any supported matrix type."""
     if sp.issparse(A):
         Ac = A.tocsr()
-        At = Ac.T.tocsr()
-        return Ac.dot, At.dot, A.shape, A.nnz, True, "power_iteration"
+        # a CSC view sharing Ac's arrays, built once: no copy, no per-call setup
+        return Ac.dot, Ac.T.dot, A.shape, A.nnz, True, "power_iteration"
     if isinstance(A, np.ndarray):
         return (
             lambda v: A @ v,
@@ -161,34 +144,34 @@ def spectral_norm(
 ) -> NormEstimate:
     """Top singular value of a dense array, sparse matrix, or LinearOperator.
 
-    Runs from the all-ones start plus one seeded random restart and keeps
-    the larger estimate.  Random bilinear probes and the L1 row/column
-    bound are asserted afterwards as sanity guards (explicit matrices
-    only).  ``trace``, if a list, collects the Rayleigh quotients of the
-    first start for convergence diagnostics.
+    Lanczos (``_lanczos_top``) on the Gram operator of the smaller side,
+    A^T A when A has no more columns than rows and A A^T otherwise, from the
+    all-ones start plus one seeded random restart; the larger value is
+    kept.  ``residual`` bounds the relative error of value^2, so it bounds
+    that of value with a factor two to spare.  Random bilinear probes and
+    the L1 row/column bound are asserted afterwards as sanity guards
+    (explicit matrices only).  ``trace``, if a list, collects the top Ritz
+    values of the first start, one per checkpoint.
     """
     mv, rmv, shape, nnz, explicit, method = _matvec_pair(A)
     n_rows, n_cols = shape
     if n_rows == 0 or n_cols == 0 or nnz == 0:
         return NormEstimate(0.0, "empty", 0, 0.0, tol, True)
-
-    def rayleigh(v):
-        u = mv(v)
-        w = rmv(u)
-        return float(u @ u), w
+    if n_cols <= n_rows:
+        dim, gram = n_cols, lambda v: rmv(mv(v))
+    else:
+        dim, gram = n_rows, lambda u: mv(rmv(u))
 
     rng = np.random.default_rng(seed)
-    starts = [np.ones(n_cols), rng.standard_normal(n_cols)]
-    best = (0.0, 0, 0.0, 0.0, True)
+    starts = [np.ones(dim), rng.standard_normal(dim)]
+    best = (0.0, 0, 0.0, True)
     for idx, st in enumerate(starts):
-        lim, it, resid, lag, conv = _power_limit(
-            rayleigh, n_cols, tol, maxit, st,
-            trace=trace if idx == 0 else None,
-        )
-        if lim > best[0]:
-            best = (lim, it, resid, lag, conv)
-    lim, it, resid, lag, conv = best
-    val = float(np.sqrt(max(lim, 0.0)))
+        got = _lanczos_top(gram, st, tol, maxit,
+                           trace=trace if idx == 0 else None)
+        if got[0] > best[0]:
+            best = got
+    theta, it, resid, conv = best
+    val = float(np.sqrt(theta))
 
     if explicit and val > 0:
         for _ in range(probes):
@@ -203,7 +186,7 @@ def spectral_norm(
         upper = float(np.sqrt(row_l1 * col_l1))
         if val > upper * (1 + 1e-6) + 1e-12:
             raise AssertionError("norm estimate above the L1 bound")
-    return NormEstimate(val, method, it, float(resid), tol, conv, float(lag))
+    return NormEstimate(val, method, it, float(resid), tol, conv)
 
 
 def _components(S) -> np.ndarray:

@@ -432,7 +432,7 @@ def test_criterion_8_conditional_moments():
 
 
 def test_criterion_9_spectral_norm_oracle():
-    """Power iteration agrees with the independent LAPACK SVD oracle to
+    """The Lanczos norm agrees with the independent LAPACK SVD oracle to
     relative 1e-7 on 100 random sparse matrices."""
     import scipy.sparse as sp
 

@@ -96,6 +96,26 @@ def test_refute_deterministic(tmp_path):
     assert without_meta(read_json(a)) == without_meta(read_json(b))
 
 
+def test_refute_and_decompose_independent_of_input_path(tmp_path):
+    first = tmp_path / "inst.json"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+            "--seed", "4", "--out", str(first))
+    second = tmp_path / "copy" / "other-name.json"
+    second.parent.mkdir()
+    second.write_bytes(first.read_bytes())
+    for cmd, extra in (("refute", ["--partitions", "2", "--seed", "9"]),
+                       ("decompose", [])):
+        outs = []
+        for inp in (first, second):
+            out = tmp_path / f"{cmd}-{len(outs)}.json"
+            assert run_cli(cmd, "--in", str(inp), "--out", str(out),
+                           "--ell", "1", *extra) == 0
+            d = read_json(out)
+            assert d["meta"]["in"] == str(inp)
+            outs.append(without_meta(d))
+        assert outs[0] == outs[1]
+
+
 def test_verify_detects_tampering(tmp_path):
     inst = tmp_path / "inst.json"
     cert = tmp_path / "cert.json"

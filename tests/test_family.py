@@ -21,6 +21,7 @@ from kikuchi.instances import (
 )
 from kikuchi.prune import prune, target_degrees
 from kikuchi.refute import Partition, SignedFamily
+from kikuchi.spectral import NormEstimate
 
 
 def _pruned(graph, delta_n, k):
@@ -158,3 +159,24 @@ def test_signs_for_rejects_short_sign_vector():
     pg = VARIANTS["regular_cs_full"]
     with pytest.raises(IndexError):
         pg.signs_for(np.ones(_k(pg) - 1, dtype=int))
+
+
+@pytest.mark.parametrize(
+    "name", ["regular_cs_full", "regular_cs_partition", "bipartite"])
+def test_signed_family_norm_brackets_svd(name):
+    # the certificate-side norm sits on or just above the top singular value
+    pg = VARIANTS[name]
+    fam = SignedFamily(pg)
+    for b in _sign_vectors(_k(pg)):
+        dense = pg.to_dense(pg.signs_for(b))
+        want = float(np.linalg.svd(dense, compute_uv=False)[0])
+        got = fam.norm(b)
+        assert want * (1 - 1e-12) <= got <= want * (1 + 1e-8)
+
+
+def test_signed_family_norm_inflates_by_residual(monkeypatch):
+    # an unconverged solve loosens the certificate instead of undercutting it
+    est = NormEstimate(2.0, "power_iteration", 2, 0.25, 1e-9, False)
+    monkeypatch.setattr(refute, "spectral_norm", lambda A, **kw: est)
+    pg = VARIANTS["regular_cs_full"]
+    assert SignedFamily(pg).norm(np.ones(_k(pg), dtype=int)) == 2.5

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -317,3 +319,20 @@ def test_soundness_check_guard_and_log():
         assert e["spectral_bound"] + 1e-6 >= e["val"]
     sub = run.soundness_check(signs_list=[[1, 1, 1], [-1, 1, -1]])
     assert len(sub) == 2 and all(e["ok"] for e in sub)
+
+
+def test_refute_imports_no_heavy_scipy_submodule():
+    # each of these costs about 10 MB of resident memory
+    code = (
+        "import sys\n"
+        "from kikuchi.instances import generate_random_matching_instance\n"
+        "from kikuchi.refute import refute_full\n"
+        "inst = generate_random_matching_instance(12, 3, 4, 0.25, seed=1)\n"
+        "refute_full(inst, ell=1, n_partitions=2, trials=10)\n"
+        "heavy = ('scipy.sparse.linalg', 'scipy.linalg', 'scipy.sparse.csgraph')\n"
+        "print(' '.join(m for m in heavy if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

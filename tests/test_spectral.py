@@ -62,7 +62,83 @@ def test_rayleigh_quotients_nondecreasing(rng):
     trace = []
     spectral_norm(M, trace=trace)
     arr = np.asarray(trace)
+    assert len(trace) >= 2
     assert (np.diff(arr) >= -1e-9 * arr[:-1].clip(min=1e-300)).all()
+
+
+def _svd_top(M) -> float:
+    return float(np.linalg.svd(M.toarray(), compute_uv=False)[0])
+
+
+def _assert_brackets(est, want):
+    # a Ritz value from below, within its residual of the oracle
+    assert est.converged and est.residual <= est.tol
+    assert est.value <= want * (1 + 1e-12)
+    assert est.value * (1 + est.residual) >= want * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("shape", [(200, 3), (3, 200), (90, 25), (25, 90),
+                                   (1, 40), (40, 1), (1, 1)])
+def test_lanczos_shapes_against_svd(rng, shape):
+    m, n = shape
+    for t in range(8):
+        M = random_sparse(rng, m, n, max(1, m * n // 3))
+        est = spectral_norm(M, tol=1e-10, seed=t)
+        _assert_brackets(est, _svd_top(M))
+        # the Gram operator lives on the smaller side, so the Krylov space
+        # is exhausted after min(m, n) steps
+        if min(m, n) <= 3:
+            assert est.iterations <= min(m, n)
+
+
+def test_lanczos_rank_one(rng):
+    # constant rows: the all-ones start is the top vector, beta ~ 0 at step 1
+    u = rng.standard_normal(30)
+    flat = sp.csr_matrix(np.outer(u, np.ones(20)))
+    est = spectral_norm(flat)
+    assert est.value == pytest.approx(np.linalg.norm(u) * math.sqrt(20), rel=1e-12)
+    assert est.iterations <= 2 and est.converged
+    # a generic rank-one matrix exhausts its Krylov space after two steps
+    for shape in [(30, 20), (20, 30)]:
+        M = sp.csr_matrix(np.outer(rng.standard_normal(shape[0]),
+                                   rng.standard_normal(shape[1])))
+        est = spectral_norm(M)
+        _assert_brackets(est, _svd_top(M))
+        assert est.iterations <= 2
+
+
+def test_lanczos_repeated_top_singular_value(rng):
+    P = sp.csr_matrix(np.eye(50)[rng.permutation(50)])
+    est = spectral_norm(P)
+    assert est.value == pytest.approx(1.0, rel=1e-12)
+    assert est.iterations == 1
+    block = random_sparse(rng, 12, 9, 40)
+    copies = sp.block_diag([block, block, 2 * block, block]).tocsr()
+    est = spectral_norm(copies, tol=1e-10)
+    _assert_brackets(est, _svd_top(copies))
+    copies = sp.block_diag([block] * 4).tocsr()
+    _assert_brackets(spectral_norm(copies, tol=1e-10), _svd_top(copies))
+
+
+def test_lanczos_random_restart_finds_hidden_top():
+    # every top right singular vector e_{2i} - e_{2i+1} is orthogonal to the
+    # all-ones start, which is an eigenvector of A^T A for 0.5: only the
+    # random restart sees the top value 2
+    M = sp.kron(sp.eye(10), sp.csr_matrix([[1.0, -1.0], [0.5, 0.5]])).tocsr()
+    trace = []
+    est = spectral_norm(M, trace=trace)
+    assert max(trace) == pytest.approx(0.5, rel=1e-12)
+    assert est.value == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    _assert_brackets(est, _svd_top(M))
+
+
+def test_lanczos_too_few_steps_reports_nonconvergence(rng):
+    M = random_sparse(rng, 60, 60, 400)
+    est = spectral_norm(M, tol=1e-9, maxit=2)
+    assert not est.converged
+    assert est.residual > est.tol
+    assert est.iterations == 2
+    assert est.value <= _svd_top(M) * (1 + 1e-12)
 
 
 def test_residual_below_tol_on_success(rng):
