@@ -22,6 +22,7 @@ from .decompose import compute_thresholds, decompose, dump_decomposition, \
     recombination_check, verify_decomposition
 from .graphs import quadratic_form
 from .instances import (
+    EXHAUSTIVE_LIMIT,
     OracleLimitExceeded,
     XorInstance,
     brute_force_val,
@@ -184,14 +185,18 @@ def cmd_oracle(args) -> int:
         signs = [int(s) for s in args.signs.split(",")]
     elif inst.signs is not None:
         signs = list(inst.signs)  # fixed signs stored with the instance
-    if signs is not None:
-        val, x, y = brute_force_val(inst, signs, limit=args.limit)
-        out.update({"signs": signs, "val": val, "argmax_x": x, "argmax_y": y})
-    else:
-        mean, stderr = expected_val(
-            inst, trials=args.trials, seed=args.seed, limit=args.limit
-        )
-        out.update({"expected_val": mean, "stderr": stderr})
+    try:
+        if signs is not None:
+            val, x, y = brute_force_val(inst, signs, limit=args.limit)
+            out.update({"signs": signs, "val": val, "argmax_x": x, "argmax_y": y})
+        else:
+            mean, stderr = expected_val(
+                inst, trials=args.trials, seed=args.seed, limit=args.limit
+            )
+            out.update({"expected_val": mean, "stderr": stderr})
+    except OracleLimitExceeded as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     text = json.dumps(out, indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
@@ -391,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated +-1 vector; omit for E_b")
     o.add_argument("--trials", type=int, default=200)
     o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--limit", type=int, default=24)
+    o.add_argument("--limit", type=int, default=EXHAUSTIVE_LIMIT)
     o.add_argument("--out", default=None)
     o.set_defaults(fn=cmd_oracle)
 

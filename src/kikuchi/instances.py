@@ -9,6 +9,14 @@ Bipartite instances carry hyperedges (C, p) with |C| = q - s left vertices
 and a label p from a registry of s-subsets; their polynomial additionally
 multiplies by y_p.  Everything here is immutable after construction and all
 randomness flows through explicit seeds.
+
+The exact oracle (``brute_force_val``, ``val_for_all_signs``,
+``expected_val``) runs one enumerator, ``_scan``.  It splits an assignment
+index a into its low t = min(nv, 14) bits and the rest, so every character
+factors as chi_C(a) = chi_{C_hi}(a >> t) chi_{C_lo}(a mod 2^t); a block of
+(high bits, sign row) pairs is then one float64 GEMM against a low-bit
+character table built once.  ``val_for_all_signs`` scans only the sign
+vectors with b_k = +1 and reads val(Phi_-b) = -min Phi_b off the same rows.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ from .setops import mask_of
 
 EXHAUSTIVE_LIMIT = 24  # max total +-1 variables for the exact oracle
 EXHAUSTIVE_B_LIMIT = 16  # expected_val enumerates all 2^k signs up to here
+LOW_BITS = 14  # assignment bits in the oracle's low character table
+BLOCK_ENTRIES = 1 << 20  # float64 values per oracle GEMM block
 
 
 class DimensionMismatch(ValueError):
@@ -247,59 +257,91 @@ def eval_psi_bipartite(inst: BipartiteXorInstance, b, x, y) -> int:
     return total
 
 
-def _constraint_masks(inst, b):
-    """Per-constraint (sign, variable bitmask) over the joint variable vector.
+def _constraint_masks(inst):
+    """Per-constraint (owning matching, variable bitmask) over the joint vector.
 
-    Joint order: x_0..x_{n-1} then (for bipartite) y_0..y_{|P|-1}.
+    Joint order: x_0..x_{n-1} then (for bipartite) y_0..y_{|P|-1}.  A sign
+    vector b weights constraint c by ``b[owner[c]]``.
     """
-    out_signs, out_masks = [], []
-    if isinstance(inst, XorInstance):
-        for bi, h in zip(b, inst.hypergraphs):
-            for e in h:
-                out_signs.append(bi)
-                out_masks.append(mask_of(e))
-    else:
-        for bi, h in zip(b, inst.hypergraphs):
-            for c, p in h:
-                out_signs.append(bi)
-                out_masks.append(mask_of(c) | (1 << (inst.n + p)))
-    return out_signs, out_masks
+    owner, masks = [], []
+    for i, h in enumerate(inst.hypergraphs):
+        for e in h:
+            owner.append(i)
+            if isinstance(inst, XorInstance):
+                masks.append(mask_of(e))
+            else:
+                c, p = e
+                masks.append(mask_of(c) | (1 << (inst.n + p)))
+    return np.asarray(owner, dtype=np.int64), masks
 
 
-def _num_vars(inst) -> int:
-    return inst.n + (inst.p_size if isinstance(inst, BipartiteXorInstance) else 0)
+def _oracle_vars(inst, limit: int) -> int:
+    """Joint variable count; refuses when it exceeds ``limit``."""
+    nv = inst.n + (inst.p_size if isinstance(inst, BipartiteXorInstance) else 0)
+    if nv > limit:
+        raise OracleLimitExceeded(f"{nv} variables exceeds exhaustive limit {limit}")
+    return nv
 
 
-def _parity_matrix(masks, lo: int, hi: int) -> np.ndarray:
-    """(-1)^{popcount(a & mask)} for assignments a in [lo, hi), int8 rows."""
-    a = np.arange(lo, hi, dtype=np.uint64)
-    rows = np.empty((len(masks), hi - lo), dtype=np.int8)
-    for r, m in enumerate(masks):
-        par = np.bitwise_count(a & np.uint64(m)).astype(np.int8) & 1
-        rows[r] = 1 - 2 * par
-    return rows
+def _chi(a, b) -> np.ndarray:
+    """(-1)^{popcount(a_i & b_j)} as a float64 (len(a), len(b)) table."""
+    return 1.0 - 2.0 * (np.bitwise_count(a[:, None] & b[None, :]) & 1)
+
+
+def _scan(masks, coeff, nv: int):
+    """Max, first argmax and min of ``coeff[r] . chi(a)`` over a in [0, 2^nv).
+
+    ``chi(a)[c] = (-1)^popcount(a & masks[c])``.  With a = (hi << t) | lo,
+    every character factors as chi_C(a) = chi_{C_hi}(hi) chi_{C_lo}(lo), so
+    the values of a block of (hi, row) pairs are one float64 GEMM,
+    ``(high[hi] * coeff[row]) @ low``, against the (m, 2^t) low-bit table.
+    The entries are small integers, so the sums are exact.  The argmax is
+    the lowest maximising assignment index.  Returns three int64 arrays.
+    """
+    rows, m = coeff.shape
+    t = min(nv, LOW_BITS)
+    masks = np.asarray(masks, dtype=np.uint64)
+    lo_masks = (masks & np.uint64((1 << t) - 1)).astype(np.uint16)  # t <= 16
+    low = _chi(lo_masks, np.arange(1 << t, dtype=np.uint16))
+    high = _chi(np.arange(1 << (nv - t), dtype=np.uint64), masks >> np.uint64(t))
+    best = np.full(rows, -np.inf)
+    worst = np.full(rows, np.inf)
+    arg = np.zeros(rows, dtype=np.int64)
+    # (hi, row) pairs per block, so that a block holds <= BLOCK_ENTRIES floats
+    pairs = max(1, BLOCK_ENTRIES >> t)
+    rb = max(1, min(rows, pairs))
+    hb = max(1, pairs // rb)
+    for r0 in range(0, rows, rb):
+        c = coeff[r0 : r0 + rb].astype(np.float64)
+        sel = np.arange(len(c))
+        for h0 in range(0, len(high), hb):
+            w = high[h0 : h0 + hb, None, :] * c[None, :, :]  # (hi, row, m)
+            vals = (w.reshape(len(w) * len(c), m) @ low).reshape(len(w), len(c), -1)
+            top = vals.max(axis=2)
+            np.minimum(worst[r0 : r0 + rb], vals.min(axis=2).min(axis=0),
+                       out=worst[r0 : r0 + rb])
+            hi = top.argmax(axis=0)  # first (lowest) hi reaching each row's max
+            top = top[hi, sel]
+            up = np.flatnonzero(top > best[r0 : r0 + rb])
+            if up.size:
+                lo = vals[hi[up], up].argmax(axis=1)
+                best[r0 + up] = top[up]
+                arg[r0 + up] = ((h0 + hi[up]) << t) | lo
+    return best.astype(np.int64), arg, worst.astype(np.int64)
 
 
 def brute_force_val(inst, b, limit: int = EXHAUSTIVE_LIMIT):
     """Exact max of the instance polynomial over all +-1 assignments.
 
     Returns (value, argmax x, argmax y or None).  Bit v of the assignment
-    index set means variable v is -1.  Refuses when the joint variable count
-    exceeds ``limit``.
+    index set means variable v is -1; the argmax is the lowest maximising
+    index.  Refuses when the joint variable count exceeds ``limit``.
     """
     b = _check_signs(b, inst.k)
-    nv = _num_vars(inst)
-    if nv > limit:
-        raise OracleLimitExceeded(f"{nv} variables exceeds exhaustive limit {limit}")
-    signs, masks = _constraint_masks(inst, b)
-    best_val, best_idx = None, 0
-    sv = np.asarray(signs, dtype=np.int32)
-    for lo in range(0, 1 << nv, 1 << 20):
-        hi = min(lo + (1 << 20), 1 << nv)
-        vals = sv @ _parity_matrix(masks, lo, hi).astype(np.int32)
-        j = int(np.argmax(vals))
-        if best_val is None or vals[j] > best_val:
-            best_val, best_idx = int(vals[j]), lo + j
+    nv = _oracle_vars(inst, limit)
+    owner, masks = _constraint_masks(inst)
+    top, arg, _ = _scan(masks, np.asarray(b, dtype=np.int8)[None, owner], nv)
+    best_val, best_idx = int(top[0]), int(arg[0])
     x = [1 - 2 * ((best_idx >> v) & 1) for v in range(inst.n)]
     y = None
     if isinstance(inst, BipartiteXorInstance):
@@ -308,50 +350,41 @@ def brute_force_val(inst, b, limit: int = EXHAUSTIVE_LIMIT):
 
 
 def val_for_all_signs(inst, limit: int = EXHAUSTIVE_LIMIT) -> np.ndarray:
-    """val(Phi_b) for every b in {-1,+1}^k (bit i of the row index = b_i is -1)."""
-    nv = _num_vars(inst)
-    if nv > limit:
-        raise OracleLimitExceeded(f"{nv} variables exceeds exhaustive limit {limit}")
+    """val(Phi_b) for every b in {-1,+1}^k (bit i of the row index = b_i is -1).
+
+    Scans only the 2^(k-1) rows with b_k = +1: Phi_{-b} = -Phi_b, so
+    val(Phi_{-b}) = -min_a Phi_b(a) comes from the same scan.  This holds
+    for every instance, even q and bipartite pieces included.
+    """
+    nv = _oracle_vars(inst, limit)
     if inst.k > EXHAUSTIVE_B_LIMIT:
         raise OracleLimitExceeded(f"k={inst.k} too large to enumerate signs")
-    _, masks = _constraint_masks(inst, [1] * inst.k)
-    owner = []
-    for i, h in enumerate(inst.hypergraphs):
-        owner.extend([i] * len(h))
-    owner = np.asarray(owner, dtype=np.int64)
-    bi = np.arange(1 << inst.k, dtype=np.uint64)
-    bmat = 1 - 2 * (
-        (bi[:, None] >> np.arange(inst.k, dtype=np.uint64)[None, :]) & 1
-    ).astype(np.int32)  # (2^k, k)
-    coeff = bmat[:, owner] if len(owner) else np.zeros((1 << inst.k, 0), np.int32)
-    best = np.full(1 << inst.k, -(1 << 62), dtype=np.int64)
-    if not len(masks):
-        return np.zeros(1 << inst.k, dtype=np.int64)
-    # keep the (2^k x chunk) work array near 2^22 entries
-    chunk = max(1 << 8, (1 << 22) >> inst.k)
-    for lo in range(0, 1 << nv, chunk):
-        hi = min(lo + chunk, 1 << nv)
-        vals = coeff.astype(np.int64) @ _parity_matrix(masks, lo, hi).astype(np.int64)
-        np.maximum(best, vals.max(axis=1), out=best)
-    return best
+    owner, masks = _constraint_masks(inst)
+    full = 1 << inst.k
+    half = (full + 1) // 2  # k = 0: the one empty sign vector
+    bits = (np.arange(half)[:, None] >> np.arange(inst.k)[None, :]) & 1
+    top, _, bottom = _scan(masks, (1 - 2 * bits).astype(np.int8)[:, owner], nv)
+    # row full-1-j holds -b_j; rows half..full-1 are j = half-1..0
+    return np.concatenate([top, -bottom[::-1]])[:full]
 
 
 def expected_val(inst, trials: int = 200, seed: int = 0, limit: int = EXHAUSTIVE_LIMIT):
     """Mean (and stderr) of val over uniform signs b.
 
     Exhaustive over all 2^k sign vectors when k <= 16 (stderr 0); Monte Carlo
-    otherwise.
+    otherwise, with every sampled sign vector in one scan.
     """
     if inst.k <= EXHAUSTIVE_B_LIMIT:
         vals = val_for_all_signs(inst, limit=limit)
         return float(vals.mean()), 0.0
+    nv = _oracle_vars(inst, limit)
     rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(trials):
-        b = 1 - 2 * rng.integers(0, 2, size=inst.k)
-        v, _, _ = brute_force_val(inst, b, limit=limit)
-        samples.append(v)
-    arr = np.asarray(samples, dtype=float)
+    b = np.array(
+        [1 - 2 * rng.integers(0, 2, size=inst.k) for _ in range(trials)],
+        dtype=np.int8,
+    ).reshape(trials, inst.k)
+    owner, masks = _constraint_masks(inst)
+    arr = _scan(masks, b[:, owner], nv)[0].astype(float)
     stderr = arr.std(ddof=1) / np.sqrt(len(arr)) if len(arr) > 1 else 0.0
     return float(arr.mean()), float(stderr)
 

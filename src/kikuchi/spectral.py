@@ -50,7 +50,7 @@ _CW_TOL = 1e-13  # relative gap between Collatz-Wielandt and Rayleigh to stop
 @dataclass(frozen=True)
 class NormEstimate:
     value: float
-    method: str  # "dense_exact" | "power_iteration" | "empty"
+    method: str  # "lanczos" | "empty"
     iterations: int  # Lanczos steps of the start that gave ``value``
     residual: float  # relative error bound on value^2; <= tol on success
     tol: float
@@ -118,7 +118,7 @@ def _matvec_pair(A):
     if sp.issparse(A):
         Ac = A.tocsr()
         # a CSC view sharing Ac's arrays, built once: no copy, no per-call setup
-        return Ac.dot, Ac.T.dot, A.shape, A.nnz, True, "power_iteration"
+        return Ac.dot, Ac.T.dot, A.shape, A.nnz, True
     if isinstance(A, np.ndarray):
         return (
             lambda v: A @ v,
@@ -126,16 +126,8 @@ def _matvec_pair(A):
             A.shape,
             int(np.count_nonzero(A)),
             True,
-            "dense_exact",
         )
-    return (
-        lambda v: A.matvec(v),
-        lambda u: A.rmatvec(u),
-        A.shape,
-        None,
-        False,
-        "power_iteration",
-    )
+    return lambda v: A.matvec(v), lambda u: A.rmatvec(u), A.shape, None, False
 
 
 def spectral_norm(
@@ -153,7 +145,7 @@ def spectral_norm(
     (explicit matrices only).  ``trace``, if a list, collects the top Ritz
     values of the first start, one per checkpoint.
     """
-    mv, rmv, shape, nnz, explicit, method = _matvec_pair(A)
+    mv, rmv, shape, nnz, explicit = _matvec_pair(A)
     n_rows, n_cols = shape
     if n_rows == 0 or n_cols == 0 or nnz == 0:
         return NormEstimate(0.0, "empty", 0, 0.0, tol, True)
@@ -186,7 +178,7 @@ def spectral_norm(
         upper = float(np.sqrt(row_l1 * col_l1))
         if val > upper * (1 + 1e-6) + 1e-12:
             raise AssertionError("norm estimate above the L1 bound")
-    return NormEstimate(val, method, it, float(resid), tol, conv)
+    return NormEstimate(val, "lanczos", it, float(resid), tol, conv)
 
 
 def _components(S) -> np.ndarray:

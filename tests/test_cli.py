@@ -3,7 +3,8 @@ import json
 import subprocess
 import sys
 
-from kikuchi.cli import main
+from kikuchi.cli import build_parser, main
+from kikuchi.instances import EXHAUSTIVE_LIMIT
 
 
 def run_cli(*args):
@@ -180,6 +181,23 @@ def test_oracle_signs_and_expectation(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert "expected_val" in out and out["stderr"] == 0.0
+
+
+def test_oracle_above_limit_is_config_error(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    run_cli("gen", "--n", "20", "--q", "3", "--k", "4", "--delta", "0.25",
+            "--seed", "1", "--out", str(inst))
+    capsys.readouterr()
+    for extra in (["--signs", "1,1,1,1"], []):
+        rc = run_cli("oracle", "--in", str(inst), "--limit", "10", *extra)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "exceeds exhaustive limit 10" in err
+
+
+def test_oracle_limit_default_is_exhaustive_limit():
+    args = build_parser().parse_args(["oracle", "--in", "inst.json"])
+    assert args.limit == EXHAUSTIVE_LIMIT
 
 
 def test_sweep_rows(tmp_path):

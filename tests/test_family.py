@@ -176,7 +176,7 @@ def test_signed_family_norm_brackets_svd(name):
 
 def test_signed_family_norm_inflates_by_residual(monkeypatch):
     # an unconverged solve loosens the certificate instead of undercutting it
-    est = NormEstimate(2.0, "power_iteration", 2, 0.25, 1e-9, False)
+    est = NormEstimate(2.0, "lanczos", 2, 0.25, 1e-9, False)
     monkeypatch.setattr(refute, "spectral_norm", lambda A, **kw: est)
     pg = VARIANTS["regular_cs_full"]
     assert SignedFamily(pg).norm(np.ones(_k(pg), dtype=int)) == 2.5

@@ -1,0 +1,172 @@
+"""The exact brute-force oracle against independent references.
+
+``small_blocks`` shrinks the oracle's low character table to 3 bits and its
+GEMM blocks to 64 values, so that instances of a dozen variables already
+run through several high-bit blocks and several batches of sign rows.
+"""
+
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import slow_brute_force
+import kikuchi.instances as instances
+from kikuchi.instances import (
+    EXHAUSTIVE_B_LIMIT,
+    BipartiteXorInstance,
+    XorInstance,
+    brute_force_val,
+    expected_val,
+    generate_planted_linear_instance,
+    generate_random_bipartite_instance,
+    generate_random_matching_instance,
+    val_for_all_signs,
+)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(instances, "LOW_BITS", 3)
+    monkeypatch.setattr(instances, "BLOCK_ENTRIES", 64)
+
+
+def _cases():
+    planted, _ = generate_planted_linear_instance(12, 3, 4, 0.16, seed=2)
+    return {
+        # 18 edges on 7 vertices: odd cycles, so val(Phi_-b) != val(Phi_b)
+        "q2": generate_random_matching_instance(7, 2, 6, 0.43, seed=1),
+        "q3": generate_random_matching_instance(10, 3, 4, 0.2, seed=2),
+        "q4": generate_random_matching_instance(10, 4, 3, 0.2, seed=3),
+        "bipartite_s2": generate_random_bipartite_instance(
+            6, 3, 2, 3, edges_per=2, p_size=4, seed=1),
+        "k1": generate_random_matching_instance(9, 3, 1, 0.3, seed=4),
+        "empty_matching": XorInstance(
+            n=8, k=3, q=3, delta=0.25,
+            hypergraphs=[[[0, 1, 2], [3, 4, 5]], [], [[1, 4, 7]]]),
+        "planted": planted,
+    }
+
+
+CASES = _cases()
+
+
+def _sign_rows(k):
+    """All b in {-1,+1}^k; bit i of the row index set means b_i = -1."""
+    idx = np.arange(1 << k)[:, None]
+    return 1 - 2 * ((idx >> np.arange(k)[None, :]) & 1)
+
+
+def _reference_values(inst, signs):
+    """Phi_b(a) for every joint assignment a (rows) and sign row b (columns),
+    as products of the assignment matrix's columns."""
+    n_vars = inst.n
+    if isinstance(inst, BipartiteXorInstance):
+        n_vars += inst.p_size
+    a = np.arange(1 << n_vars)[:, None]
+    x = (1 - 2 * ((a >> np.arange(n_vars)[None, :]) & 1)).astype(np.int32)
+    owner, monomials = [], []
+    for i, h in enumerate(inst.hypergraphs):
+        for e in h:
+            cols = e if isinstance(inst, XorInstance) else (*e[0], inst.n + e[1])
+            owner.append(i)
+            monomials.append(np.prod(x[:, list(cols)], axis=1))
+    if not owner:
+        return np.zeros((len(x), len(signs)), dtype=np.int64)
+    coeff = np.asarray(signs, dtype=np.int32)[:, owner]
+    return np.stack(monomials, axis=1) @ coeff.T
+
+
+def _index_of(x, y):
+    bits = list(x) + list(y or [])
+    return sum(1 << v for v, s in enumerate(bits) if s == -1)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_all_signs_match_slow_scan(name, small_blocks):
+    inst = CASES[name]
+    vals = val_for_all_signs(inst)
+    assert vals.dtype == np.int64 and vals.shape == (1 << inst.k,)
+    for row, b in enumerate(_sign_rows(inst.k).tolist()):
+        assert vals[row] == slow_brute_force(inst, b)
+
+
+def test_minus_b_is_not_a_reflection():
+    # Phi(-x) = -Phi(x) fails for even q, so val(Phi_-b) is read from the
+    # min of Phi_b, not copied from val(Phi_b)
+    vals = val_for_all_signs(CASES["q2"])
+    assert (vals != vals[::-1]).any()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_one_sign_value_and_lowest_argmax(name, small_blocks):
+    inst = CASES[name]
+    signs = _sign_rows(inst.k)
+    ref = _reference_values(inst, signs)
+    for row, b in enumerate(signs.tolist()):
+        val, x, y = brute_force_val(inst, b)
+        assert val == slow_brute_force(inst, b) == ref[:, row].max()
+        assert _index_of(x, y) == np.flatnonzero(ref[:, row] == val)[0]
+
+
+def test_argmax_is_lowest_maximiser_at_default_blocks():
+    # variables 9..15 are in no constraint, so every maximiser has 2^7
+    # copies, spread over all four high-bit blocks; the lowest one leaves
+    # those variables at +1
+    inst = XorInstance(
+        n=16, k=3, q=3, delta=0.125,
+        hypergraphs=[[[0, 1, 2], [3, 4, 5]], [[0, 3, 6], [1, 4, 7]],
+                     [[2, 5, 8], [1, 6, 7]]])
+    signs = _sign_rows(inst.k)
+    ref = _reference_values(inst, signs)
+    for row, b in enumerate(signs.tolist()):
+        val, x, y = brute_force_val(inst, b)
+        hits = np.flatnonzero(ref[:, row] == val)
+        assert val == ref[:, row].max() and len(hits) >= 128
+        assert _index_of(x, y) == hits[0] < 1 << 9
+
+
+def test_n16_matches_product_of_columns():
+    inst = generate_random_matching_instance(16, 3, 6, 0.25, seed=3)
+    signs = _sign_rows(inst.k)
+    ref = _reference_values(inst, signs)
+    assert np.array_equal(val_for_all_signs(inst), ref.max(axis=0))
+    for row in (0, 5, 63):
+        val, x, y = brute_force_val(inst, signs[row].tolist())
+        assert val == ref[:, row].max()
+        assert _index_of(x, y) == np.flatnonzero(ref[:, row] == val)[0]
+
+
+@pytest.mark.parametrize("name", ["q2", "q3", "bipartite_s2", "planted"])
+def test_sampled_expected_val_matches_per_trial_loop(name, monkeypatch):
+    inst = CASES[name]
+    rng = np.random.default_rng(11)
+    draws = [brute_force_val(inst, 1 - 2 * rng.integers(0, 2, size=inst.k))[0]
+             for _ in range(40)]
+    arr = np.asarray(draws, dtype=float)
+    want = (float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(len(arr))))
+    monkeypatch.setattr(instances, "EXHAUSTIVE_B_LIMIT", 0)
+    assert expected_val(inst, trials=40, seed=11) == want
+    monkeypatch.setattr(instances, "LOW_BITS", 3)
+    monkeypatch.setattr(instances, "BLOCK_ENTRIES", 64)
+    assert expected_val(inst, trials=40, seed=11) == want
+
+
+def test_all_signs_memory_and_time_guard():
+    # 2^15 sign rows over 2^12 assignments: a single unbatched block would
+    # hold 2^27 values (1 GiB)
+    inst = generate_random_matching_instance(12, 3, EXHAUSTIVE_B_LIMIT, 0.25, seed=1)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        vals = val_for_all_signs(inst)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert elapsed < 30
+    rows = [0, 1, 12345, (1 << inst.k) - 1]
+    ref = _reference_values(inst, _sign_rows(inst.k)[rows])
+    assert np.array_equal(vals[rows], ref.max(axis=0))
