@@ -21,6 +21,7 @@ from .graphs import (
     build_regular_cs,
     lift_assignment,
     matvec,
+    pair_partition,
     quadratic_form,
 )
 from .instances import (

@@ -32,7 +32,7 @@ from .instances import (
     generate_random_matching_instance,
     load_instance,
 )
-from .refute import dump_certificate, load_certificate, refute_full
+from .refute import dump_certificate, eval_full_pairs, load_certificate, refute_full
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -117,6 +117,8 @@ def cmd_refute(args) -> int:
     inst = load_instance(args.inp)
     if not isinstance(inst, XorInstance):
         raise ConfigError("refute expects a q-uniform instance file")
+    if args.partitions < 0:
+        raise ConfigError(f"--partitions must be >= 0, got {args.partitions}")
     config = {
         "epsilon": args.epsilon, "gamma": args.gamma,
         "trials": args.trials, "seed": args.seed, "ell": args.ell,
@@ -263,11 +265,13 @@ def cmd_verify(args) -> int:
     params = cert["params"]
     failures = []
 
-    thr = compute_thresholds(
-        inst.n, inst.k, inst.q, inst.measured_delta(),
-        ell_override=params.get("ell"),
+    run = refute_full(
+        inst, epsilon=params["epsilon"], gamma=params["gamma"],
+        trials=params["trials"], seed=params["seed"],
+        ell=params.get("ell"), n_partitions=params.get("n_partitions", 4),
+        threads=_threads(args),
     )
-    dec = decompose(inst, thr)
+    dec = run.decomposition
     report = verify_decomposition(dec)
     if not report["ok"]:
         failures.extend(report["violations"])
@@ -282,12 +286,6 @@ def cmd_verify(args) -> int:
             failures.append("recombination identity violated")
             break
 
-    run = refute_full(
-        inst, epsilon=params["epsilon"], gamma=params["gamma"],
-        trials=params["trials"], seed=params["seed"],
-        ell=params.get("ell"), n_partitions=params.get("n_partitions", 4),
-        threads=_threads(args),
-    )
     fresh = run.certificate
     if abs(fresh["combined_bound"] - cert["combined_bound"]) > 1e-9 * max(
         1.0, abs(cert["combined_bound"])
@@ -299,17 +297,15 @@ def cmd_verify(args) -> int:
     if fresh["verdict"] != cert["verdict"]:
         failures.append("verdict mismatch")
 
-    # edge-count and quadratic-form re-verification on one piece graph
-    from .graphs import assemble_regular_cs, reverify_edges
+    # edge-count and quadratic-form re-verification on the run's full pair graph
+    from .graphs import reverify_edges
 
-    g = assemble_regular_cs(dec.leftover, thr.ell) if dec.leftover.total_edges else None
-    if g is not None and g.n_labels and not g.verify_label_counts():
-        failures.append("per-label edge counts unequal")
-    if g is not None and g.n_labels and not reverify_edges(g):
-        failures.append("edge predicate re-verification failed")
+    g = run.regular.graph
     if g is not None and g.n_labels:
-        from .refute import eval_full_pairs
-
+        if not g.verify_label_counts():
+            failures.append("per-label edge counts unequal")
+        if not reverify_edges(g):
+            failures.append("edge predicate re-verification failed")
         for _ in range(5):
             b = (1 - 2 * rng.integers(0, 2, size=inst.k)).tolist()
             x = (1 - 2 * rng.integers(0, 2, size=inst.n)).tolist()
@@ -375,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--trials", type=int, default=200)
     r.add_argument("--seed", type=int, default=7)
     r.add_argument("--ell", type=int, default=None)
-    r.add_argument("--partitions", type=int, default=4)
+    r.add_argument("--partitions", type=int, default=4,
+                   help="partitions sampled for the Matrix-Khintchine estimate "
+                        "recorded beside the bound; 0 skips it")
     r.add_argument("--soundness", action="store_true",
                    help="embed an exhaustive per-b soundness log")
     r.add_argument("--threads", type=int, default=None)

@@ -22,7 +22,7 @@ A pruned graph is a ``KikuchiGraph`` too, over the kept edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from math import comb
 
@@ -389,34 +389,46 @@ def cs_pair_labels(inst: XorInstance, left_idx, right_idx):
     return out
 
 
-def assemble_regular_cs(
-    inst: XorInstance, ell: int, left_idx=None, right_idx=None
-) -> KikuchiGraph:
-    """Graph of the derived even pairs; group = the left index i of a label.
-
-    With ``left_idx is None`` all ordered pairs i != j contribute, which is
-    the full pair polynomial F_b; with a partition (L, R) only L x R pairs
-    do, which is f_{L,R}.
-    """
-    if left_idx is None:
-        left_idx = list(range(inst.k))
-        right_idx = list(range(inst.k))
-    pairs = cs_pair_labels(inst, left_idx, right_idx)
+def assemble_regular_cs(inst: XorInstance, ell: int) -> KikuchiGraph:
+    """Graph of the derived even pairs over all ordered i != j, which is the
+    full pair polynomial F_b; group = the left index i of a label.
+    ``pair_partition`` cuts the graph of f_{L,R} out of it."""
+    everything = range(inst.k)
     n = inst.n
     space = VertexSpace(
         (SpaceComponent("main", n, ell), SpaceComponent("main", n, ell))
     )
-    groups = sorted(set(left_idx))
-    gpos = {g: t for t, g in enumerate(groups)}
     labels, per_label, group_of_label, sign_factors = [], [], [], []
-    for (i, j, u, c1, c2) in pairs:
+    for (i, j, u, c1, c2) in cs_pair_labels(inst, everything, everything):
         labels.append((i, j, u, c1, c2))
         per_label.append(build_regular_cs(c1, c2, n, ell))
-        group_of_label.append(gpos[i])
+        group_of_label.append(i)
         sign_factors.append((i, j))
-    g = _make_graph("regular_cs", space, space, per_label, labels, groups,
-                    group_of_label, sign_factors, symmetric=True)
-    return g
+    return _make_graph("regular_cs", space, space, per_label, labels,
+                       list(everything), group_of_label, sign_factors,
+                       symmetric=True)
+
+
+def pair_partition(full: KikuchiGraph, left_idx, right_idx) -> KikuchiGraph:
+    """The graph of f_{L,R}: the labels (i, j, ...) of the full pair graph
+    with i in L and j in R, and their edges, all in their existing order.
+    Groups are renumbered over sorted(L); D is None when no label is left."""
+    L, R = set(left_idx), set(right_idx)
+    kept = np.array([lab[0] in L and lab[1] in R for lab in full.labels], dtype=bool)
+    edges = kept[full.edge_label]
+    labels = [lab for lab, keep in zip(full.labels, kept) if keep]
+    groups = sorted(L)
+    return replace(
+        full,
+        left=full.left[edges],
+        right=full.right[edges],
+        edge_label=(np.cumsum(kept, dtype=np.int32) - 1)[full.edge_label[edges]],
+        labels=labels,
+        label_group=np.searchsorted(groups, [lab[0] for lab in labels]).astype(np.int32),
+        group_ids=groups,
+        label_sign_factors=[f for f, keep in zip(full.label_sign_factors, kept) if keep],
+        D=full.D if labels else None,
+    )
 
 
 def assemble_bipartite(piece: BipartiteXorInstance, ell: int) -> KikuchiGraph:

@@ -9,6 +9,7 @@ label-edges, so pruning is independent of any sign assignment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -127,8 +128,10 @@ def prune(graph: KikuchiGraph, gamma, d_left: Fraction, d_right: Fraction) -> Pr
             report={"D": 0, "D_prime": 0, "ratio": None,
                     "heavy_left": 0, "heavy_right": 0, "per_group": []},
         )
-    cap_l = Fraction(gamma) * d_left
-    cap_r = Fraction(gamma) * d_right
+    # an integer degree exceeds the exact rational cap gamma * d iff it
+    # exceeds the cap's floor
+    limit_l = math.floor(Fraction(gamma) * d_left)
+    limit_r = math.floor(Fraction(gamma) * d_right)
     keep_mask = np.ones(graph.n_edges, dtype=bool)
     heavy_l_total = 0
     heavy_r_total = 0
@@ -140,20 +143,13 @@ def prune(graph: KikuchiGraph, gamma, d_left: Fraction, d_right: Fraction) -> Pr
                               "heavy_right": 0})
             continue
         lv, lc = np.unique(graph.left[gmask], return_counts=True)
-        rv, rc = np.unique(graph.right[gmask], return_counts=True)
+        heavy_left = lv[lc > limit_l]
         if graph.symmetric:
             # entries come in swapped pairs, so row and column degrees agree
-            heavy = {
-                v for v, c in zip(lv.tolist(), lc.tolist()) if Fraction(c) > cap_l
-            }
-            heavy_left = heavy_right = heavy
+            heavy_right = heavy_left
         else:
-            heavy_left = {
-                v for v, c in zip(lv.tolist(), lc.tolist()) if Fraction(c) > cap_l
-            }
-            heavy_right = {
-                v for v, c in zip(rv.tolist(), rc.tolist()) if Fraction(c) > cap_r
-            }
+            rv, rc = np.unique(graph.right[gmask], return_counts=True)
+            heavy_right = rv[rc > limit_r]
         heavy_l_total += len(heavy_left)
         heavy_r_total += len(heavy_right)
         per_group.append({
@@ -161,12 +157,10 @@ def prune(graph: KikuchiGraph, gamma, d_left: Fraction, d_right: Fraction) -> Pr
             "heavy_left": len(heavy_left),
             "heavy_right": len(heavy_right),
         })
-        if heavy_left:
-            hl = np.fromiter(heavy_left, dtype=np.int64)
-            keep_mask[gmask & np.isin(graph.left, hl)] = False
-        if heavy_right:
-            hr = np.fromiter(heavy_right, dtype=np.int64)
-            keep_mask[gmask & np.isin(graph.right, hr)] = False
+        if heavy_left.size:
+            keep_mask[gmask & np.isin(graph.left, heavy_left)] = False
+        if heavy_right.size:
+            keep_mask[gmask & np.isin(graph.right, heavy_right)] = False
 
     surviving = np.flatnonzero(keep_mask)
     counts = np.bincount(graph.edge_label[surviving], minlength=graph.n_labels)

@@ -24,6 +24,7 @@ from kikuchi.graphs import (
     build_naive_odd,
     build_regular_cs,
     closed_form_D,
+    pair_partition,
     quadratic_form,
 )
 from kikuchi.instances import (
@@ -162,7 +163,7 @@ def test_criterion_2_quadratic_forms():
 
     inst3 = generate_random_matching_instance(10, 3, 4, 0.25, seed=3)
     part = Partition(left=(0, 1), right=(2, 3), seed=0)
-    g = assemble_regular_cs(inst3, 1, list(part.left), list(part.right))
+    g = pair_partition(assemble_regular_cs(inst3, 1), part.left, part.right)
     graphs.append(("regular_cs", g, lambda b, x, y: eval_f(inst3, part, b, x), 4))
 
     gfull = assemble_regular_cs(inst3, 1)
@@ -171,7 +172,7 @@ def test_criterion_2_quadratic_forms():
 
     inst5 = generate_random_matching_instance(12, 5, 3, 0.15, seed=4)
     part5 = Partition(left=(0, 2), right=(1,), seed=0)
-    g5 = assemble_regular_cs(inst5, 2, list(part5.left), list(part5.right))
+    g5 = pair_partition(assemble_regular_cs(inst5, 2), part5.left, part5.right)
     graphs.append(("regular_cs_q5", g5, lambda b, x, y: eval_f(inst5, part5, b, x), 3))
 
     for seed in (5, 6, 7):

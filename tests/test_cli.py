@@ -86,6 +86,47 @@ def test_refute_and_verify(tmp_path):
     assert rc == 0
 
 
+def test_refute_negative_partitions_is_config_error(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    cert = tmp_path / "cert.json"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+            "--seed", "4", "--out", str(inst))
+    capsys.readouterr()
+    rc = run_cli("refute", "--in", str(inst), "--out", str(cert), "--ell", "1",
+                 "--partitions", "-1")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--partitions" in err
+    assert not cert.exists()
+
+
+def test_verify_reuses_its_run(tmp_path, monkeypatch):
+    """verify checks the decomposition and the pair graph of the run it
+    makes: one decomposition and one pair-graph assembly in all."""
+    import kikuchi.cli as cli
+    import kikuchi.refute as refute
+
+    inst = tmp_path / "inst.json"
+    cert = tmp_path / "cert.json"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+            "--seed", "4", "--out", str(inst))
+    run_cli("refute", "--in", str(inst), "--out", str(cert), "--ell", "1",
+            "--partitions", "2", "--seed", "7")
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for owner, name in ((cli, "decompose"), (refute, "decompose"),
+                        (refute, "assemble_regular_cs")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    assert run_cli("verify", "--in", str(inst), "--cert", str(cert)) == 0
+    assert sorted(calls) == ["assemble_regular_cs", "decompose"]
+
+
 def test_refute_deterministic(tmp_path):
     inst = tmp_path / "inst.json"
     run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",

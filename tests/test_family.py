@@ -13,6 +13,7 @@ from kikuchi.graphs import (
     assemble_basic,
     assemble_bipartite,
     assemble_regular_cs,
+    pair_partition,
 )
 from kikuchi.instances import (
     XorInstance,
@@ -51,7 +52,7 @@ def _variants():
         "naive_odd": _pruned(assemble_basic(odd, 2), 2, 2),
         "regular_cs_full": _pruned(assemble_regular_cs(cs, 1), 2, 4),
         "regular_cs_partition": _pruned(
-            assemble_regular_cs(cs, 1, list(part.left), list(part.right)), 2, 4),
+            pair_partition(assemble_regular_cs(cs, 1), part.left, part.right), 2, 4),
         "bipartite": _pruned(assemble_bipartite(piece, 2), 2, 3),
         "many_signs_duplicates": _many_signs_pruned(),
     }

@@ -17,8 +17,10 @@ from kikuchi.graphs import (
     build_naive_odd,
     build_regular_cs,
     closed_form_D,
+    cs_pair_labels,
     lift_assignment,
     matvec,
+    pair_partition,
     quadratic_form,
     reverify_edges,
 )
@@ -168,6 +170,34 @@ def test_assemble_empty_instance():
     inst = XorInstance(n=6, k=2, q=3, delta=0.1, hypergraphs=[[], []])
     g = assemble_regular_cs(inst, 2)
     assert g.n_edges == 0 and g.n_labels == 0
+
+
+@pytest.mark.parametrize("left_idx,right_idx", [
+    ((0, 2), (1, 3)), ((1,), (0, 2, 3)), ((0, 1, 2, 3), (0, 1, 2, 3)),
+    ((), (0, 1, 2, 3)), ((0, 1, 2, 3), ()),
+])
+def test_pair_partition_slices_the_full_graph(left_idx, right_idx):
+    """The slice holds, in order, exactly the labels of f_{L,R}, each with
+    its D edges from the full graph, grouped by left index over sorted(L)."""
+    inst = generate_random_matching_instance(10, 3, 4, 0.25, seed=3)
+    full = assemble_regular_cs(inst, 1)
+    g = pair_partition(full, left_idx, right_idx)
+    want = cs_pair_labels(inst, left_idx, right_idx)
+    assert g.labels == want
+    assert g.group_ids == sorted(left_idx)
+    assert [g.group_ids[t] for t in g.label_group] == [i for i, *_ in want]
+    assert g.label_sign_factors == [(i, j) for i, j, *_ in want]
+    if left_idx and right_idx:
+        assert want and g.D == full.D and g.verify_label_counts()
+        assert reverify_edges(g)
+    else:
+        assert g.D is None and g.n_edges == 0 and g.n_labels == 0
+    old_index = [full.labels.index(lab) for lab in want]
+    kept = np.isin(full.edge_label, old_index)
+    assert (g.left == full.left[kept]).all()
+    assert (g.right == full.right[kept]).all()
+    assert (np.asarray(old_index, dtype=np.int64)[g.edge_label]
+            == full.edge_label[kept]).all()
 
 
 def test_naive_odd_assemble_quadratic_form(rng):

@@ -1,9 +1,16 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from kikuchi.graphs import assemble_bipartite, assemble_regular_cs
+from kikuchi.graphs import (
+    KikuchiGraph,
+    SpaceComponent,
+    VertexSpace,
+    assemble_bipartite,
+    assemble_regular_cs,
+)
 from kikuchi.instances import (
     BipartiteXorInstance,
     XorInstance,
@@ -98,6 +105,53 @@ def test_adversarial_heavy_vertex():
     heavy = [v for v, c in prof.left[0].items() if c > 2 * tg["d_left"]]
     assert heavy  # the collision vertices exist
     assert pr.D_prime < g.D
+    assert verify_pruned(pr)["ok"]
+
+
+def test_heavy_test_exact_at_non_dyadic_gamma():
+    """gamma = 0.7 is stored just below 7/10, so at d = 10 the exact cap is
+    just below 7 although 0.7 * 10 == 7.0 in floating point: a left vertex
+    of degree 6, the cap's floor, stays and one of degree 7 is heavy."""
+    gamma, d = 0.7, Fraction(10)
+    assert math.floor(Fraction(gamma) * d) == 6 and gamma * 10 == 7.0
+    # 13 labels of two edges each, (v_j, j) and (4 + j, j): left vertex 0
+    # has degree 6, vertex 1 degree 7, every other endpoint degree <= 2
+    heavy_of = [0] * 6 + [1] * 7
+    left = [v for j, v in enumerate(heavy_of) for v in (v, 4 + j)]
+    right = [j for j in range(13) for _ in range(2)]
+    space = VertexSpace((SpaceComponent("main", 20, 1),))
+    g = KikuchiGraph(
+        variant="naive_odd", left_space=space, right_space=space,
+        left=np.array(left, dtype=np.int64), right=np.array(right, dtype=np.int64),
+        edge_label=np.repeat(np.arange(13, dtype=np.int32), 2),
+        labels=list(range(13)), label_group=np.zeros(13, dtype=np.int32),
+        group_ids=[0], label_sign_factors=[(0,)] * 13, D=2, symmetric=False,
+    )
+    pr = prune(g, gamma, d, d)
+    assert pr.report["heavy_left"] == 1 and pr.report["heavy_right"] == 0
+    assert pr.report["per_group"] == [{"group": 0, "heavy_left": 1, "heavy_right": 0}]
+    assert 1 not in pr.left.tolist()
+    assert pr.left.tolist().count(0) == 6
+    assert pr.D_prime == 1
+    assert verify_pruned(pr)["ok"]
+
+
+@pytest.mark.parametrize("gamma,scale", [
+    (0.1, 16), (0.1, 30), (0.1, 40), (0.7, 3), (0.7, 5), (1 / 3, 8), (1 / 3, 10),
+    (2.5, 1), (8.0, Fraction(1, 2)),
+])
+def test_heavy_counts_match_rational_reference(gamma, scale):
+    """Per group, the heavy count is the number of left degrees strictly
+    above the exact rational cap Fraction(gamma) * d."""
+    inst, g = cs_toy()
+    d = target_degrees(g, 2, 4)["d"] * scale
+    pr = prune(g, gamma, d, d)
+    cap = Fraction(gamma) * d
+    want = [sum(Fraction(c) > cap for c in degs.values())
+            for degs in degree_profile(g).left]
+    assert sum(want) > 0
+    assert [e["heavy_left"] for e in pr.report["per_group"]] == want
+    assert pr.report["heavy_left"] == pr.report["heavy_right"] == sum(want)
     assert verify_pruned(pr)["ok"]
 
 

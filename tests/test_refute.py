@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+import kikuchi.refute as refute
 from kikuchi.decompose import Thresholds, compute_thresholds
-from kikuchi.graphs import assemble_regular_cs, cs_pair_labels, quadratic_form
+from kikuchi.graphs import assemble_regular_cs, cs_pair_labels, pair_partition, \
+    quadratic_form
 from kikuchi.instances import (
     BipartiteXorInstance,
     XorInstance,
@@ -15,9 +17,11 @@ from kikuchi.instances import (
     generate_random_matching_instance,
     val_for_all_signs,
 )
+from kikuchi.prune import prune, target_degrees
 from kikuchi.refute import (
     Partition,
     RegularityError,
+    SignedFamily,
     eval_f,
     refute_bipartite,
     refute_full,
@@ -71,7 +75,7 @@ def test_eval_f_all_ones_is_signed_label_count(rng):
 def test_quadratic_form_matches_eval_f(rng):
     inst = generate_random_matching_instance(9, 3, 4, 0.2, seed=3)
     part = Partition(left=(0, 2), right=(1, 3), seed=0)
-    g = assemble_regular_cs(inst, 1, list(part.left), list(part.right))
+    g = pair_partition(assemble_regular_cs(inst, 1), part.left, part.right)
     if g.n_labels == 0:
         pytest.skip("no shared pairs in this draw")
     for _ in range(20):
@@ -243,19 +247,77 @@ def test_gamma_tightens_D_prime():
 
 def test_certificate_khintchine_dominates_empirical():
     """Within each partition entry the analytic bound should sit above the
-    empirical mean of realized norms (the inequality it certifies)."""
+    empirical mean of realized norms of that partition's pruned graph (the
+    inequality it certifies)."""
     inst = generate_random_matching_instance(12, 3, 5, 0.25, seed=6)
     run = refute_full(inst, ell=1, n_partitions=3, seed=6)
-    entries = [
-        e for e in run.regular.certificate.get("partitions", [])
-        if "f_bound_empirical_mean" in e
-    ]
+    cert = run.regular.certificate
+    full, k = run.regular.graph, run.regular.instance.k
+    d = target_degrees(full, cert["delta_n_measured"], k)["d"]
+    entries = [e for e in cert["partitions"] if "sigma_sq" in e]
+    assert entries
     for e in entries:
-        assert e["f_bound_khintchine"] >= e["f_bound_empirical_mean"] * (1 - 1e-9)
+        part = e["partition"]
+        pruned = prune(pair_partition(full, [i - 1 for i in part["L"]],
+                                      [i - 1 for i in part["R"]]), 8.0, d, d)
+        assert pruned.D_prime == e["D_prime"]
+        family = SignedFamily(pruned)
+        rng = np.random.default_rng((6, 7207, part["seed"]))
+        draws = 1 - 2 * rng.integers(0, 2, size=(16, k)).astype(np.int8)
+        mean = np.mean([family.norm(b, seed=6) for b in draws])
+        empirical = full.shape[0] / pruned.D_prime * mean
+        assert e["f_bound_khintchine"] >= empirical * (1 - 1e-9)
     for ref in run.pieces.values():
         c = ref.certificate
         if "norm_mc" in c and c["norm_mc"]["exhaustive"]:
             assert c["bound_khintchine"] >= c["bound_empirical"] * (1 - 1e-9)
+
+
+KHINTCHINE_KEYS = ("partitions", "f_bound_khintchine_mean", "f_bound_khintchine_min",
+                   "bound_khintchine", "khintchine_guarantee")
+
+
+def test_partitions_never_reach_the_bound():
+    """The sampled-partition Khintchine fields are a labelled estimate: with
+    no partitions they are absent and every bound is unchanged."""
+    inst = generate_random_matching_instance(12, 3, 5, 0.25, seed=6)
+    with_parts = refute_full(inst, ell=1, n_partitions=3, seed=6, trials=20)
+    without = refute_full(inst, ell=1, n_partitions=0, seed=6, trials=20)
+    for key in ("combined_bound", "verdict"):
+        assert without.certificate[key] == with_parts.certificate[key]
+    assert without.regular.certificate["bound"] == with_parts.regular.certificate["bound"]
+    reg = with_parts.regular.certificate
+    assert all(key in reg for key in KHINTCHINE_KEYS)
+    assert reg["khintchine_guarantee"] == "estimate"
+    assert len(reg["partitions"]) == 3
+    assert not any(key in without.regular.certificate for key in KHINTCHINE_KEYS)
+
+
+def test_partitions_are_slices_not_assemblies(monkeypatch):
+    """Partitions reuse the full pair graph and cost no norm solve: the run
+    assembles one pair graph and solves as many norms as without them."""
+    inst = generate_random_matching_instance(12, 3, 5, 0.25, seed=6)
+    calls = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(refute, "assemble_regular_cs",
+                        counting("assemble", refute.assemble_regular_cs))
+    monkeypatch.setattr(refute, "spectral_norm",
+                        counting("norm", refute.spectral_norm))
+    counts = []
+    for n_partitions in (3, 0):
+        calls.clear()
+        run = refute_full(inst, ell=1, n_partitions=n_partitions, seed=6, trials=20)
+        counts.append(dict(calls))
+        if n_partitions:  # the partitions did prune and bound something
+            assert any("sigma_sq" in e for e in run.regular.certificate["partitions"])
+    assert counts[0]["assemble"] == counts[1]["assemble"] == 1
+    assert counts[0]["norm"] == counts[1]["norm"] > 0
 
 
 def test_sigma_sq_rigorous_in_certificates():
