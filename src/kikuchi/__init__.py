@@ -48,6 +48,7 @@ from .refute import (
 from .setops import degree, symmetric_difference
 from .spectral import (
     NormEstimate,
+    block_spectral_norms,
     estimate_expected_norm,
     khintchine_bound,
     khintchine_sigma,

@@ -38,6 +38,8 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+THREADS_HELP = ("worker threads (>= 1) that split the blocks of sign columns "
+                "of each norm average; default KIKUCHI_THREADS or 1")
 
 
 class ConfigError(ValueError):
@@ -53,8 +55,11 @@ def _meta(config: dict, seed) -> dict:
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
+    """``--threads`` if given (at least 1), else KIKUCHI_THREADS, else 1."""
+    if args.threads is not None:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        return args.threads
     env = os.environ.get("KIKUCHI_THREADS")
     return max(1, int(env)) if env else 1
 
@@ -114,6 +119,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_refute(args) -> int:
+    threads = _threads(args)
     inst = load_instance(args.inp)
     if not isinstance(inst, XorInstance):
         raise ConfigError("refute expects a q-uniform instance file")
@@ -127,7 +133,7 @@ def cmd_refute(args) -> int:
     run = refute_full(
         inst, epsilon=args.epsilon, gamma=args.gamma, trials=args.trials,
         seed=args.seed, ell=args.ell, n_partitions=args.partitions,
-        threads=_threads(args),
+        threads=threads,
     )
     cert = dict(run.certificate)
     cert.update(_meta(config, args.seed))
@@ -208,6 +214,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    threads = _threads(args)
     ks = [int(x) for x in args.k_list.split(",")]
     seeds = list(range(args.seeds))
     rows = []
@@ -225,7 +232,7 @@ def cmd_sweep(args) -> int:
                 run = refute_full(
                     inst, epsilon=args.epsilon, gamma=args.gamma,
                     trials=args.trials, seed=sd, ell=args.ell,
-                    threads=_threads(args),
+                    threads=threads,
                 )
                 c = run.certificate
                 dnk = c["delta_n_measured"] * k
@@ -260,6 +267,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    threads = _threads(args)
     inst = load_instance(args.inp)
     cert = load_certificate(args.cert)
     params = cert["params"]
@@ -269,7 +277,7 @@ def cmd_verify(args) -> int:
         inst, epsilon=params["epsilon"], gamma=params["gamma"],
         trials=params["trials"], seed=params["seed"],
         ell=params.get("ell"), n_partitions=params.get("n_partitions", 4),
-        threads=_threads(args),
+        threads=threads,
     )
     dec = run.decomposition
     report = verify_decomposition(dec)
@@ -376,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "recorded beside the bound; 0 skips it")
     r.add_argument("--soundness", action="store_true",
                    help="embed an exhaustive per-b soundness log")
-    r.add_argument("--threads", type=int, default=None)
+    r.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     r.set_defaults(fn=cmd_refute)
 
     b = sub.add_parser("build", help="assemble a Kikuchi graph and dump its edges")
@@ -409,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, default=200)
     s.add_argument("--ell", type=int, default=None)
     s.add_argument("--planted", action="store_true")
-    s.add_argument("--threads", type=int, default=None)
+    s.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_sweep)
 
@@ -417,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--in", dest="inp", required=True)
     v.add_argument("--cert", required=True)
     v.add_argument("--exhaustive-b", action="store_true")
-    v.add_argument("--threads", type=int, default=None)
+    v.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     v.set_defaults(fn=cmd_verify)
     return p
 

@@ -139,17 +139,28 @@ class KikuchiGraph:
     def __post_init__(self):
         # per label its b-indices plus one, zero-padded: index 0 picks the
         # neutral 1 that signs_for puts in front of b
-        width = max(map(len, self.label_sign_factors), default=0)
+        width = max(1, max(map(len, self.label_sign_factors), default=0))
         self._sign_index = np.zeros((self.n_labels, width), dtype=np.int64)
         for j, factors in enumerate(self.label_sign_factors):
             self._sign_index[j, :len(factors)] = np.add(factors, 1)
+        self._sign_used = np.unique(self._sign_index)
 
     def signs_for(self, b) -> np.ndarray:
-        """Per-label sign: the product of the referenced b entries."""
-        vals = np.concatenate(([1], np.asarray(b).astype(np.int64)))[self._sign_index]
-        if (np.abs(vals) != 1).any():
+        """Per-label sign: the product of the referenced b entries.
+
+        ``b`` is one sign vector or a (c, k) array of sign rows, which gives
+        a (c, n_labels) array."""
+        b = np.asarray(b)
+        padded = np.concatenate([np.ones(b.shape[:-1] + (1,), dtype=np.int8), b],
+                                axis=-1)
+        if (np.abs(padded[..., self._sign_used]) != 1).any():
             raise ValueError("signs must be strictly +-1")
-        return vals.prod(axis=1, dtype=np.int8)
+        padded = padded.astype(np.int8)
+        # one factor column at a time: no (c, n_labels, width) temporary
+        out = padded[..., self._sign_index[:, 0]]
+        for col in self._sign_index.T[1:]:
+            out *= padded[..., col]
+        return out
 
     def _structure(self):
         """(label per entry, column indices, indptr) in row-major entry order."""
@@ -165,13 +176,24 @@ class KikuchiGraph:
         return self._csr_cache
 
     def to_csr(self, label_signs=None) -> sp.csr_matrix:
-        """Sparse matrix with entry = sign of its label (duplicates add)."""
+        """Sparse matrix with entry = sign of its label (duplicates add).
+
+        A (c, n_labels) array of label signs gives the block-diagonal matrix
+        of the c signed copies, in row order; each copy keeps the entry order
+        of the single matrix, which is the case c = 1."""
         label_seq, indices, indptr = self._structure()
         if label_signs is None:
-            data = np.ones(self.n_edges, dtype=np.float64)
-        else:
-            data = np.asarray(label_signs, dtype=np.float64)[label_seq]
-        return sp.csr_matrix((data, indices, indptr), shape=self.shape)
+            label_signs = np.ones(self.n_labels)
+        signs = np.atleast_2d(np.asarray(label_signs, dtype=np.float64))
+        c = len(signs)
+        nl, nr = self.shape
+        copy = np.arange(c)[:, None]
+        return sp.csr_matrix(
+            (signs[:, label_seq].ravel(),
+             (indices + copy * nr).ravel(),
+             np.append((indptr[:-1] + copy * self.n_edges).ravel(), c * self.n_edges)),
+            shape=(c * nl, c * nr),
+        )
 
     def group_matrices(self) -> list:
         """One matrix per group; an entry counts the group's edges there."""

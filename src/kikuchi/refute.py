@@ -20,11 +20,17 @@ derivation needed.  The measured total edge count of a piece is kept as the
 trivial fallback bound; it is sound for every b, unlike the piece's
 asymptotic shorthand.
 
-Everything is deterministic under the master seed.
+Per-b norms come from ``SignedFamily``: the distinct label-sign classes of
+a certificate's sign rows are solved in blocks of sign columns by one
+batched Lanczos recurrence, with the L1 guard computed once per family.
+
+Everything is deterministic under the master seed, whatever the block size
+or thread count.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -62,13 +68,16 @@ from .prune import (
 )
 from .spectral import (
     average_over_signs,
+    block_spectral_norms,
     khintchine_bound,
     khintchine_sigma,
     sign_rows,
-    spectral_norm,
+    spectral_norm,  # noqa: F401  perfbench's tracer wraps refute.spectral_norm
+    thread_map,
 )
 
 REFUTE_TOL = 1e-9
+BLOCK_ENTRIES = 1 << 16  # stored entries of one block-diagonal norm solve
 SOUNDNESS_GUARD = 1e-6
 
 
@@ -121,32 +130,59 @@ def eval_full_pairs(inst: XorInstance, b, x) -> int:
 class SignedFamily:
     """Norm cache over a pruned graph's signed matrices B(b).
 
-    The graph supplies the per-label signs and the CSR matrix; norms are
-    cached by the realized label-sign vector, so distinct b hitting the same
-    label signs (b and -b always do) share one norm solve.
+    Norms are cached by the realized label-sign vector up to a global flip,
+    so distinct b hitting the same label signs or their negation (b and -b
+    always do) share one solve.  The classes still missing are solved
+    BLOCK_ENTRIES // nnz at a time by one ``block_spectral_norms`` run on the
+    block-diagonal matrix of their signed copies, blocks mapped over
+    ``threads``; a column's value does not depend on its block.  Every
+    stored entry is +-1 and duplicates are stored apart, so
+    sqrt(max row count * max column count) bounds every |B(b)|: the L1
+    guard, computed once here.
     """
 
     def __init__(self, graph: PrunedGraph):
         self.graph = graph
         self.nnz = graph.n_edges
-        graph._structure()  # built once here, not racing in worker threads
+        # built once here, not racing in worker threads
+        _, indices, indptr = graph._structure()
+        self.upper = math.sqrt(float(np.diff(indptr).max(initial=0))
+                               * float(np.bincount(indices).max(initial=0)))
         self._norm_cache: dict[bytes, float] = {}
 
-    def norm(self, b, tol=REFUTE_TOL, seed: int = 0) -> float:
-        """Certificate-side norm: the Lanczos estimate, a Ritz value from
-        below, inflated by its residual (a relative error bound on the
-        squared norm), so an unconverged solve loosens bounds instead of
-        undercutting them."""
-        signs = self.graph.signs_for(b)
+    def norms(self, rows, tol=REFUTE_TOL, seed: int = 0, threads: int = 1) -> np.ndarray:
+        """Certificate-side norms for a (c, k) array of sign rows: each
+        Lanczos estimate, a Ritz value from below, inflated by its residual
+        (a relative error bound on the squared norm), so an unconverged
+        solve loosens bounds instead of undercutting them."""
+        signs = self.graph.signs_for(rows)
         if self.nnz == 0:
-            return 0.0
-        for key in (signs.tobytes(), (-signs).tobytes()):
-            if key in self._norm_cache:
-                return self._norm_cache[key]
-        est = spectral_norm(self.graph.to_csr(signs), tol=tol, seed=seed)
-        val = est.value * (1.0 + est.residual)
-        self._norm_cache[signs.tobytes()] = val
-        return val
+            return np.zeros(len(signs))
+        # one key per +- class; the first row of a class is the one solved
+        keys = [(row * row[0]).tobytes() for row in signs]
+        todo = {}
+        for i, key in enumerate(keys):
+            if key not in self._norm_cache:
+                todo.setdefault(key, i)
+        if todo:
+            missing = np.fromiter(todo.values(), dtype=np.int64, count=len(todo))
+            size = max(1, BLOCK_ENTRIES // self.nnz)
+            solved = thread_map(
+                lambda a: self._solve(signs[missing[a:a + size]], tol, seed),
+                range(0, len(missing), size), threads)
+            self._norm_cache.update(zip(todo, itertools.chain.from_iterable(solved)))
+        return np.array([self._norm_cache[key] for key in keys])
+
+    def norm(self, b, tol=REFUTE_TOL, seed: int = 0) -> float:
+        """``norms`` of the one sign vector b."""
+        return float(self.norms(np.asarray(b)[None], tol=tol, seed=seed)[0])
+
+    def _solve(self, signs, tol, seed) -> list[float]:
+        ests = block_spectral_norms(
+            lambda live: self.graph.to_csr(signs[live]), len(signs),
+            self.graph.shape, tol=tol, seed=seed, upper=self.upper,
+        )
+        return [est.value * (1.0 + est.residual) for est in ests]
 
 
 @dataclass
@@ -213,6 +249,8 @@ def refute_regular(
     q, n, k = inst.q, inst.n, inst.k
     if q % 2 == 0 or q < 3:
         raise ValueError("regular refutation requires odd q >= 3")
+    if n_partitions < 0:
+        raise ValueError(f"n_partitions must be >= 0, got {n_partitions}")
     if thresholds is None:
         thresholds = compute_thresholds(
             n, k, q, inst.measured_delta() if inst.total_edges else Fraction(1, n),
@@ -281,8 +319,8 @@ def refute_regular(
     # empirical variant: full-pair graph, realized norms averaged over signs
     if family is not None and not used_trivial_f:
         mean_norm, stderr, exhaustive, draws = average_over_signs(
-            lambda b: family.norm(b, seed=seed), k, trials,
-            np.random.default_rng((seed, 7103)), threads=threads,
+            lambda rows: family.norms(rows, seed=seed, threads=threads), k,
+            trials, np.random.default_rng((seed, 7103)),
         )
         f_emp_mean = ratio * mean_norm
         cert["full_graph_norm"] = {
@@ -461,8 +499,8 @@ def refute_bipartite(
         bound_khin = ratio * kb if family.nnz else 0.0
         nonempty = sum(1 for m in gm if m.nnz)
         mean_norm, stderr, exhaustive, draws = average_over_signs(
-            lambda b: family.norm(b, seed=seed), k, trials,
-            np.random.default_rng((seed, 7103)), threads=threads,
+            lambda rows: family.norms(rows, seed=seed, threads=threads), k,
+            trials, np.random.default_rng((seed, 7103)),
         )
         bound_emp = ratio * mean_norm
         cert.update({
@@ -566,6 +604,8 @@ def refute_full(
     """
     if inst.q % 2 == 0 or inst.q < 3:
         raise ValueError("the pipeline requires odd q >= 3")
+    if n_partitions < 0:
+        raise ValueError(f"n_partitions must be >= 0, got {n_partitions}")
     delta_meas = inst.measured_delta() if inst.total_edges else Fraction(1, inst.n)
     thr = compute_thresholds(inst.n, inst.k, inst.q, delta_meas, ell_override=ell)
     dec = decompose(inst, thr)

@@ -1,20 +1,26 @@
 """Spectral norms for sparse/implicit matrices and Rademacher-series bounds.
 
-Signed norms |B(b)| come from Lanczos on the Gram operator of the smaller
-side (A^T A or A A^T), with a deterministic all-ones start plus one seeded
-random restart.  The recurrence keeps three vectors and the tridiagonal
-T, not a basis, and stops once the top Ritz pair's residual is below the
-tolerance; the Ritz value approaches the top eigenvalue from below, and
-the residual bounds its relative error.  The solver is numpy only:
-importing ``scipy.sparse.linalg`` would cost about 10 MB of resident
-memory, and numpy's LAPACK SVD stays out so the test suite can keep it as
-an independent oracle.
+Signed norms |B(b)| come from one Lanczos recurrence run on a block of c
+matrices at once (``block_spectral_norms``): the block is their
+block-diagonal matrix, and each step is one product with it and one with
+its transpose, on the Gram operator of the smaller side (A^T A or A A^T),
+from a deterministic all-ones start plus one seeded random restart.  The
+recurrence keeps three (c, dim) arrays and the tridiagonal T per column,
+not a basis, and a column stops once its top Ritz pair's residual is below
+the tolerance; the Ritz value approaches the top eigenvalue from below, and
+the residual bounds its relative error.  Every operation is row-wise, so a
+column gets the same steps and bits in any block; ``spectral_norm`` is the
+one-matrix case.  The solver is numpy only: importing
+``scipy.sparse.linalg`` would cost about 10 MB of resident memory, and
+numpy's LAPACK SVD stays out so the test suite can keep it as an
+independent oracle.
 
 Expectations over uniform signs go through one loop, ``average_over_signs``:
 exhaustive over b with b_1 = +1 up to EXHAUSTIVE_SIGN_LIMIT groups, Monte
-Carlo above, optionally threaded.  Certificates feed it the cached norms of
-a pruned graph (``refute.SignedFamily``), ``estimate_expected_norm`` the
-norms of explicit group-matrix sums.
+Carlo above; it hands all rows to one batched callback.  Certificates feed
+it the cached, block-solved norms of a pruned graph
+(``refute.SignedFamily``), ``estimate_expected_norm`` the norms of explicit
+group-matrix sums.
 
 The Matrix-Khintchine variance sigma^2 needs no iteration over signs: the
 group matrices are sign-free, so both Gram matrices are built explicitly,
@@ -67,118 +73,197 @@ class NormEstimate:
         }
 
 
-def _lanczos_top(gram, start, tol, maxit, trace=None):
-    """Top Ritz value of the symmetric positive semidefinite operator
-    ``gram`` from the three-term Lanczos recurrence started at ``start``.
+def _row_dots(a, b) -> np.ndarray:
+    """Dot product of each row of ``a`` with the same row of ``b``.
 
-    No basis is stored and nothing is reorthogonalised: by Paige's analysis
-    the extreme Ritz value and its residual stay reliable in finite
-    precision; lost orthogonality only adds ghost copies of converged
-    values.  Every _RITZ_EVERY steps the top eigenpair (theta, s) of the
-    tridiagonal T is taken, and the loop stops once the residual
+    ``vecdot`` runs one BLAS dot per row, so a column gets the same bits in
+    a block of any size and the same as ``a[t] @ b[t]``; an einsum over long
+    rows does not."""
+    return np.vecdot(a, b)
+
+
+def _tridiagonal_tops(diag, off):
+    """Top eigenvalue and the last entry of its eigenvector for each row's
+    symmetric tridiagonal matrix, diagonal ``diag`` (c, j) and off-diagonal
+    ``off`` (c, j - 1), by batched dense eigh of at most
+    _DENSE_BATCH_ENTRIES entries per call."""
+    c, j = diag.shape
+    top, last = np.empty(c), np.empty(c)
+    idx = np.arange(j)
+    step = max(1, _DENSE_BATCH_ENTRIES // (j * j))
+    for a in range(0, c, step):
+        T = np.zeros((min(step, c - a), j, j))
+        T[:, idx, idx] = diag[a:a + step]
+        T[:, idx[:-1], idx[1:]] = T[:, idx[1:], idx[:-1]] = off[a:a + step]
+        vals, vecs = np.linalg.eigh(T)
+        top[a:a + step], last[a:a + step] = vals[:, -1], vecs[:, -1, -1]
+    return top, last
+
+
+def _lanczos_top(gram, start, c, tol, maxit, trace=None):
+    """Top Ritz values of c symmetric positive semidefinite operators from
+    the three-term Lanczos recurrence, every column started at ``start``.
+
+    ``gram(live, Q)`` applies the operators indexed by ``live`` to the rows
+    of Q, shape (len(live), dim).  No basis is stored and nothing is
+    reorthogonalised: by Paige's analysis the extreme Ritz value and its
+    residual stay reliable in finite precision; lost orthogonality only adds
+    ghost copies of converged values.  Every _RITZ_EVERY steps the top
+    eigenpairs (theta, s) of the columns' tridiagonal T come from batched
+    eigh calls, and a column stops once the residual
     |G y - theta y| = beta_j |s_j| of its Ritz vector y is at most
-    tol * theta, when beta_j vanishes (an invariant subspace, where theta is
-    exact), or after min(maxit, _LANCZOS_MAX_STEPS) steps.  ``trace``, if a
-    list, receives theta at every checkpoint.  Returns
-    (theta, steps, residual / theta, converged).
+    tol * theta, when its beta_j vanishes (an invariant subspace, where
+    theta is exact), or after min(maxit, _LANCZOS_MAX_STEPS) steps.  A
+    stopped column leaves the live set; every operation is row-wise, so each
+    column stops at the step and with the bits it would have alone.
+    ``trace``, if a list, receives the checked columns' theta at every
+    checkpoint.  Returns arrays (theta, steps, residual / theta, converged).
     """
-    q = start / np.linalg.norm(start)
-    q_prev = np.zeros_like(q)
-    alphas: list[float] = []
-    betas: list[float] = []
-    beta = 0.0
     steps = max(1, min(maxit, _LANCZOS_MAX_STEPS))
+    q = np.tile(start / np.linalg.norm(start), (c, 1))
+    q_prev = np.zeros_like(q)
+    beta = np.zeros(c)
+    # rows follow ``live``: T's diagonal and off-diagonal so far
+    alphas = np.zeros((c, steps))
+    betas = np.zeros((c, steps))
+    theta = np.zeros(c)
+    its = np.zeros(c, dtype=np.int64)
+    resid = np.zeros(c)
+    live = np.arange(c)
     for j in range(1, steps + 1):
-        w = gram(q) - beta * q_prev
-        alpha = float(q @ w)
-        w -= alpha * q
-        beta_prev, beta = beta, float(np.linalg.norm(w))
+        w = gram(live, q)
+        w -= beta[:, None] * q_prev
+        alpha = _row_dots(q, w)
+        w -= alpha[:, None] * q
+        beta_prev, beta = beta, np.sqrt(_row_dots(w, w))
         # |G q|^2 = beta_prev^2 + alpha^2 + beta^2 in exact arithmetic
-        invariant = beta <= _BREAKDOWN * (abs(alpha) + beta_prev)
-        alphas.append(alpha)
-        betas.append(beta)
-        if invariant or j % _RITZ_EVERY == 0 or j == steps:
-            off = np.arange(j - 1)
-            T = np.diag(alphas)
-            T[off, off + 1] = T[off + 1, off] = betas[:-1]
-            vals, vecs = np.linalg.eigh(T)
-            theta = float(vals[-1])
-            bound = beta * abs(float(vecs[-1, -1]))
+        invariant = beta <= _BREAKDOWN * (np.abs(alpha) + beta_prev)
+        alphas[:, j - 1] = alpha
+        betas[:, j - 1] = beta
+        if j % _RITZ_EVERY == 0 or j == steps:
+            check = np.arange(live.size)
+        else:
+            check = np.flatnonzero(invariant)
+        if check.size:
+            top, last = _tridiagonal_tops(alphas[check, :j], betas[check, :j - 1])
+            bound = beta[check] * np.abs(last)
             if trace is not None:
-                trace.append(theta)
-            if invariant or bound <= tol * theta or j == steps:
-                break
-        q_prev, q = q, w / beta
-    resid = 0.0 if bound == 0 else bound / max(theta, np.finfo(float).tiny)
-    return max(theta, 0.0), j, resid, resid <= tol
+                trace.extend(top.tolist())
+            done = invariant[check] | (bound <= tol * top) | (j == steps)
+            if done.any():
+                stop, top, bound = check[done], top[done], bound[done]
+                theta[live[stop]] = np.maximum(top, 0.0)
+                its[live[stop]] = j
+                resid[live[stop]] = np.where(
+                    bound == 0, 0.0, bound / np.maximum(top, np.finfo(float).tiny))
+                keep = np.ones(live.size, dtype=bool)
+                keep[stop] = False
+                live, q, w, beta = live[keep], q[keep], w[keep], beta[keep]
+                alphas, betas = alphas[keep], betas[keep]
+                if not live.size:
+                    break
+        w /= beta[:, None]
+        q_prev, q = q, w
+    return theta, its, resid, resid <= tol
 
 
-def _matvec_pair(A):
-    """(A@v, A.T@u) closures plus metadata for any supported matrix type."""
-    if sp.issparse(A):
-        Ac = A.tocsr()
-        # a CSC view sharing Ac's arrays, built once: no copy, no per-call setup
-        return Ac.dot, Ac.T.dot, A.shape, A.nnz, True
-    if isinstance(A, np.ndarray):
-        return (
-            lambda v: A @ v,
-            lambda u: A.T @ u,
-            A.shape,
-            int(np.count_nonzero(A)),
-            True,
-        )
-    return lambda v: A.matvec(v), lambda u: A.rmatvec(u), A.shape, None, False
+def block_spectral_norms(
+    block, c: int, shape, tol: float = DEFAULT_TOL, maxit: int = DEFAULT_MAXIT,
+    seed: int = 0, probes: int = 3, upper: float | None = None, trace=None,
+) -> list[NormEstimate]:
+    """Top singular values of c matrices A_0 .. A_{c-1} of one ``shape``,
+    solved together.
+
+    ``block(live)`` returns the block-diagonal matrix diag(A_t, t in live)
+    (anything with ``@`` and ``.T`` on flat vectors); it is asked again only
+    when the set of live columns changes, after the previous block is
+    dropped.  Each Lanczos step is one product with the block and one with
+    its transpose, on the Gram operator of the smaller side (A^T A when A has
+    no more columns than rows, A A^T otherwise), from the all-ones start and
+    then one ``default_rng(seed)`` normal start shared by every column; per
+    column the larger value is kept.  ``residual`` bounds the relative error
+    of value^2, so it bounds that of value with a factor two to spare.
+    ``probes`` random bilinear forms per column (one block product each) and
+    ``upper``, an upper bound on every |A_t| such as the L1 row/column
+    bound, are asserted afterwards as sanity guards.  ``trace`` collects the
+    top Ritz values of the first start at its checkpoints.
+    """
+    n_rows, n_cols = shape
+    held = [None, None, None]  # live, block, its transpose
+
+    def ops(live):
+        if held[0] is not live:
+            if not np.array_equal(held[0], live):
+                held[:] = [None, None, None]
+                mat = block(live)
+                held[1:] = [mat, mat.T]
+            held[0] = live
+        return held[1], held[2]
+
+    def mv(live, X):
+        return (ops(live)[0] @ X.ravel()).reshape(len(live), -1)
+
+    def rmv(live, Y):
+        return (ops(live)[1] @ Y.ravel()).reshape(len(live), -1)
+
+    if n_cols <= n_rows:
+        dim, gram = n_cols, lambda live, V: rmv(live, mv(live, V))
+    else:
+        dim, gram = n_rows, lambda live, U: mv(live, rmv(live, U))
+
+    rng = np.random.default_rng(seed)
+    starts = [np.ones(dim), rng.standard_normal(dim)]
+    best = (np.zeros(c), np.zeros(c, dtype=np.int64), np.zeros(c), np.ones(c, bool))
+    for idx, st in enumerate(starts):
+        got = _lanczos_top(gram, st, c, tol, maxit,
+                           trace=trace if idx == 0 else None)
+        better = got[0] > best[0]
+        best = tuple(np.where(better, g, b) for g, b in zip(got, best))
+    theta, its, resid, conv = best
+    val = np.sqrt(theta)
+
+    cols = np.flatnonzero(val > 0)
+    for _ in range(probes if cols.size else 0):
+        v, u = rng.standard_normal(n_cols), rng.standard_normal(n_rows)
+        uAv = np.vecdot(mv(cols, np.tile(v, (cols.size, 1))), u)
+        lower = np.abs(uAv) / (np.linalg.norm(u) * np.linalg.norm(v))
+        if (lower > val[cols] * (1 + 1e-6) + 1e-12).any():
+            raise AssertionError("norm estimate below a bilinear probe")
+    if upper is not None and (val > upper * (1 + 1e-6) + 1e-12).any():
+        raise AssertionError("norm estimate above the L1 bound")
+    return [NormEstimate(float(val[t]), "lanczos", int(its[t]), float(resid[t]),
+                         tol, bool(conv[t])) for t in range(c)]
 
 
 def spectral_norm(
     A, tol: float = DEFAULT_TOL, maxit: int = DEFAULT_MAXIT, seed: int = 0,
     probes: int = 3, trace=None,
 ) -> NormEstimate:
-    """Top singular value of a dense array, sparse matrix, or LinearOperator.
+    """Top singular value of a dense array, sparse matrix, or LinearOperator:
+    ``block_spectral_norms`` on one matrix.
 
-    Lanczos (``_lanczos_top``) on the Gram operator of the smaller side,
-    A^T A when A has no more columns than rows and A A^T otherwise, from the
-    all-ones start plus one seeded random restart; the larger value is
-    kept.  ``residual`` bounds the relative error of value^2, so it bounds
-    that of value with a factor two to spare.  Random bilinear probes and
-    the L1 row/column bound are asserted afterwards as sanity guards
-    (explicit matrices only).  ``trace``, if a list, collects the top Ritz
-    values of the first start, one per checkpoint.
+    For explicit matrices the bilinear probes and the L1 row/column bound
+    are asserted afterwards; ``trace``, if a list, collects the top Ritz
+    values of the all-ones start, one per checkpoint.
     """
-    mv, rmv, shape, nnz, explicit = _matvec_pair(A)
-    n_rows, n_cols = shape
+    if sp.issparse(A):
+        A = A.tocsr()
+        nnz = A.nnz
+    elif isinstance(A, np.ndarray):
+        nnz = int(np.count_nonzero(A))
+    else:  # a LinearOperator: no entries to probe or bound
+        nnz, probes = None, 0
+    n_rows, n_cols = A.shape
     if n_rows == 0 or n_cols == 0 or nnz == 0:
         return NormEstimate(0.0, "empty", 0, 0.0, tol, True)
-    if n_cols <= n_rows:
-        dim, gram = n_cols, lambda v: rmv(mv(v))
-    else:
-        dim, gram = n_rows, lambda u: mv(rmv(u))
-
-    rng = np.random.default_rng(seed)
-    starts = [np.ones(dim), rng.standard_normal(dim)]
-    best = (0.0, 0, 0.0, True)
-    for idx, st in enumerate(starts):
-        got = _lanczos_top(gram, st, tol, maxit,
-                           trace=trace if idx == 0 else None)
-        if got[0] > best[0]:
-            best = got
-    theta, it, resid, conv = best
-    val = float(np.sqrt(theta))
-
-    if explicit and val > 0:
-        for _ in range(probes):
-            v = rng.standard_normal(n_cols)
-            u = rng.standard_normal(n_rows)
-            lower = abs(u @ mv(v)) / (np.linalg.norm(u) * np.linalg.norm(v))
-            if lower > val * (1 + 1e-6) + 1e-12:
-                raise AssertionError("norm estimate below a bilinear probe")
-        absA = abs(A) if sp.issparse(A) else np.abs(A)
-        row_l1 = float(absA.sum(axis=1).max())
-        col_l1 = float(absA.sum(axis=0).max())
-        upper = float(np.sqrt(row_l1 * col_l1))
-        if val > upper * (1 + 1e-6) + 1e-12:
-            raise AssertionError("norm estimate above the L1 bound")
-    return NormEstimate(val, "lanczos", it, float(resid), tol, conv)
+    upper = None
+    if nnz is not None:
+        absA = abs(A)
+        upper = float(np.sqrt(float(absA.sum(axis=1).max())
+                              * float(absA.sum(axis=0).max())))
+    return block_spectral_norms(lambda live: A, 1, A.shape, tol=tol, maxit=maxit,
+                                seed=seed, probes=probes, upper=upper,
+                                trace=trace)[0]
 
 
 def _components(S) -> np.ndarray:
@@ -374,13 +459,22 @@ def sign_rows(k: int, fix_first: bool = False) -> np.ndarray:
     return rows
 
 
-def average_over_signs(norm_of, k: int, trials: int, rng, threads: int = 1):
-    """(mean, stderr, exhaustive?, draws) of ``norm_of(b)`` over uniform
-    b in {+-1}^k.
+def thread_map(fn, items, threads: int = 1) -> list:
+    """[fn(x) for x in items], on a pool of ``threads`` threads when more
+    than one; the order is kept."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            return list(ex.map(fn, items))
+    return [fn(x) for x in items]
 
-    Exhaustive when k <= EXHAUSTIVE_SIGN_LIMIT, using the global-flip
-    symmetry to halve the enumeration (stderr 0); otherwise ``trials`` rows
-    drawn from ``rng``.  Values are reduced in row order, threaded or not.
+
+def average_over_signs(norms_of, k: int, trials: int, rng):
+    """(mean, stderr, exhaustive?, draws) of norms over uniform b in {+-1}^k.
+
+    ``norms_of`` maps a (c, k) array of sign rows to their c values.  The
+    rows are every b with b_1 = +1 when k <= EXHAUSTIVE_SIGN_LIMIT, using
+    the global-flip symmetry to halve the enumeration (stderr 0); otherwise
+    ``trials`` rows drawn from ``rng``.  Values are reduced in row order.
     """
     if k <= EXHAUSTIVE_SIGN_LIMIT:
         rows = sign_rows(k, fix_first=True)
@@ -388,12 +482,7 @@ def average_over_signs(norm_of, k: int, trials: int, rng, threads: int = 1):
     else:
         rows = 1 - 2 * rng.integers(0, 2, size=(trials, k)).astype(np.int8)
         exhaustive = False
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            vals = list(ex.map(norm_of, rows))
-    else:
-        vals = [norm_of(b) for b in rows]
-    arr = np.asarray(vals)
+    arr = np.asarray(norms_of(rows), dtype=float)
     stderr = 0.0 if exhaustive else float(arr.std(ddof=1) / np.sqrt(len(arr)))
     return float(arr.mean()), stderr, exhaustive, len(rows)
 
@@ -416,6 +505,7 @@ def estimate_expected_norm(
         return spectral_norm(acc, tol=tol, seed=seed).value
 
     mean, stderr, _, _ = average_over_signs(
-        norm_for, k, trials, np.random.default_rng(seed), threads=threads
+        lambda rows: thread_map(norm_for, rows, threads), k, trials,
+        np.random.default_rng(seed),
     )
     return mean, stderr

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from kikuchi.cli import build_parser, main
 from kikuchi.instances import EXHAUSTIVE_LIMIT
 
@@ -98,6 +100,52 @@ def test_refute_negative_partitions_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--partitions" in err
     assert not cert.exists()
+
+
+@pytest.mark.parametrize("command", ["refute", "sweep", "verify"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_config_error(tmp_path, capsys, command, threads):
+    inst = tmp_path / "inst.json"
+    cert = tmp_path / "cert.json"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+            "--seed", "4", "--out", str(inst))
+    if command == "verify":
+        assert run_cli("refute", "--in", str(inst), "--out", str(cert),
+                       "--ell", "1", "--trials", "10") == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {
+        "refute": ["refute", "--in", str(inst), "--out", str(out), "--ell", "1"],
+        "sweep": ["sweep", "--n", "10", "--q", "3", "--delta", "0.2",
+                  "--k-list", "3", "--out", str(out)],
+        "verify": ["verify", "--in", str(inst), "--cert", str(cert)],
+    }[command]
+    rc = run_cli(*argv, "--threads", threads)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--threads" in err
+    assert not out.exists()
+
+
+def test_threads_help_names_sign_column_blocks():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.choices and "refute" in a.choices)
+    for command in ("refute", "sweep", "verify"):
+        helps = {a.dest: a.help for a in sub.choices[command]._actions}
+        assert "blocks of sign columns" in helps["threads"]
+
+
+def test_threads_flag_keeps_the_certificate(tmp_path):
+    inst = tmp_path / "inst.json"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+            "--seed", "4", "--out", str(inst))
+    certs = []
+    for threads in ("1", "2"):
+        cert = tmp_path / f"cert{threads}.json"
+        assert run_cli("refute", "--in", str(inst), "--out", str(cert), "--ell",
+                       "1", "--trials", "10", "--threads", threads) == 0
+        certs.append(without_meta(read_json(cert)))
+    assert certs[0] == certs[1]
 
 
 def test_verify_reuses_its_run(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import kikuchi.refute as refute
+import kikuchi.spectral as spectral
 from kikuchi.decompose import compute_thresholds, decompose
 from kikuchi.graphs import (
     KikuchiGraph,
@@ -22,7 +23,7 @@ from kikuchi.instances import (
 )
 from kikuchi.prune import prune, target_degrees
 from kikuchi.refute import Partition, SignedFamily
-from kikuchi.spectral import NormEstimate
+from kikuchi.spectral import NormEstimate, sign_rows
 
 
 def _pruned(graph, delta_n, k):
@@ -95,17 +96,33 @@ def test_pruned_graph_is_a_kikuchi_graph(name):
     assert np.array_equal(pg.edge_label, pg.parent.edge_label[pg.keep])
 
 
+def _capturing(monkeypatch, seen):
+    """Record the full block matrix of every batched solve."""
+    solve = refute.block_spectral_norms
+
+    def capture(block, c, shape, **kw):
+        seen.append(block(np.arange(c)))
+        return solve(block, c, shape, **kw)
+
+    monkeypatch.setattr(refute, "block_spectral_norms", capture)
+
+
+def _counting(monkeypatch, solved):
+    """Record the column count of every batched solve."""
+    solve = refute.block_spectral_norms
+
+    def counting(block, c, shape, **kw):
+        solved.append(c)
+        return solve(block, c, shape, **kw)
+
+    monkeypatch.setattr(refute, "block_spectral_norms", counting)
+
+
 @pytest.mark.parametrize("name", sorted(VARIANTS))
 def test_family_matrix_matches_dense(name, monkeypatch):
     pg = VARIANTS[name]
     seen = []
-    solve = refute.spectral_norm
-
-    def capture(A, **kw):
-        seen.append(A)
-        return solve(A, **kw)
-
-    monkeypatch.setattr(refute, "spectral_norm", capture)
+    _capturing(monkeypatch, seen)
     fam = SignedFamily(pg)
     misses = 0
     for b in _sign_vectors(_k(pg)):
@@ -115,6 +132,93 @@ def test_family_matrix_matches_dense(name, monkeypatch):
             misses += 1
             assert np.array_equal(seen[0].toarray(), pg.to_dense(pg.signs_for(b)))
     assert misses >= 1
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_block_diagonal_holds_each_signed_matrix(name, monkeypatch):
+    # one block: its diagonal blocks are the signed matrices of the first
+    # row of each +- class, in row order
+    pg = VARIANTS[name]
+    rows = np.array(_sign_vectors(_k(pg), count=12))
+    seen = []
+    _capturing(monkeypatch, seen)
+    monkeypatch.setattr(refute, "BLOCK_ENTRIES", 1 << 30)
+    SignedFamily(pg).norms(rows)
+    firsts = {}
+    for b in rows:
+        s = pg.signs_for(b)
+        firsts.setdefault((s * s[0]).tobytes(), b)
+    (mat,) = seen
+    nl, nr = pg.shape
+    assert mat.shape == (len(firsts) * nl, len(firsts) * nr)
+    dense = mat.toarray()
+    for t, b in enumerate(firsts.values()):
+        block = dense[t * nl:(t + 1) * nl, t * nr:(t + 1) * nr]
+        assert np.array_equal(block, pg.to_dense(pg.signs_for(b)))
+    off = dense.copy()
+    for t in range(len(firsts)):
+        off[t * nl:(t + 1) * nl, t * nr:(t + 1) * nr] = 0
+    assert not off.any()
+
+
+def _rows(pg, count=24):
+    rng = np.random.default_rng(99)
+    k = _k(pg)
+    rows = 1 - 2 * rng.integers(0, 2, size=(count, k))
+    rows[1] = -rows[0]  # a +- pair inside one block
+    rows[5] = rows[2]  # a repeated row
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_batched_norms_equal_fresh_single_solves(name, monkeypatch):
+    pg = VARIANTS[name]
+    rows = _rows(pg)
+    fresh = [SignedFamily(pg).norm(b) for b in rows]
+    n_classes = len({(s * s[0]).tobytes() for s in pg.signs_for(rows)})
+    for per_block in (1, 3, len(rows)):
+        monkeypatch.setattr(refute, "BLOCK_ENTRIES", per_block * pg.n_edges)
+        for threads in (1, 2):
+            got = SignedFamily(pg).norms(rows, threads=threads)
+            assert got.tolist() == fresh  # bitwise
+    assert n_classes < len(rows)
+
+
+def test_graph_with_more_columns_than_rows_is_covered():
+    assert any(pg.shape[1] > pg.shape[0] for pg in VARIANTS.values())
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_columns_solved_equal_sign_classes(name, monkeypatch):
+    pg = VARIANTS[name]
+    rows = _rows(pg)
+    solved = []
+    _counting(monkeypatch, solved)
+    monkeypatch.setattr(refute, "BLOCK_ENTRIES", 3 * pg.n_edges)
+    fam = SignedFamily(pg)
+    fam.norms(rows)
+    classes = {(s * s[0]).tobytes() for s in pg.signs_for(rows)}
+    assert sum(solved) == len(classes)
+    assert max(solved) <= 3
+    fam.norms(rows[::-1])  # every class cached: no further solve
+    fam.norm(-rows[0])
+    assert sum(solved) == len(classes)
+
+
+def test_regular_l2_exhaustive_rows_solve_once_per_class(monkeypatch):
+    """The benchmark's n=20, k=6, l=2 pair graph: its 32 exhaustive rows
+    fall into 16 +- classes, so 16 columns are solved, one per block."""
+    inst = generate_random_matching_instance(20, 3, 6, 0.25, seed=1)
+    thr = compute_thresholds(20, 6, 3, inst.measured_delta(), ell_override=2)
+    left = decompose(inst, thr).leftover
+    pg = _pruned(assemble_regular_cs(left, 2), max(left.edge_counts), left.k)
+    solved = []
+    _counting(monkeypatch, solved)
+    rows = sign_rows(left.k, fix_first=True)
+    SignedFamily(pg).norms(rows)
+    assert len(rows) == 32
+    assert pg.n_edges > refute.BLOCK_ENTRIES
+    assert solved == [1] * 16
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
@@ -144,11 +248,11 @@ def test_signs_for_matches_factor_products(name):
         assert got.tolist() == expect
 
 
-@pytest.mark.parametrize("bad", [0, 2])
+@pytest.mark.parametrize("bad", [0, 2, 0.5, 1.5, -1.5])
 @pytest.mark.parametrize("name", sorted(VARIANTS))
 def test_non_sign_entry_raises(name, bad):
     pg = VARIANTS[name]
-    b = np.ones(_k(pg), dtype=int)
+    b = np.ones(_k(pg), dtype=type(bad))
     b[pg.label_sign_factors[0][0]] = bad
     with pytest.raises(ValueError):
         pg.signs_for(b)
@@ -178,6 +282,38 @@ def test_signed_family_norm_brackets_svd(name):
 def test_signed_family_norm_inflates_by_residual(monkeypatch):
     # an unconverged solve loosens the certificate instead of undercutting it
     est = NormEstimate(2.0, "lanczos", 2, 0.25, 1e-9, False)
-    monkeypatch.setattr(refute, "spectral_norm", lambda A, **kw: est)
+    monkeypatch.setattr(refute, "block_spectral_norms",
+                        lambda block, c, shape, **kw: [est] * c)
     pg = VARIANTS["regular_cs_full"]
     assert SignedFamily(pg).norm(np.ones(_k(pg), dtype=int)) == 2.5
+
+
+def test_unconverged_block_inflates_by_residual(monkeypatch):
+    # two Lanczos steps cannot settle a 256 x 256 matrix: every column of the
+    # block reports it, and the family adds each column's residual
+    monkeypatch.setattr(spectral, "_LANCZOS_MAX_STEPS", 2)
+    pg = VARIANTS["many_signs_duplicates"]
+    rows = _rows(pg, count=6)[[0, 2, 3, 4]]
+    signs = pg.signs_for(rows)
+    ests = spectral.block_spectral_norms(lambda live: pg.to_csr(signs[live]),
+                                         len(rows), pg.shape, tol=refute.REFUTE_TOL)
+    assert all(not e.converged and e.residual > e.tol and e.iterations == 2
+               for e in ests)
+    got = SignedFamily(pg).norms(rows)
+    assert got.tolist() == [e.value * (1 + e.residual) for e in ests]
+    assert (got > [e.value for e in ests]).all()
+
+
+def test_signs_for_rows_match_single_vectors():
+    pg = VARIANTS["many_signs_duplicates"]
+    rows = _rows(pg)
+    got = pg.signs_for(rows)
+    assert got.dtype == np.int8 and got.shape == (len(rows), pg.n_labels)
+    for b, s in zip(rows, got):
+        assert np.array_equal(s, pg.signs_for(b))
+    bad = rows.copy()
+    bad[3, pg.label_sign_factors[0][0]] = 0
+    with pytest.raises(ValueError):
+        pg.signs_for(bad)
+    with pytest.raises(IndexError):
+        pg.signs_for(rows[:, :-1])

@@ -307,8 +307,8 @@ def test_partitions_are_slices_not_assemblies(monkeypatch):
 
     monkeypatch.setattr(refute, "assemble_regular_cs",
                         counting("assemble", refute.assemble_regular_cs))
-    monkeypatch.setattr(refute, "spectral_norm",
-                        counting("norm", refute.spectral_norm))
+    monkeypatch.setattr(refute, "block_spectral_norms",
+                        counting("norm", refute.block_spectral_norms))
     counts = []
     for n_partitions in (3, 0):
         calls.clear()
@@ -318,6 +318,13 @@ def test_partitions_are_slices_not_assemblies(monkeypatch):
             assert any("sigma_sq" in e for e in run.regular.certificate["partitions"])
     assert counts[0]["assemble"] == counts[1]["assemble"] == 1
     assert counts[0]["norm"] == counts[1]["norm"] > 0
+
+
+@pytest.mark.parametrize("refuter", [refute_full, refute_regular])
+def test_negative_partitions_raise(refuter):
+    inst = generate_random_matching_instance(12, 3, 4, 0.25, seed=3)
+    with pytest.raises(ValueError, match="n_partitions"):
+        refuter(inst, ell=1, n_partitions=-1, trials=10)
 
 
 def test_sigma_sq_rigorous_in_certificates():

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from kikuchi import spectral
 from kikuchi.spectral import (
     DENSE_COMPONENT_MAX,
+    block_spectral_norms,
     estimate_expected_norm,
     khintchine_bound,
     khintchine_sigma,
@@ -130,6 +131,71 @@ def test_lanczos_random_restart_finds_hidden_top():
     assert max(trace) == pytest.approx(0.5, rel=1e-12)
     assert est.value == pytest.approx(math.sqrt(2.0), rel=1e-12)
     _assert_brackets(est, _svd_top(M))
+
+
+def _block_of(mats):
+    return lambda live: sp.block_diag([mats[t] for t in live], format="csr")
+
+
+def test_block_finds_hidden_top_in_every_column():
+    M = sp.kron(sp.eye(10), sp.csr_matrix([[1.0, -1.0], [0.5, 0.5]])).tocsr()
+    mats = [M, -M, M, M.multiply(-1).tocsr(), M]
+    ests = block_spectral_norms(_block_of(mats), len(mats), M.shape)
+    assert len(ests) == len(mats)
+    for est in ests:
+        assert est.value == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        _assert_brackets(est, _svd_top(M))
+
+
+@pytest.mark.parametrize("shape", [(40, 40), (25, 60), (60, 25), (1, 9),
+                                   (9000, 12000)])
+def test_block_columns_equal_single_solves(rng, shape):
+    # each column stops where it stops alone and keeps its bits, in any block;
+    # the long vectors of the last shape catch reductions whose order
+    # depends on the block (an einsum over more than 8,192 entries)
+    nnz = max(shape) // 4 if max(shape) > 1000 else int(rng.integers(5, 200))
+    mats = [random_sparse(rng, *shape, nnz) for _ in range(7)]
+    mats[3] = mats[3] * 0.0  # stored zeros: value 0 from a nonempty matrix
+    ones = np.ix_(range(min(shape[0], 30)), range(min(shape[1], 30)))
+    mats[4] = sp.lil_matrix(shape)
+    mats[4][ones] = 1.0  # rank one: exact after one step
+    mats[4] = mats[4].tocsr()
+    single = [spectral_norm(m, seed=5) for m in mats]
+    for lo, hi in [(0, 7), (0, 3), (3, 7), (6, 7)]:
+        got = block_spectral_norms(_block_of(mats[lo:hi]), hi - lo, shape, seed=5)
+        assert got == single[lo:hi]
+    assert single[3].value == 0.0
+    assert len({e.iterations for e in single}) > 1
+
+
+def test_block_eigh_batches_keep_results(rng, monkeypatch):
+    mats = [random_sparse(rng, 40, 40, 150) for _ in range(5)]
+    want = block_spectral_norms(_block_of(mats), len(mats), (40, 40))
+    monkeypatch.setattr(spectral, "_DENSE_BATCH_ENTRIES", 8)
+    assert block_spectral_norms(_block_of(mats), len(mats), (40, 40)) == want
+
+
+def test_block_rebuilds_only_live_columns(rng):
+    mats = [random_sparse(rng, 30, 30, 120) for _ in range(5)]
+    mats[1] = sp.csr_matrix(np.ones((30, 30)))  # rank one: stops first
+    asked = []
+    block = _block_of(mats)
+
+    def recording(live):
+        asked.append(live.tolist())
+        return block(live)
+
+    block_spectral_norms(recording, len(mats), (30, 30))
+    assert asked[0] == list(range(5))
+    assert any(1 not in live for live in asked)
+    assert all(len(b) <= len(a) for a, b in zip(asked, asked[1:])
+               if b != list(range(5)))
+
+
+def test_block_guards_raise():
+    M = sp.csr_matrix(np.eye(4) * 3.0)
+    with pytest.raises(AssertionError, match="L1"):
+        block_spectral_norms(_block_of([M, M]), 2, M.shape, upper=2.0)
 
 
 def test_lanczos_too_few_steps_reports_nonconvergence(rng):
