@@ -54,14 +54,18 @@ def _meta(config: dict, seed) -> dict:
     }
 
 
+def _at_least(name: str, value: int, low: int) -> int:
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def _threads(args) -> int:
-    """``--threads`` if given (at least 1), else KIKUCHI_THREADS, else 1."""
+    """``--threads`` if given, else KIKUCHI_THREADS, else 1; at least 1."""
     if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        return args.threads
+        return _at_least("--threads", args.threads, 1)
     env = os.environ.get("KIKUCHI_THREADS")
-    return max(1, int(env)) if env else 1
+    return _at_least("KIKUCHI_THREADS", int(env), 1) if env else 1
 
 
 def cmd_gen(args) -> int:
@@ -120,11 +124,11 @@ def cmd_decompose(args) -> int:
 
 def cmd_refute(args) -> int:
     threads = _threads(args)
+    _at_least("--trials", args.trials, 2)
+    _at_least("--partitions", args.partitions, 0)
     inst = load_instance(args.inp)
     if not isinstance(inst, XorInstance):
         raise ConfigError("refute expects a q-uniform instance file")
-    if args.partitions < 0:
-        raise ConfigError(f"--partitions must be >= 0, got {args.partitions}")
     config = {
         "epsilon": args.epsilon, "gamma": args.gamma,
         "trials": args.trials, "seed": args.seed, "ell": args.ell,
@@ -215,6 +219,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_sweep(args) -> int:
     threads = _threads(args)
+    _at_least("--trials", args.trials, 2)
     ks = [int(x) for x in args.k_list.split(",")]
     seeds = list(range(args.seeds))
     rows = []

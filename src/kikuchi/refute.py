@@ -21,8 +21,11 @@ trivial fallback bound; it is sound for every b, unlike the piece's
 asymptotic shorthand.
 
 Per-b norms come from ``SignedFamily``: the distinct label-sign classes of
-a certificate's sign rows are solved in blocks of sign columns by one
-batched Lanczos recurrence, with the L1 guard computed once per family.
+a certificate's sign rows are solved in blocks of sign columns, each block
+one block-diagonal matrix built once and handed to one batched Lanczos
+recurrence, with the L1 guard computed once per family.  Per-b bounds are
+asked the same way: each refutation's ``bounds(rows)`` takes a (c, k)
+array of sign rows and makes one ``norms`` call per family.
 
 Everything is deterministic under the master seed, whatever the block size
 or thread count.
@@ -76,7 +79,6 @@ from .spectral import (
     thread_map,
 )
 
-REFUTE_TOL = 1e-9
 BLOCK_ENTRIES = 1 << 16  # stored entries of one block-diagonal norm solve
 SOUNDNESS_GUARD = 1e-6
 
@@ -150,7 +152,7 @@ class SignedFamily:
                                * float(np.bincount(indices).max(initial=0)))
         self._norm_cache: dict[bytes, float] = {}
 
-    def norms(self, rows, tol=REFUTE_TOL, seed: int = 0, threads: int = 1) -> np.ndarray:
+    def norms(self, rows, seed: int = 0, threads: int = 1) -> np.ndarray:
         """Certificate-side norms for a (c, k) array of sign rows: each
         Lanczos estimate, a Ritz value from below, inflated by its residual
         (a relative error bound on the squared norm), so an unconverged
@@ -168,20 +170,18 @@ class SignedFamily:
             missing = np.fromiter(todo.values(), dtype=np.int64, count=len(todo))
             size = max(1, BLOCK_ENTRIES // self.nnz)
             solved = thread_map(
-                lambda a: self._solve(signs[missing[a:a + size]], tol, seed),
+                lambda a: self._solve(signs[missing[a:a + size]], seed),
                 range(0, len(missing), size), threads)
             self._norm_cache.update(zip(todo, itertools.chain.from_iterable(solved)))
         return np.array([self._norm_cache[key] for key in keys])
 
-    def norm(self, b, tol=REFUTE_TOL, seed: int = 0) -> float:
+    def norm(self, b, seed: int = 0) -> float:
         """``norms`` of the one sign vector b."""
-        return float(self.norms(np.asarray(b)[None], tol=tol, seed=seed)[0])
+        return float(self.norms(np.asarray(b)[None], seed=seed)[0])
 
-    def _solve(self, signs, tol, seed) -> list[float]:
-        ests = block_spectral_norms(
-            lambda live: self.graph.to_csr(signs[live]), len(signs),
-            self.graph.shape, tol=tol, seed=seed, upper=self.upper,
-        )
+    def _solve(self, signs, seed) -> list[float]:
+        ests = block_spectral_norms(self.graph.to_csr(signs), len(signs),
+                                    seed=seed, upper=self.upper)
         return [est.value * (1.0 + est.residual) for est in ests]
 
 
@@ -201,22 +201,28 @@ class RegularRefutation:
     graph: KikuchiGraph | None = None
     pruned: PrunedGraph | None = None  # the graph actually used, if any
 
-    def f_bound_for_signs(self, b) -> float:
-        if self.family is None or self.used_trivial_f:
-            return float(self.f_trivial)
-        return self.ratio_N_over_Dp * self.family.norm(b)
-
-    def bound_for_signs(self, b, capped: bool = True) -> float:
-        """Certified bound on val of this instance's polynomial at fixed b.
+    def bounds(self, rows, capped: bool = True) -> np.ndarray:
+        """Certified bound on val of this instance's polynomial at each fixed
+        sign row of the (c, k) array ``rows``.
 
         ``capped=False`` returns the bare spectral chain (also sound; the
         reported certificate takes the minimum with the trivial bound)."""
         m = self.instance.total_edges
         if m == 0:
-            return 0.0
+            return np.zeros(len(rows))
+        if self.family is None or self.used_trivial_f:
+            f = np.full(len(rows), float(self.f_trivial))
+        else:
+            f = self.ratio_N_over_Dp * self.family.norms(rows)
         q, n = self.instance.q, self.instance.n
-        chain = math.sqrt(q * n * m + n * self.f_bound_for_signs(b)) / q
-        return chain if not capped else min(float(m), chain)
+        chain = np.sqrt(q * n * m + n * f) / q
+        return np.minimum(float(m), chain) if capped else chain
+
+
+def _check_trials(trials: int):
+    """A Monte Carlo mean needs two draws for its standard error."""
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2, got {trials}")
 
 
 def check_regularity(inst: XorInstance, thr: Thresholds):
@@ -251,6 +257,7 @@ def refute_regular(
         raise ValueError("regular refutation requires odd q >= 3")
     if n_partitions < 0:
         raise ValueError(f"n_partitions must be >= 0, got {n_partitions}")
+    _check_trials(trials)
     if thresholds is None:
         thresholds = compute_thresholds(
             n, k, q, inst.measured_delta() if inst.total_edges else Fraction(1, n),
@@ -401,12 +408,13 @@ class BipartiteRefutation:
     graph: KikuchiGraph | None = None
     pruned: PrunedGraph | None = None
 
-    def bound_for_signs(self, b, capped: bool = True) -> float:
+    def bounds(self, rows, capped: bool = True) -> np.ndarray:
+        """Certified bound on val of the piece at each sign row of ``rows``."""
         if self.family is None:
-            return float(self.trivial_bound)
-        spectral = self.ratio * self.family.norm(b)
+            return np.full(len(rows), float(self.trivial_bound))
+        spectral = self.ratio * self.family.norms(rows)
         if capped and self.fallback_applies:
-            return min(spectral, float(self.trivial_bound))
+            return np.minimum(spectral, float(self.trivial_bound))
         return spectral
 
 
@@ -426,6 +434,7 @@ def refute_bipartite(
     |P_s| < 4*ell (or the graph degenerates) the measured trivial bound
     sum_i |H_i^(s)| is taken as the fallback and the minimum is used.
     """
+    _check_trials(trials)
     n, k, q, s = piece.n, piece.k, piece.q, piece.s
     m_total = piece.total_edges
     delta_n = max(piece.edge_counts, default=0)
@@ -544,10 +553,12 @@ class FullRefutation:
     pieces: dict  # s -> BipartiteRefutation
     certificate: dict
 
-    def bound_for_signs(self, b, capped: bool = True) -> float:
-        total = self.regular.bound_for_signs(b, capped=capped)
+    def bounds(self, rows, capped: bool = True) -> np.ndarray:
+        """Combined certified bound at each sign row: the regular bound plus
+        the piece bounds, summed in increasing s."""
+        total = self.regular.bounds(rows, capped=capped)
         for s in sorted(self.pieces):
-            total += self.pieces[s].bound_for_signs(b, capped=capped)
+            total = total + self.pieces[s].bounds(rows, capped=capped)
         return total
 
     def soundness_check(self, signs_list=None, guard: float = SOUNDNESS_GUARD):
@@ -555,28 +566,27 @@ class FullRefutation:
 
         ``signs_list=None`` enumerates all 2^k sign vectors.  Both the
         reported (trivially capped) bound and the bare spectral chain are
-        checked; each holds unconditionally per fixed b, and checking the
-        uncapped chain keeps the norm and D' bookkeeping on the hook even
-        where the trivial bound happens to be smaller."""
+        checked, each by one ``bounds`` call over all the rows; each holds
+        unconditionally per fixed b, and checking the uncapped chain keeps
+        the norm and D' bookkeeping on the hook even where the trivial bound
+        happens to be smaller."""
         inst = self.instance
-        log = []
         if signs_list is None:
-            vals = val_for_all_signs(inst)
             rows = sign_rows(inst.k)
-            pairs = zip(rows, vals.tolist())
+            vals = val_for_all_signs(inst).tolist()
         else:
-            pairs = (
-                (b, brute_force_val(inst, b)[0]) for b in signs_list
-            )
-        for b, val in pairs:
-            bound = self.bound_for_signs(b)
-            spectral = self.bound_for_signs(b, capped=False)
+            rows = np.asarray(signs_list).reshape(len(signs_list), inst.k)
+            vals = [brute_force_val(inst, b)[0] for b in signs_list]
+        log = []
+        for b, val, bound, spectral in zip(rows.tolist(), vals,
+                                           self.bounds(rows).tolist(),
+                                           self.bounds(rows, capped=False).tolist()):
             ok = (
                 bound + guard * max(1.0, abs(bound)) >= val
                 and spectral + guard * max(1.0, abs(spectral)) >= val
             )
             log.append({
-                "b": [int(s) for s in b],
+                "b": b,
                 "val": int(val),
                 "bound": bound,
                 "spectral_bound": spectral,
@@ -606,6 +616,7 @@ def refute_full(
         raise ValueError("the pipeline requires odd q >= 3")
     if n_partitions < 0:
         raise ValueError(f"n_partitions must be >= 0, got {n_partitions}")
+    _check_trials(trials)
     delta_meas = inst.measured_delta() if inst.total_edges else Fraction(1, inst.n)
     thr = compute_thresholds(inst.n, inst.k, inst.q, delta_meas, ell_override=ell)
     dec = decompose(inst, thr)

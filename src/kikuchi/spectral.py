@@ -1,16 +1,17 @@
-"""Spectral norms for sparse/implicit matrices and Rademacher-series bounds.
+"""Spectral norms for sparse and dense matrices and Rademacher-series bounds.
 
 Signed norms |B(b)| come from one Lanczos recurrence run on a block of c
-matrices at once (``block_spectral_norms``): the block is their
-block-diagonal matrix, and each step is one product with it and one with
-its transpose, on the Gram operator of the smaller side (A^T A or A A^T),
-from a deterministic all-ones start plus one seeded random restart.  The
-recurrence keeps three (c, dim) arrays and the tridiagonal T per column,
-not a basis, and a column stops once its top Ritz pair's residual is below
-the tolerance; the Ritz value approaches the top eigenvalue from below, and
-the residual bounds its relative error.  Every operation is row-wise, so a
-column gets the same steps and bits in any block; ``spectral_norm`` is the
-one-matrix case.  The solver is numpy only: importing
+matrices at once (``block_spectral_norms``): the caller builds their
+block-diagonal matrix once, and each step is one product with it and one
+with its transpose, on the Gram operator of the smaller side (A^T A or
+A A^T), from a deterministic all-ones start plus one seeded random restart.
+The recurrence keeps three (c, dim) arrays and the tridiagonal T per
+column, not a basis, and a column stops once its top Ritz pair's residual
+is below the tolerance; the Ritz value approaches the top eigenvalue from
+below, and the residual bounds its relative error.  A stopped column enters
+later products as a zero row.  Every operation is row-wise, so a column gets
+the same steps and bits in any block; ``spectral_norm`` is the one-matrix
+case.  The solver is numpy only: importing
 ``scipy.sparse.linalg`` would cost about 10 MB of resident memory, and
 numpy's LAPACK SVD stays out so the test suite can keep it as an
 independent oracle.
@@ -51,6 +52,7 @@ _BREAKDOWN = 1e-12  # beta below this share of |G q| ends the recurrence
 DENSE_COMPONENT_MAX = 32  # larger Gram components use power iteration
 _DENSE_BATCH_ENTRIES = 1 << 16  # float64 entries per batched eigh call
 _CW_TOL = 1e-13  # relative gap between Collatz-Wielandt and Rayleigh to stop
+_PROBES = 3  # random bilinear forms checked against each norm
 
 
 @dataclass(frozen=True)
@@ -61,16 +63,6 @@ class NormEstimate:
     residual: float  # relative error bound on value^2; <= tol on success
     tol: float
     converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "tol": self.tol,
-            "converged": self.converged,
-        }
 
 
 def _row_dots(a, b) -> np.ndarray:
@@ -100,7 +92,7 @@ def _tridiagonal_tops(diag, off):
     return top, last
 
 
-def _lanczos_top(gram, start, c, tol, maxit, trace=None):
+def _lanczos_top(gram, start, c, tol, trace=None):
     """Top Ritz values of c symmetric positive semidefinite operators from
     the three-term Lanczos recurrence, every column started at ``start``.
 
@@ -113,13 +105,13 @@ def _lanczos_top(gram, start, c, tol, maxit, trace=None):
     eigh calls, and a column stops once the residual
     |G y - theta y| = beta_j |s_j| of its Ritz vector y is at most
     tol * theta, when its beta_j vanishes (an invariant subspace, where
-    theta is exact), or after min(maxit, _LANCZOS_MAX_STEPS) steps.  A
+    theta is exact), or after _LANCZOS_MAX_STEPS steps.  A
     stopped column leaves the live set; every operation is row-wise, so each
     column stops at the step and with the bits it would have alone.
     ``trace``, if a list, receives the checked columns' theta at every
     checkpoint.  Returns arrays (theta, steps, residual / theta, converged).
     """
-    steps = max(1, min(maxit, _LANCZOS_MAX_STEPS))
+    steps = _LANCZOS_MAX_STEPS
     q = np.tile(start / np.linalg.norm(start), (c, 1))
     q_prev = np.zeros_like(q)
     beta = np.zeros(c)
@@ -168,64 +160,56 @@ def _lanczos_top(gram, start, c, tol, maxit, trace=None):
 
 
 def block_spectral_norms(
-    block, c: int, shape, tol: float = DEFAULT_TOL, maxit: int = DEFAULT_MAXIT,
-    seed: int = 0, probes: int = 3, upper: float | None = None, trace=None,
+    A, c: int, tol: float = DEFAULT_TOL, seed: int = 0,
+    upper: float | None = None, trace=None,
 ) -> list[NormEstimate]:
-    """Top singular values of c matrices A_0 .. A_{c-1} of one ``shape``,
-    solved together.
+    """Top singular values of the c diagonal blocks A_0 .. A_{c-1}, all of
+    one shape, of the block-diagonal matrix ``A``, solved together.
 
-    ``block(live)`` returns the block-diagonal matrix diag(A_t, t in live)
-    (anything with ``@`` and ``.T`` on flat vectors); it is asked again only
-    when the set of live columns changes, after the previous block is
-    dropped.  Each Lanczos step is one product with the block and one with
-    its transpose, on the Gram operator of the smaller side (A^T A when A has
-    no more columns than rows, A A^T otherwise), from the all-ones start and
-    then one ``default_rng(seed)`` normal start shared by every column; per
-    column the larger value is kept.  ``residual`` bounds the relative error
-    of value^2, so it bounds that of value with a factor two to spare.
-    ``probes`` random bilinear forms per column (one block product each) and
-    ``upper``, an upper bound on every |A_t| such as the L1 row/column
-    bound, are asserted afterwards as sanity guards.  ``trace`` collects the
-    top Ritz values of the first start at its checkpoints.
+    ``A`` is anything with ``@`` and ``.T`` on flat vectors.  Each Lanczos
+    step is one product with it and one with its transpose, on the Gram
+    operator of the smaller side (A_t^T A_t when A_t has no more columns
+    than rows, A_t A_t^T otherwise), from the all-ones start and then one
+    ``default_rng(seed)`` normal start shared by every column; per column
+    the larger value is kept.  A stopped column enters each product as a
+    zero row; every row and every column of ``A`` lies in one block, so a
+    live column's sums keep their order, and their bits, in any block.
+    ``residual`` bounds the relative error of value^2, so it bounds that of
+    value with a factor two to spare.  _PROBES random bilinear forms per
+    column (one block product each) and ``upper``, an upper bound on every
+    |A_t| such as the L1 row/column bound, are asserted afterwards as sanity
+    guards.  ``trace`` collects the top Ritz values of the first start at
+    its checkpoints.
     """
-    n_rows, n_cols = shape
-    held = [None, None, None]  # live, block, its transpose
+    n_rows, n_cols = A.shape[0] // c, A.shape[1] // c
+    # the smaller side's Gram operator: A^T A on columns, A A^T on rows
+    first, second = (A, A.T) if n_cols <= n_rows else (A.T, A)
 
-    def ops(live):
-        if held[0] is not live:
-            if not np.array_equal(held[0], live):
-                held[:] = [None, None, None]
-                mat = block(live)
-                held[1:] = [mat, mat.T]
-            held[0] = live
-        return held[1], held[2]
+    def mul(mat, X):
+        return (mat @ X.ravel()).reshape(c, -1)
 
-    def mv(live, X):
-        return (ops(live)[0] @ X.ravel()).reshape(len(live), -1)
-
-    def rmv(live, Y):
-        return (ops(live)[1] @ Y.ravel()).reshape(len(live), -1)
-
-    if n_cols <= n_rows:
-        dim, gram = n_cols, lambda live, V: rmv(live, mv(live, V))
-    else:
-        dim, gram = n_rows, lambda live, U: mv(live, rmv(live, U))
+    def gram(live, Q):
+        if live.size == c:
+            return mul(second, mul(first, Q))
+        full = np.zeros((c, Q.shape[1]))  # stopped columns: zero rows
+        full[live] = Q
+        return mul(second, mul(first, full))[live]
 
     rng = np.random.default_rng(seed)
+    dim = min(n_rows, n_cols)
     starts = [np.ones(dim), rng.standard_normal(dim)]
     best = (np.zeros(c), np.zeros(c, dtype=np.int64), np.zeros(c), np.ones(c, bool))
     for idx, st in enumerate(starts):
-        got = _lanczos_top(gram, st, c, tol, maxit,
-                           trace=trace if idx == 0 else None)
+        got = _lanczos_top(gram, st, c, tol, trace=trace if idx == 0 else None)
         better = got[0] > best[0]
         best = tuple(np.where(better, g, b) for g, b in zip(got, best))
     theta, its, resid, conv = best
     val = np.sqrt(theta)
 
     cols = np.flatnonzero(val > 0)
-    for _ in range(probes if cols.size else 0):
+    for _ in range(_PROBES if cols.size else 0):
         v, u = rng.standard_normal(n_cols), rng.standard_normal(n_rows)
-        uAv = np.vecdot(mv(cols, np.tile(v, (cols.size, 1))), u)
+        uAv = np.vecdot(mul(A, np.tile(v, (c, 1))), u)[cols]
         lower = np.abs(uAv) / (np.linalg.norm(u) * np.linalg.norm(v))
         if (lower > val[cols] * (1 + 1e-6) + 1e-12).any():
             raise AssertionError("norm estimate below a bilinear probe")
@@ -235,34 +219,24 @@ def block_spectral_norms(
                          tol, bool(conv[t])) for t in range(c)]
 
 
-def spectral_norm(
-    A, tol: float = DEFAULT_TOL, maxit: int = DEFAULT_MAXIT, seed: int = 0,
-    probes: int = 3, trace=None,
-) -> NormEstimate:
-    """Top singular value of a dense array, sparse matrix, or LinearOperator:
-    ``block_spectral_norms`` on one matrix.
-
-    For explicit matrices the bilinear probes and the L1 row/column bound
-    are asserted afterwards; ``trace``, if a list, collects the top Ritz
-    values of the all-ones start, one per checkpoint.
+def spectral_norm(A, tol: float = DEFAULT_TOL, seed: int = 0,
+                  trace=None) -> NormEstimate:
+    """Top singular value of a dense array or sparse matrix:
+    ``block_spectral_norms`` on one matrix, with its L1 row/column bound as
+    the upper guard.  ``trace``, if a list, collects the top Ritz values of
+    the all-ones start, one per checkpoint.
     """
     if sp.issparse(A):
         A = A.tocsr()
         nnz = A.nnz
-    elif isinstance(A, np.ndarray):
+    else:
         nnz = int(np.count_nonzero(A))
-    else:  # a LinearOperator: no entries to probe or bound
-        nnz, probes = None, 0
-    n_rows, n_cols = A.shape
-    if n_rows == 0 or n_cols == 0 or nnz == 0:
+    if min(A.shape) == 0 or nnz == 0:
         return NormEstimate(0.0, "empty", 0, 0.0, tol, True)
-    upper = None
-    if nnz is not None:
-        absA = abs(A)
-        upper = float(np.sqrt(float(absA.sum(axis=1).max())
-                              * float(absA.sum(axis=0).max())))
-    return block_spectral_norms(lambda live: A, 1, A.shape, tol=tol, maxit=maxit,
-                                seed=seed, probes=probes, upper=upper,
+    absA = abs(A)
+    upper = float(np.sqrt(float(absA.sum(axis=1).max())
+                          * float(absA.sum(axis=0).max())))
+    return block_spectral_norms(A, 1, tol=tol, seed=seed, upper=upper,
                                 trace=trace)[0]
 
 
@@ -489,7 +463,6 @@ def average_over_signs(norms_of, k: int, trials: int, rng):
 
 def estimate_expected_norm(
     group_mats, trials: int = 200, seed: int = 0, tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ):
     """Mean and stderr of |sum_i b_i X_i| over uniform signs b, by
     ``average_over_signs`` with the Monte Carlo rows drawn from ``seed``."""
@@ -505,7 +478,7 @@ def estimate_expected_norm(
         return spectral_norm(acc, tol=tol, seed=seed).value
 
     mean, stderr, _, _ = average_over_signs(
-        lambda rows: thread_map(norm_for, rows, threads), k, trials,
+        lambda rows: [norm_for(b) for b in rows], k, trials,
         np.random.default_rng(seed),
     )
     return mean, stderr

@@ -104,7 +104,8 @@ def test_refute_negative_partitions_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["refute", "sweep", "verify"])
 @pytest.mark.parametrize("threads", ["0", "-3"])
-def test_threads_below_one_is_config_error(tmp_path, capsys, command, threads):
+def test_threads_below_one_is_config_error(tmp_path, capsys, monkeypatch,
+                                           command, threads):
     inst = tmp_path / "inst.json"
     cert = tmp_path / "cert.json"
     run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
@@ -124,6 +125,42 @@ def test_threads_below_one_is_config_error(tmp_path, capsys, command, threads):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--threads" in err
+    assert not out.exists()
+    monkeypatch.setenv("KIKUCHI_THREADS", threads)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "KIKUCHI_THREADS" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["refute", "sweep", "verify"])
+@pytest.mark.parametrize("trials", ["1", "0"])
+def test_trials_below_two_is_config_error(tmp_path, capsys, command, trials):
+    # one draw has no standard error: refuse before any work, also when
+    # verify reads the count from a certificate
+    inst = tmp_path / "inst.json"
+    cert = tmp_path / "cert.json"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+            "--seed", "4", "--out", str(inst))
+    out = tmp_path / "out"
+    if command == "verify":
+        assert run_cli("refute", "--in", str(inst), "--out", str(cert),
+                       "--ell", "1", "--trials", "10") == 0
+        body = read_json(cert)
+        body["params"]["trials"] = int(trials)
+        cert.write_text(json.dumps(body))
+    capsys.readouterr()
+    argv = {
+        "refute": ["refute", "--in", str(inst), "--out", str(out), "--ell", "1",
+                   "--trials", trials],
+        "sweep": ["sweep", "--n", "10", "--q", "3", "--delta", "0.2",
+                  "--k-list", "3", "--trials", trials, "--out", str(out)],
+        "verify": ["verify", "--in", str(inst), "--cert", str(cert)],
+    }[command]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert "trials" in err
     assert not out.exists()
 
 

@@ -19,6 +19,7 @@ from kikuchi.instances import (
 )
 from kikuchi.prune import prune, target_degrees
 from kikuchi.refute import (
+    FullRefutation,
     Partition,
     RegularityError,
     SignedFamily,
@@ -102,8 +103,9 @@ def test_regular_degenerate_no_shared_pairs():
     m = inst.total_edges
     expect = min(m, math.sqrt(3 * 12 * m) / 3)
     b = [1, 1]
-    assert ref.bound_for_signs(b) == pytest.approx(expect)
-    assert ref.bound_for_signs(b) >= brute_force_val(inst, b)[0]
+    (bound,) = ref.bounds(np.array([b]))
+    assert bound == pytest.approx(expect)
+    assert bound >= brute_force_val(inst, b)[0]
 
 
 def test_regular_rejects_heavy_instance():
@@ -123,8 +125,8 @@ def test_regular_per_b_soundness(rng):
         dec = decompose(inst, thr)
         ref = refute_regular(dec.leftover, ell=1, thresholds=thr, n_partitions=2)
         vals = val_for_all_signs(dec.leftover)
-        for idx, b in enumerate(sign_rows(4)):
-            assert ref.bound_for_signs(b) + 1e-6 >= vals[idx]
+        for idx, bound in enumerate(ref.bounds(sign_rows(4))):
+            assert bound + 1e-6 >= vals[idx]
 
 
 def test_bipartite_empty_piece():
@@ -142,8 +144,7 @@ def test_bipartite_toy_soundness_exhaustive():
     )
     ref = refute_bipartite(piece, ell=2)
     vals = val_for_all_signs(piece)
-    for idx, b in enumerate(sign_rows(2)):
-        bound = ref.bound_for_signs(b)
+    for idx, bound in enumerate(ref.bounds(sign_rows(2))):
         assert bound + 1e-6 * max(1.0, bound) >= vals[idx]
 
 
@@ -158,8 +159,7 @@ def test_bipartite_shared_label_concentrates_right():
     if "pruned" in cert:
         assert cert["pruned"]["heavy_right"] > 0
     vals = val_for_all_signs(piece)
-    for idx, b in enumerate(sign_rows(3)):
-        bound = ref.bound_for_signs(b)
+    for idx, bound in enumerate(ref.bounds(sign_rows(3))):
         assert bound + 1e-6 * max(1.0, bound) >= vals[idx]
 
 
@@ -199,16 +199,16 @@ def test_negative_control_corrupt_D_prime():
     ref = refute_regular(inst, ell=1, n_partitions=1, thresholds=thr)
     vals = val_for_all_signs(inst)
     ok_before = [
-        ref.bound_for_signs(b) + 1e-6 >= vals[i]
-        for i, b in enumerate(sign_rows(2))
+        bound + 1e-6 >= vals[i]
+        for i, bound in enumerate(ref.bounds(sign_rows(2)))
     ]
     assert all(ok_before)
     assert ref.family is not None
     ref.ratio_N_over_Dp *= 0.5  # simulate D' inflated by 2
     ref.family._norm_cache.clear()
     ok_after = [
-        ref.bound_for_signs(b) + 1e-6 >= vals[i]
-        for i, b in enumerate(sign_rows(2))
+        bound + 1e-6 >= vals[i]
+        for i, bound in enumerate(ref.bounds(sign_rows(2)))
     ]
     assert not all(ok_after)
 
@@ -318,6 +318,53 @@ def test_partitions_are_slices_not_assemblies(monkeypatch):
             assert any("sigma_sq" in e for e in run.regular.certificate["partitions"])
     assert counts[0]["assemble"] == counts[1]["assemble"] == 1
     assert counts[0]["norm"] == counts[1]["norm"] > 0
+
+
+@pytest.mark.parametrize("trials", [1, 0])
+def test_too_few_trials_raise(trials):
+    inst = generate_random_matching_instance(12, 3, 4, 0.25, seed=3)
+    piece = BipartiteXorInstance(
+        n=6, k=2, q=3, s=2,
+        registry=[(0, 1), (2, 3), (4, 5), (0, 2), (1, 3)],
+        hypergraphs=[[((4,), 0), ((5,), 1)], [((0,), 2), ((1,), 3)]],
+    )
+    for call in (lambda: refute_full(inst, ell=1, trials=trials),
+                 lambda: refute_regular(inst, ell=1, trials=trials),
+                 lambda: refute_bipartite(piece, ell=2, trials=trials)):
+        with pytest.raises(ValueError, match="trials"):
+            call()
+
+
+def test_soundness_check_solves_sign_rows_in_blocks(monkeypatch):
+    """Explicit sign rows above the exhaustive limit are solved a block of
+    classes at a time, and the log equals the one built row by row."""
+    inst = generate_random_matching_instance(12, 3, 14, 0.25, seed=1)
+    kw = dict(ell=1, seed=7, trials=50, n_partitions=4)
+    run, twin = refute_full(inst, **kw), refute_full(inst, **kw)
+    rows = 1 - 2 * np.random.default_rng(3).integers(0, 2, size=(40, inst.k))
+    families = [r.family for r in [run.regular, *run.pieces.values()]
+                if r.family is not None and r.family.nnz]
+    assert families
+    allowed = 0
+    for fam in families:
+        classes = {(s * s[0]).tobytes() for s in fam.graph.signs_for(rows)}
+        missing = len(classes - set(fam._norm_cache))
+        allowed += math.ceil(missing / max(1, refute.BLOCK_ENTRIES // fam.nnz))
+    assert allowed < len(rows)
+    solves = []
+    solve = refute.block_spectral_norms
+
+    def counting(A, c, **kw):
+        solves.append(c)
+        return solve(A, c, **kw)
+
+    monkeypatch.setattr(refute, "block_spectral_norms", counting)
+    log = run.soundness_check(rows.tolist())
+    assert 0 < len(solves) <= allowed
+    monkeypatch.setattr(twin, "bounds", lambda rows, capped=True: np.concatenate(
+        [FullRefutation.bounds(twin, row[None], capped) for row in rows]))
+    assert twin.soundness_check(rows.tolist()) == log
+    assert all(e["ok"] for e in log) and len(log) == 40
 
 
 @pytest.mark.parametrize("refuter", [refute_full, refute_regular])

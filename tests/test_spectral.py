@@ -134,13 +134,13 @@ def test_lanczos_random_restart_finds_hidden_top():
 
 
 def _block_of(mats):
-    return lambda live: sp.block_diag([mats[t] for t in live], format="csr")
+    return sp.block_diag(mats, format="csr")
 
 
 def test_block_finds_hidden_top_in_every_column():
     M = sp.kron(sp.eye(10), sp.csr_matrix([[1.0, -1.0], [0.5, 0.5]])).tocsr()
     mats = [M, -M, M, M.multiply(-1).tocsr(), M]
-    ests = block_spectral_norms(_block_of(mats), len(mats), M.shape)
+    ests = block_spectral_norms(_block_of(mats), len(mats))
     assert len(ests) == len(mats)
     for est in ests:
         assert est.value == pytest.approx(math.sqrt(2.0), rel=1e-12)
@@ -162,7 +162,7 @@ def test_block_columns_equal_single_solves(rng, shape):
     mats[4] = mats[4].tocsr()
     single = [spectral_norm(m, seed=5) for m in mats]
     for lo, hi in [(0, 7), (0, 3), (3, 7), (6, 7)]:
-        got = block_spectral_norms(_block_of(mats[lo:hi]), hi - lo, shape, seed=5)
+        got = block_spectral_norms(_block_of(mats[lo:hi]), hi - lo, seed=5)
         assert got == single[lo:hi]
     assert single[3].value == 0.0
     assert len({e.iterations for e in single}) > 1
@@ -170,37 +170,21 @@ def test_block_columns_equal_single_solves(rng, shape):
 
 def test_block_eigh_batches_keep_results(rng, monkeypatch):
     mats = [random_sparse(rng, 40, 40, 150) for _ in range(5)]
-    want = block_spectral_norms(_block_of(mats), len(mats), (40, 40))
+    want = block_spectral_norms(_block_of(mats), len(mats))
     monkeypatch.setattr(spectral, "_DENSE_BATCH_ENTRIES", 8)
-    assert block_spectral_norms(_block_of(mats), len(mats), (40, 40)) == want
-
-
-def test_block_rebuilds_only_live_columns(rng):
-    mats = [random_sparse(rng, 30, 30, 120) for _ in range(5)]
-    mats[1] = sp.csr_matrix(np.ones((30, 30)))  # rank one: stops first
-    asked = []
-    block = _block_of(mats)
-
-    def recording(live):
-        asked.append(live.tolist())
-        return block(live)
-
-    block_spectral_norms(recording, len(mats), (30, 30))
-    assert asked[0] == list(range(5))
-    assert any(1 not in live for live in asked)
-    assert all(len(b) <= len(a) for a, b in zip(asked, asked[1:])
-               if b != list(range(5)))
+    assert block_spectral_norms(_block_of(mats), len(mats)) == want
 
 
 def test_block_guards_raise():
     M = sp.csr_matrix(np.eye(4) * 3.0)
     with pytest.raises(AssertionError, match="L1"):
-        block_spectral_norms(_block_of([M, M]), 2, M.shape, upper=2.0)
+        block_spectral_norms(_block_of([M, M]), 2, upper=2.0)
 
 
-def test_lanczos_too_few_steps_reports_nonconvergence(rng):
+def test_lanczos_too_few_steps_reports_nonconvergence(rng, monkeypatch):
     M = random_sparse(rng, 60, 60, 400)
-    est = spectral_norm(M, tol=1e-9, maxit=2)
+    monkeypatch.setattr(spectral, "_LANCZOS_MAX_STEPS", 2)
+    est = spectral_norm(M, tol=1e-9)
     assert not est.converged
     assert est.residual > est.tol
     assert est.iterations == 2
@@ -435,12 +419,6 @@ def test_khintchine_inequality_holds(rng):
         mean, _ = estimate_expected_norm(mats, seed=t)
         assert mean <= bound * (1 + 1e-9)
 
-
-def test_expected_norm_threaded_matches_sequential(rng):
-    mats = [abs(random_sparse(rng, 10, 12, 25)) for _ in range(4)]
-    seq = estimate_expected_norm(mats, seed=3, threads=1)
-    par = estimate_expected_norm(mats, seed=3, threads=3)
-    assert seq == par
 
 
 def test_sign_rows_shapes():
