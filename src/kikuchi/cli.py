@@ -32,7 +32,13 @@ from .instances import (
     generate_random_matching_instance,
     load_instance,
 )
-from .refute import dump_certificate, eval_full_pairs, load_certificate, refute_full
+from .refute import (
+    REFUTATION_ERRORS,
+    dump_certificate,
+    eval_full_pairs,
+    load_certificate,
+    refute_full,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -65,7 +71,13 @@ def _threads(args) -> int:
     if args.threads is not None:
         return _at_least("--threads", args.threads, 1)
     env = os.environ.get("KIKUCHI_THREADS")
-    return _at_least("KIKUCHI_THREADS", int(env), 1) if env else 1
+    if not env:
+        return 1
+    try:
+        value = int(env)
+    except ValueError:
+        raise ConfigError(f"KIKUCHI_THREADS must be an integer, got {env!r}") from None
+    return _at_least("KIKUCHI_THREADS", value, 1)
 
 
 def cmd_gen(args) -> int:
@@ -249,7 +261,7 @@ def cmd_sweep(args) -> int:
                     "verdict": c["verdict"],
                     "error": "",
                 })
-            except Exception as exc:  # per-row failures recorded, sweep continues
+            except REFUTATION_ERRORS as exc:  # recorded per row, sweep continues
                 rows.append({
                     "k": k, "seed": sd, "combined_bound": "",
                     "eps_delta_nk": "", "ratio": "", "verdict": "",

@@ -175,23 +175,33 @@ class KikuchiGraph:
                                self.right[order].astype(np.int64), indptr)
         return self._csr_cache
 
-    def to_csr(self, label_signs=None) -> sp.csr_matrix:
+    def to_csr(self, label_signs=None, rows=None) -> sp.csr_matrix:
         """Sparse matrix with entry = sign of its label (duplicates add).
 
         A (c, n_labels) array of label signs gives the block-diagonal matrix
         of the c signed copies, in row order; each copy keeps the entry order
-        of the single matrix, which is the case c = 1."""
+        of the single matrix, which is the case c = 1.  A boolean mask
+        ``rows`` keeps only those rows and the columns their entries hold,
+        each in its original order, and the kept entries in theirs."""
         label_seq, indices, indptr = self._structure()
+        nl, nr = self.shape
+        if rows is not None:
+            kept = np.repeat(rows, np.diff(indptr))
+            label_seq, indices = label_seq[kept], indices[kept]
+            cols = np.unique(indices)
+            indices = np.searchsorted(cols, indices)
+            indptr = np.append(0, np.cumsum(np.diff(indptr)[rows]))
+            nl, nr = len(indptr) - 1, len(cols)
         if label_signs is None:
             label_signs = np.ones(self.n_labels)
         signs = np.atleast_2d(np.asarray(label_signs, dtype=np.float64))
         c = len(signs)
-        nl, nr = self.shape
+        nnz = len(label_seq)
         copy = np.arange(c)[:, None]
         return sp.csr_matrix(
             (signs[:, label_seq].ravel(),
              (indices + copy * nr).ravel(),
-             np.append((indptr[:-1] + copy * self.n_edges).ravel(), c * self.n_edges)),
+             np.append((indptr[:-1] + copy * nnz).ravel(), c * nnz)),
             shape=(c * nl, c * nr),
         )
 

@@ -23,9 +23,13 @@ asymptotic shorthand.
 Per-b norms come from ``SignedFamily``: the distinct label-sign classes of
 a certificate's sign rows are solved in blocks of sign columns, each block
 one block-diagonal matrix built once and handed to one batched Lanczos
-recurrence, with the L1 guard computed once per family.  Per-b bounds are
-asked the same way: each refutation's ``bounds(rows)`` takes a (c, k)
-array of sign rows and makes one ``norms`` call per family.
+recurrence, with the L1 guard computed once per family.  B(b) is
+block-diagonal over the b-independent components of its support, so a
+family bounds each component's norm sign-free once (P_C), solves every
+column on the component of largest P_C first, and then only on the other
+components whose P_C lies above the norm found.  Per-b bounds are asked the
+same way: each refutation's ``bounds(rows)`` takes a (c, k) array of sign
+rows and makes one ``norms`` call per family.
 
 Everything is deterministic under the master seed, whatever the block size
 or thread count.
@@ -72,6 +76,7 @@ from .prune import (
 from .spectral import (
     average_over_signs,
     block_spectral_norms,
+    component_norm_bounds,
     khintchine_bound,
     khintchine_sigma,
     sign_rows,
@@ -81,6 +86,9 @@ from .spectral import (
 
 BLOCK_ENTRIES = 1 << 16  # stored entries of one block-diagonal norm solve
 SOUNDNESS_GUARD = 1e-6
+# failures the pipeline raises on purpose: a norm solver guard, a graph too
+# large for memory, pruning that empties a label, an invalid parameter
+REFUTATION_ERRORS = (AssertionError, MemoryError, PruningError, ValueError)
 
 
 class RegularityError(RuntimeError):
@@ -134,13 +142,25 @@ class SignedFamily:
 
     Norms are cached by the realized label-sign vector up to a global flip,
     so distinct b hitting the same label signs or their negation (b and -b
-    always do) share one solve.  The classes still missing are solved
-    BLOCK_ENTRIES // nnz at a time by one ``block_spectral_norms`` run on the
-    block-diagonal matrix of their signed copies, blocks mapped over
-    ``threads``; a column's value does not depend on its block.  Every
-    stored entry is +-1 and duplicates are stored apart, so
+    always do) share one solve.  The classes still missing are solved in
+    blocks of BLOCK_ENTRIES // (entries solved per column) sign columns,
+    blocks mapped over ``threads``; a column's value does not depend on its
+    block.  Every stored entry is +-1 and duplicates are stored apart, so
     sqrt(max row count * max column count) bounds every |B(b)|: the L1
     guard, computed once here.
+
+    The support of B(b) does not depend on b, and B(b) is block-diagonal
+    over the support's connected components, so |B(b)| = max_C |B_C(b)| and
+    |B_C(b)| <= P_C, a rigorous bound on the norm of the unsigned count
+    matrix on C (``component_norm_bounds``), also computed once here.  A
+    block is solved in two phases, each one ``block_spectral_norms`` run on
+    the block-diagonal matrix of the columns' signed submatrices: first on
+    the components of largest P_C (one, unless several tie), whose Ritz
+    values L_t are lower bounds on |B(b_t)|; then on the other components
+    with P_C > L_t, if any, one run per such set of components, so a
+    column's value depends on its own L_t alone.  Each column reports the
+    larger of its residual-inflated values; every component left out has
+    |B_C(b_t)| <= P_C <= L_t.
     """
 
     def __init__(self, graph: PrunedGraph):
@@ -148,8 +168,23 @@ class SignedFamily:
         self.nnz = graph.n_edges
         # built once here, not racing in worker threads
         _, indices, indptr = graph._structure()
-        self.upper = math.sqrt(float(np.diff(indptr).max(initial=0))
+        self._row_entries = np.diff(indptr)
+        self.upper = math.sqrt(float(self._row_entries.max(initial=0))
                                * float(np.bincount(indices).max(initial=0)))
+        counts = graph.to_csr()
+        counts.sum_duplicates()
+        row_component, bounds = component_norm_bounds(counts, graph.symmetric)
+        # components by decreasing bound: each row's place in that order, and
+        # len(bounds) for an empty row
+        order = np.argsort(-bounds, kind="stable")
+        self.bounds = bounds[order]
+        place = np.empty(len(bounds) + 1, dtype=np.int64)
+        place[order] = np.arange(len(bounds))
+        place[-1] = len(bounds)
+        self.rank = place[row_component]
+        # no Ritz value reaches the largest bound (L_t <= |A_top| < P_top), so
+        # the components tied at it are never skipped: all are solved first
+        self.first = int(np.count_nonzero(self.bounds == self.bounds[:1]))
         self._norm_cache: dict[bytes, float] = {}
 
     def norms(self, rows, seed: int = 0, threads: int = 1) -> np.ndarray:
@@ -168,7 +203,7 @@ class SignedFamily:
                 todo.setdefault(key, i)
         if todo:
             missing = np.fromiter(todo.values(), dtype=np.int64, count=len(todo))
-            size = max(1, BLOCK_ENTRIES // self.nnz)
+            size = self._block_size(self.rank < self.first)
             solved = thread_map(
                 lambda a: self._solve(signs[missing[a:a + size]], seed),
                 range(0, len(missing), size), threads)
@@ -179,10 +214,32 @@ class SignedFamily:
         """``norms`` of the one sign vector b."""
         return float(self.norms(np.asarray(b)[None], seed=seed)[0])
 
+    def _block_size(self, rows) -> int:
+        """Sign columns per block when the submatrix on ``rows`` is solved."""
+        return max(1, BLOCK_ENTRIES // int(self._row_entries[rows].sum()))
+
     def _solve(self, signs, seed) -> list[float]:
-        ests = block_spectral_norms(self.graph.to_csr(signs), len(signs),
-                                    seed=seed, upper=self.upper)
-        return [est.value * (1.0 + est.residual) for est in ests]
+        lower, value = self._phase(signs, self.rank < self.first, seed)
+        # per column, how many components have a bound above its Ritz value
+        reach = np.searchsorted(-self.bounds, -lower)
+        for n in np.unique(reach[reach > self.first]).tolist():
+            cols = np.flatnonzero(reach == n)
+            rest = self._phase(signs[cols],
+                               (self.rank >= self.first) & (self.rank < n), seed)[1]
+            value[cols] = np.maximum(value[cols], rest)
+        return value.tolist()
+
+    def _phase(self, signs, rows, seed):
+        """(Ritz values, residual-inflated values) of the signed submatrices
+        on ``rows``, solved in blocks of ``_block_size`` columns."""
+        size = self._block_size(rows)
+        ests = []
+        for a in range(0, len(signs), size):
+            part = signs[a:a + size]
+            ests += block_spectral_norms(self.graph.to_csr(part, rows), len(part),
+                                         seed=seed, upper=self.upper)
+        return (np.array([est.value for est in ests]),
+                np.array([est.value * (1.0 + est.residual) for est in ests]))
 
 
 @dataclass
@@ -634,7 +691,7 @@ def refute_full(
                 piece, thr.ell, gamma=gamma, trials=trials,
                 seed=seed * 131 + s, thresholds=thr, threads=threads,
             )
-        except Exception as exc:  # partial results retained; trivial bound is sound
+        except REFUTATION_ERRORS as exc:  # partial results kept; trivial bound is sound
             piece_failures[s] = str(exc)
             trivial = piece.total_edges
             pieces[s] = BipartiteRefutation(

@@ -23,6 +23,13 @@ it the cached, block-solved norms of a pruned graph
 (``refute.SignedFamily``), ``estimate_expected_norm`` the norms of explicit
 group-matrix sums.
 
+The support of a signed matrix does not depend on the signs, and its norm
+is the largest over the support's connected components, each at most the
+norm of the unsigned count matrix there: ``component_norm_bounds`` bounds
+every component's at once, by Collatz-Wielandt power steps over
+component-sorted vertices, so callers can skip the components that cannot
+reach a norm already found.
+
 The Matrix-Khintchine variance sigma^2 needs no iteration over signs: the
 group matrices are sign-free, so both Gram matrices are built explicitly,
 split into connected components, and bounded per component by
@@ -52,6 +59,7 @@ _BREAKDOWN = 1e-12  # beta below this share of |G q| ends the recurrence
 DENSE_COMPONENT_MAX = 32  # larger Gram components use power iteration
 _DENSE_BATCH_ENTRIES = 1 << 16  # float64 entries per batched eigh call
 _CW_TOL = 1e-13  # relative gap between Collatz-Wielandt and Rayleigh to stop
+_SCREEN_TOL = 1e-3  # that gap for the norm screen: its bounds only pick what is solved
 _PROBES = 3  # random bilinear forms checked against each norm
 
 
@@ -266,32 +274,38 @@ def _components(S) -> np.ndarray:
             label = jumped
 
 
-def _collatz_wielandt(mul, w, tol: float = _CW_TOL,
+def _collatz_wielandt(mul, w, sizes, tol: float = _CW_TOL,
                       maxit: int = DEFAULT_MAXIT) -> np.ndarray:
     """Smallest Collatz-Wielandt bound max_j (S w)_j / w_j seen along power
-    iteration, per row of the nonnegative start vectors ``w`` (c, s).
+    iteration, per diagonal block of a nonnegative block-diagonal S.
 
-    ``mul(live, w)`` returns S w for the blocks indexed by ``live``.  Every
-    such max is an upper bound on the top eigenvalue of a nonnegative S (an
-    entry w_j = 0 counts as infinite), so the result is one however far the
-    loop got; a block stops once its bound meets its Rayleigh quotient, a
+    ``w`` is the flat nonnegative start vector and ``sizes`` the lengths of
+    its segments, one per block in order.  ``mul(live, w)`` returns S w for
+    the blocks indexed by ``live``, ``w`` holding their segments one after
+    another.  Every such max is an upper bound on the block's top eigenvalue
+    (an entry w_j = 0 counts as infinite), so the result is one however far
+    the loop got; a block stops once its bound meets its Rayleigh quotient, a
     lower bound, to ``tol``.  Power steps also repair eigenvector entries
     that are tiny and so carry large relative error.
     """
-    best = np.full(len(w), np.inf)
-    live = np.arange(len(w))
+    sizes = np.asarray(sizes, dtype=np.int64)
+    best = np.full(len(sizes), np.inf)
+    live = np.arange(len(sizes))
+    starts = np.cumsum(sizes) - sizes
     for _ in range(maxit):
         y = mul(live, w)
         with np.errstate(divide="ignore", invalid="ignore"):
-            upper = np.where(w > 0, y / w, np.inf).max(axis=1)
+            upper = np.maximum.reduceat(np.where(w > 0, y / w, np.inf), starts)
         best[live] = np.minimum(best[live], upper)
-        rayleigh = (w * y).sum(axis=1) / (w * w).sum(axis=1)
+        rayleigh = np.add.reduceat(w * y, starts) / np.add.reduceat(w * w, starts)
         bound = best[live]
         unsettled = np.isinf(bound) | (bound - rayleigh > tol * bound)
         if not unsettled.any():
             break
-        live, w, y = live[unsettled], w[unsettled], y[unsettled]
-        w = y / y.max(axis=1, keepdims=True)
+        keep = np.repeat(unsettled, sizes[live])
+        live, w, y = live[unsettled], w[keep], y[keep]
+        starts = np.cumsum(sizes[live]) - sizes[live]
+        w = y / np.repeat(np.maximum.reduceat(y, starts), sizes[live])
     return best
 
 
@@ -300,9 +314,11 @@ def _perron_dense(blocks) -> np.ndarray:
     symmetric array, started at the Perron vector from a batched eigh and
     capped by the max row sum (the bound at the all-ones vector)."""
     _, vecs = np.linalg.eigh(blocks)
+    c, s, _ = blocks.shape
     cw = _collatz_wielandt(
-        lambda live, w: np.einsum("cij,cj->ci", blocks[live], w),
-        np.abs(vecs[:, :, -1]),
+        lambda live, w: np.einsum("cij,cj->ci", blocks[live],
+                                  w.reshape(len(live), s)).ravel(),
+        np.abs(vecs[:, :, -1]).ravel(), np.full(c, s),
     )
     return np.minimum(cw, blocks.sum(axis=2).max(axis=1))
 
@@ -311,8 +327,8 @@ def _perron_power(B) -> float:
     """Collatz-Wielandt bound of one sparse nonnegative symmetric block
     with a positive diagonal, by power iteration from the all-ones vector;
     the iterates of such a matrix stay strictly positive."""
-    w = np.ones((1, B.shape[0]))
-    return float(_collatz_wielandt(lambda live, w: (B @ w[0])[None], w)[0])
+    n = B.shape[0]
+    return float(_collatz_wielandt(lambda live, w: B @ w, np.ones(n), [n])[0])
 
 
 def _top_eig_bound(S) -> float:
@@ -363,9 +379,10 @@ def _top_eig_bound(S) -> float:
     return best
 
 
-def _gram_top(mats, transpose: bool) -> float:
-    """Rigorous upper bound on the top eigenvalue of sum X X^T (of
-    sum X^T X with ``transpose``) over nonnegative CSR matrices X.
+def _gram(mats, transpose: bool):
+    """(S, margin): S = sum X X^T (sum X^T X with ``transpose``) over
+    nonnegative CSR matrices X, and the factor 1 + steps * eps that lifts a
+    Collatz-Wielandt bound computed on S over its rounding.
 
     The margin covers the rounding of the Gram sums (at most ``terms``
     products per entry), of S w and of the final division.
@@ -379,7 +396,58 @@ def _gram_top(mats, transpose: bool) -> float:
     S = sp.csr_matrix(S)
     S.eliminate_zeros()
     steps = int(terms.max(initial=0)) + int(np.diff(S.indptr).max(initial=0)) + 2
-    return float(_top_eig_bound(S)) * (1.0 + steps * float(np.finfo(float).eps))
+    return S, 1.0 + steps * float(np.finfo(float).eps)
+
+
+def _gram_top(mats, transpose: bool) -> float:
+    """Rigorous upper bound on the top eigenvalue of sum X X^T (of
+    sum X^T X with ``transpose``) over nonnegative CSR matrices X."""
+    S, margin = _gram(mats, transpose)
+    return float(_top_eig_bound(S)) * margin
+
+
+def component_norm_bounds(A, symmetric: bool = False):
+    """Support components of a nonnegative sparse matrix A and a rigorous
+    upper bound on the spectral norm of A restricted to each.
+
+    The support graph joins row i to column j where A_ij != 0; with
+    ``symmetric`` (A = A^T) row i and column i are one vertex, so a
+    component whose graph is bipartite stays whole instead of splitting into
+    two transposed halves of equal norm.  A component's bound is the square
+    root of a Collatz-Wielandt bound on its block of the Gram matrix of A's
+    smaller side, with ``_gram``'s rounding margin.  The power steps run on
+    every component at once, from the all-ones vector, until each bound meets
+    its Rayleigh quotient to _SCREEN_TOL.  Returns (row_comp, bounds): each
+    row's component index, -1 for an empty row, and one bound per component.
+    """
+    A = sp.csr_matrix(A)
+    transpose = A.shape[1] <= A.shape[0]
+    S, margin = _gram([A], transpose)
+    # labels of the Gram side's vertices: the Gram links two of them when
+    # they share an entry's row (column), so its components are A's
+    label = _components(A if symmetric else S)
+    filled = np.flatnonzero(np.diff(A.indptr))
+    # with columns on the Gram side, a row takes its first entry's label
+    row_label = label[A.indices[A.indptr[filled]]] if transpose else label[filled]
+    # Gram vertices holding an entry, grouped by component; every one of
+    # them has a positive diagonal, so the power iterates stay positive
+    used = np.flatnonzero(np.diff(S.indptr))
+    labels, comp, sizes = np.unique(label[used], return_inverse=True,
+                                    return_counts=True)
+    order = used[np.argsort(comp, kind="stable")]
+
+    def mul(live, w):
+        at = np.zeros(len(sizes), dtype=bool)
+        at[live] = True
+        at = order[np.repeat(at, sizes)]
+        full = np.zeros(S.shape[0])  # settled components: zero entries
+        full[at] = w
+        return (S @ full)[at]
+
+    cw = _collatz_wielandt(mul, np.ones(len(order)), sizes, tol=_SCREEN_TOL)
+    row_comp = np.full(A.shape[0], -1, dtype=np.int64)
+    row_comp[filled] = np.searchsorted(labels, row_label)
+    return row_comp, np.sqrt(cw * margin)
 
 
 def khintchine_sigma(group_mats) -> dict:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import kikuchi.cli as cli
 from kikuchi.cli import build_parser, main
 from kikuchi.instances import EXHAUSTIVE_LIMIT
 
@@ -131,6 +132,58 @@ def test_threads_below_one_is_config_error(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "KIKUCHI_THREADS" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["refute", "sweep", "verify"])
+def test_non_integer_threads_variable_is_named(tmp_path, capsys, monkeypatch,
+                                               command):
+    inst = tmp_path / "inst.json"
+    cert = tmp_path / "cert.json"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+            "--seed", "4", "--out", str(inst))
+    if command == "verify":
+        assert run_cli("refute", "--in", str(inst), "--out", str(cert),
+                       "--ell", "1", "--trials", "10") == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {
+        "refute": ["refute", "--in", str(inst), "--out", str(out), "--ell", "1"],
+        "sweep": ["sweep", "--n", "10", "--q", "3", "--delta", "0.2",
+                  "--k-list", "3", "--out", str(out)],
+        "verify": ["verify", "--in", str(inst), "--cert", str(cert)],
+    }[command]
+    monkeypatch.setenv("KIKUCHI_THREADS", "abc")
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: KIKUCHI_THREADS must be an integer, got 'abc'\n")
+    assert not out.exists()
+
+
+def _sweep_failing_with(monkeypatch, tmp_path, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "refute_full", fail)
+    out = tmp_path / "sweep.csv"
+    rc = run_cli("sweep", "--n", "10", "--q", "3", "--delta", "0.2",
+                 "--k-list", "3", "--seeds", "2", "--ell", "1", "--out", str(out))
+    return rc, out
+
+
+def test_sweep_records_deliberate_failures_per_row(tmp_path, monkeypatch):
+    rc, out = _sweep_failing_with(monkeypatch, tmp_path,
+                                  AssertionError("norm estimate above the L1 bound"))
+    assert rc == 0
+    with open(out) as fh:
+        fh.readline()
+        rows = list(csv.DictReader(fh))
+    assert [r["error"] for r in rows] == ["norm estimate above the L1 bound"] * 2
+    assert all(r["verdict"] == "" for r in rows)
+
+
+def test_sweep_propagates_unexpected_errors(tmp_path, monkeypatch):
+    with pytest.raises(TypeError, match="a bug"):
+        _sweep_failing_with(monkeypatch, tmp_path, TypeError("a bug"))
 
 
 @pytest.mark.parametrize("command", ["refute", "sweep", "verify"])

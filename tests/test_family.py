@@ -2,6 +2,8 @@
 SignedFamily hands to the norm solver and the group matrices behind sigma^2
 are built from its edge triples alone."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,6 +13,8 @@ import kikuchi.spectral as spectral
 from kikuchi.decompose import compute_thresholds, decompose
 from kikuchi.graphs import (
     KikuchiGraph,
+    SpaceComponent,
+    VertexSpace,
     assemble_basic,
     assemble_bipartite,
     assemble_regular_cs,
@@ -107,15 +111,25 @@ def _capturing(monkeypatch, seen):
     monkeypatch.setattr(refute, "block_spectral_norms", capture)
 
 
-def _counting(monkeypatch, solved):
-    """Record the column count of every batched solve."""
-    solve = refute.block_spectral_norms
+def _first(fam):
+    """The rows of the components a family solves first."""
+    return fam.rank < fam.first
 
-    def counting(A, c, **kw):
-        solved.append(c)
-        return solve(A, c, **kw)
 
-    monkeypatch.setattr(refute, "block_spectral_norms", counting)
+def _phases(monkeypatch, fam, solved):
+    """Record (first phase?, column count) of every solve phase."""
+    phase = fam._phase
+
+    def record(signs, rows, seed):
+        solved.append((np.array_equal(rows, _first(fam)), len(signs)))
+        return phase(signs, rows, seed)
+
+    monkeypatch.setattr(fam, "_phase", record)
+
+
+def _on(pg, dense, rows):
+    """``dense`` on ``rows`` and the columns their entries hold."""
+    return dense[rows][:, pg.to_dense()[rows].any(axis=0)]
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
@@ -128,33 +142,35 @@ def test_family_matrix_matches_dense(name, monkeypatch):
     for b in _sign_vectors(_k(pg)):
         seen.clear()
         fam.norm(b)
-        if seen:  # a cache miss: the matrix the solver saw
+        if seen:  # a cache miss: the first matrix the solver saw
             misses += 1
-            assert np.array_equal(seen[0].toarray(), pg.to_dense(pg.signs_for(b)))
+            assert np.array_equal(seen[0].toarray(),
+                                  _on(pg, pg.to_dense(pg.signs_for(b)), _first(fam)))
     assert misses >= 1
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
 def test_block_diagonal_holds_each_signed_matrix(name, monkeypatch):
-    # one block: its diagonal blocks are the signed matrices of the first
-    # row of each +- class, in row order
+    # one block: the diagonal blocks of its first solve are the first
+    # phase's signed matrices of the first row of each +- class, in row order
     pg = VARIANTS[name]
     rows = np.array(_sign_vectors(_k(pg), count=12))
     seen = []
     _capturing(monkeypatch, seen)
     monkeypatch.setattr(refute, "BLOCK_ENTRIES", 1 << 30)
-    SignedFamily(pg).norms(rows)
+    fam = SignedFamily(pg)
+    fam.norms(rows)
     firsts = {}
     for b in rows:
         s = pg.signs_for(b)
         firsts.setdefault((s * s[0]).tobytes(), b)
-    (mat,) = seen
-    nl, nr = pg.shape
+    mat = seen[0]
+    nl, nr = _on(pg, pg.to_dense(), _first(fam)).shape
     assert mat.shape == (len(firsts) * nl, len(firsts) * nr)
     dense = mat.toarray()
     for t, b in enumerate(firsts.values()):
         block = dense[t * nl:(t + 1) * nl, t * nr:(t + 1) * nr]
-        assert np.array_equal(block, pg.to_dense(pg.signs_for(b)))
+        assert np.array_equal(block, _on(pg, pg.to_dense(pg.signs_for(b)), _first(fam)))
     off = dense.copy()
     for t in range(len(firsts)):
         off[t * nl:(t + 1) * nl, t * nr:(t + 1) * nr] = 0
@@ -190,35 +206,51 @@ def test_graph_with_more_columns_than_rows_is_covered():
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
 def test_columns_solved_equal_sign_classes(name, monkeypatch):
+    # every class is solved once in the first phase, in blocks sized by its
+    # entries
     pg = VARIANTS[name]
     rows = _rows(pg)
-    solved = []
-    _counting(monkeypatch, solved)
-    monkeypatch.setattr(refute, "BLOCK_ENTRIES", 3 * pg.n_edges)
     fam = SignedFamily(pg)
+    solved = []
+    _phases(monkeypatch, fam, solved)
+    monkeypatch.setattr(refute, "BLOCK_ENTRIES",
+                        3 * int(fam._row_entries[_first(fam)].sum()))
     fam.norms(rows)
     classes = {(s * s[0]).tobytes() for s in pg.signs_for(rows)}
-    assert sum(solved) == len(classes)
-    assert max(solved) <= 3
+    top = [c for first, c in solved if first]
+    assert sum(top) == len(classes)
+    assert max(top) <= 3
+    count = len(solved)
     fam.norms(rows[::-1])  # every class cached: no further solve
     fam.norm(-rows[0])
-    assert sum(solved) == len(classes)
+    assert len(solved) == count
 
 
 def test_regular_l2_exhaustive_rows_solve_once_per_class(monkeypatch):
     """The benchmark's n=20, k=6, l=2 pair graph: its 32 exhaustive rows
-    fall into 16 +- classes, so 16 columns are solved, one per block."""
+    fall into 16 +- classes, solved in one block on the top component alone
+    (1,708 of the 77,760 entries), whose norm every other component's bound
+    lies below."""
     inst = generate_random_matching_instance(20, 3, 6, 0.25, seed=1)
     thr = compute_thresholds(20, 6, 3, inst.measured_delta(), ell_override=2)
     left = decompose(inst, thr).leftover
     pg = _pruned(assemble_regular_cs(left, 2), max(left.edge_counts), left.k)
-    solved = []
-    _counting(monkeypatch, solved)
+    seen = []
+    _capturing(monkeypatch, seen)
     rows = sign_rows(left.k, fix_first=True)
-    SignedFamily(pg).norms(rows)
+    fam = SignedFamily(pg)
+    got = fam.norms(rows)
     assert len(rows) == 32
     assert pg.n_edges > refute.BLOCK_ENTRIES
-    assert solved == [1] * 16
+    assert len(fam.bounds) > 3000 and fam.bounds[1] < got.min()
+    (mat,) = seen
+    classes = np.unique([s * s[0] for s in pg.signs_for(rows)], axis=0)
+    assert len(classes) == 16
+    assert mat.nnz == 16 * 1708 == 16 * fam._row_entries[_first(fam)].sum()
+    ref = pg.to_csr(classes, _first(fam))  # same entries, other signs
+    assert mat.shape == ref.shape == (16 * 1034 // 2, 16 * 1034 // 2)
+    assert np.array_equal(mat.indptr, ref.indptr)
+    assert np.array_equal(mat.indices, ref.indices)
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
@@ -316,3 +348,111 @@ def test_signs_for_rows_match_single_vectors():
         pg.signs_for(bad)
     with pytest.raises(IndexError):
         pg.signs_for(rows[:, :-1])
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_screened_norms_match_dense_norm(name, monkeypatch):
+    # skipping components never lowers a norm below the full matrix's; the
+    # Ritz values match it to rounding, and the residual inflation adds at
+    # most the solver tolerance
+    pg = VARIANTS[name]
+    rows = np.vstack([_rows(pg), _sign_vectors(_k(pg))])
+    want = np.array([np.linalg.norm(pg.to_dense(s), 2) for s in pg.signs_for(rows)])
+    got = SignedFamily(pg).norms(rows)
+    assert (got >= want * (1 - 1e-12)).all()
+    assert (got <= want * (1 + spectral.DEFAULT_TOL)).all()
+    solve = refute.block_spectral_norms
+    monkeypatch.setattr(refute, "block_spectral_norms", lambda A, c, **kw: [
+        dataclasses.replace(e, residual=0.0) for e in solve(A, c, **kw)])
+    ritz = SignedFamily(pg).norms(rows)
+    assert ritz == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_component_bounds_cover_each_component(name):
+    pg = VARIANTS[name]
+    fam = SignedFamily(pg)
+    counts = pg.to_dense()  # duplicates summed
+    held = 0.0
+    for r, bound in enumerate(fam.bounds):
+        sub = _on(pg, counts, fam.rank == r)
+        want = np.linalg.norm(sub, 2)
+        assert want <= bound <= want * (1 + spectral._SCREEN_TOL)
+        held += sub.sum()
+    assert held == counts.sum()  # every entry lies in one component
+    assert (fam.rank == len(fam.bounds)).sum() == (~counts.any(axis=1)).sum()
+
+
+def test_one_component_family_solves_the_whole_matrix():
+    # no empty row or column: the top component's submatrix is the matrix
+    pg = VARIANTS["many_signs_duplicates"]
+    fam = SignedFamily(pg)
+    assert len(fam.bounds) == 1 and _first(fam).all()
+    assert pg.to_dense().any(axis=0).all()
+    rows = _rows(pg)
+    firsts = {}
+    for b, s in zip(rows, pg.signs_for(rows)):
+        firsts.setdefault((s * s[0]).tobytes(), b)
+    rows = np.array(list(firsts.values()))
+    ests = spectral.block_spectral_norms(pg.to_csr(pg.signs_for(rows)), len(rows))
+    assert fam.norms(rows).tolist() == [e.value * (1 + e.residual) for e in ests]
+
+
+def _three_components():
+    """A 6 x 6 graph with three components: rows 0-1 hold labels 0 and 1,
+    which cancel on the diagonal and the (0, 1) entry when b_0 != b_1;
+    row 2 holds label 2 twice, rows 3-5 labels 3 and 4 on a path."""
+    entries = [(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1), (0, 1, 0), (0, 1, 1),
+               (1, 0, 0), (2, 2, 2), (2, 3, 2), (3, 4, 3), (4, 4, 3), (4, 5, 4),
+               (5, 5, 4)]
+    left, right, label = np.array(entries).T
+    space = VertexSpace((SpaceComponent("main", 6, 1),))
+    return KikuchiGraph(
+        variant="basic_even", left_space=space, right_space=space,
+        left=left, right=right, edge_label=label.astype(np.int32),
+        labels=list(range(5)), label_group=np.arange(5, dtype=np.int32),
+        group_ids=list(range(5)), label_sign_factors=[(j,) for j in range(5)],
+        D=None, symmetric=False)
+
+
+def test_cancelled_top_component_solves_the_others(monkeypatch):
+    g = _three_components()
+    fam = SignedFamily(g)
+    # unsigned norms: [[2, 2], [1, 2]], [1, 1] and the path [[1], [1, 1], [1]]
+    want_bounds = [np.linalg.norm([[2, 2], [1, 2]], 2), np.sqrt(3), np.sqrt(2)]
+    assert np.allclose(fam.bounds, want_bounds, rtol=1e-3)
+    assert fam.rank.tolist() == [0, 0, 2, 1, 1, 1]
+    seen = []
+    _capturing(monkeypatch, seen)
+    rows = np.array([[1, 1, 1, 1, 1], [1, -1, 1, 1, 1]])
+    got = fam.norms(rows)
+    # b_0 = b_1 leaves the top component at its bound, above the others'; the
+    # second row leaves it at norm 1 = |[[0, 0], [1, 0]]|, below both
+    want = [np.linalg.norm(g.to_dense(s), 2) for s in g.signs_for(rows)]
+    assert want[1] == pytest.approx(np.sqrt(3), rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert len(seen) == 2
+    assert seen[0].shape == (4, 4)  # both rows on the top component
+    assert np.array_equal(seen[1].toarray(), g.to_dense(g.signs_for(rows[1]))[2:, 2:])
+
+
+def test_tied_components_are_solved_first(monkeypatch):
+    # rows 0 and 1 are isomorphic components of bound sqrt(2): no Ritz value
+    # of one can rule out the other, so one run solves both
+    left, right, label = np.array([(0, 0, 0), (0, 1, 0), (1, 2, 1), (1, 3, 1),
+                                   (2, 4, 2)]).T
+    space = VertexSpace((SpaceComponent("main", 5, 1),))
+    g = KikuchiGraph(
+        variant="basic_even", left_space=space, right_space=space,
+        left=left, right=right, edge_label=label.astype(np.int32),
+        labels=list(range(3)), label_group=np.arange(3, dtype=np.int32),
+        group_ids=list(range(3)), label_sign_factors=[(j,) for j in range(3)],
+        D=None, symmetric=False)
+    fam = SignedFamily(g)
+    assert fam.first == 2 and fam.bounds[0] == fam.bounds[1] > fam.bounds[2]
+    seen = []
+    _capturing(monkeypatch, seen)
+    rows = np.array([[1, 1, 1], [1, -1, 1], [1, 1, -1]])
+    assert fam.norms(rows) == pytest.approx([np.sqrt(2)] * 3, rel=1e-12)
+    (mat,) = seen
+    assert mat.shape == (3 * 2, 3 * 4)

@@ -437,6 +437,31 @@ def test_soundness_check_guard_and_log():
     assert len(sub) == 2 and all(e["ok"] for e in sub)
 
 
+def _pieces_failing_with(monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(refute, "refute_bipartite", fail)
+    inst = generate_random_matching_instance(12, 3, 4, 0.25, seed=1)
+    return refute_full(inst, ell=1, n_partitions=0, trials=10)
+
+
+def test_piece_failure_keeps_the_trivial_bound(monkeypatch):
+    guard = "norm estimate below a bilinear probe"
+    run = _pieces_failing_with(monkeypatch, AssertionError(guard))
+    cert = run.certificate
+    assert cert["piece_failures"] == {2: guard}
+    piece = cert["pieces"]["2"]
+    edges = run.decomposition.pieces[2].total_edges
+    assert piece["bound"] == piece["trivial_bound"] == edges
+    assert all(e["ok"] for e in run.soundness_check())
+
+
+def test_piece_refutation_bug_propagates(monkeypatch):
+    with pytest.raises(TypeError, match="a bug"):
+        _pieces_failing_with(monkeypatch, TypeError("a bug"))
+
+
 def test_refute_imports_no_heavy_scipy_submodule():
     # each of these costs about 10 MB of resident memory
     code = (
@@ -444,11 +469,14 @@ def test_refute_imports_no_heavy_scipy_submodule():
         "from kikuchi.instances import generate_random_matching_instance\n"
         "from kikuchi.refute import refute_full\n"
         "inst = generate_random_matching_instance(12, 3, 4, 0.25, seed=1)\n"
-        "refute_full(inst, ell=1, n_partitions=2, trials=10)\n"
+        "run = refute_full(inst, ell=1, n_partitions=2, trials=10)\n"
         "heavy = ('scipy.sparse.linalg', 'scipy.linalg', 'scipy.sparse.csgraph')\n"
         "print(' '.join(m for m in heavy if m in sys.modules))\n"
+        "print(len(run.regular.family.bounds))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    heavy, components = proc.stdout.split("\n")[:2]
+    assert heavy == ""
+    assert int(components) > 1  # the component screen ran

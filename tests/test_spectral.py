@@ -327,10 +327,10 @@ def test_collatz_wielandt_is_upper_bound_at_every_stop(rng):
         X = _random_counting(rng, 60, 40, 90)
         S = (X @ X.T).toarray() + np.eye(60)  # positive diagonal
         want = float(np.linalg.eigvalsh(S)[-1])
-        mul = lambda live, w: w @ S
+        mul = lambda live, w: S @ w
         prev = np.inf
         for steps in (1, 2, 3, 5, 8):
-            got = float(spectral._collatz_wielandt(mul, np.ones((1, 60)), maxit=steps)[0])
+            got = float(spectral._collatz_wielandt(mul, np.ones(60), [60], maxit=steps)[0])
             assert want * (1 - 1e-13) <= got <= prev
             prev = got
 
@@ -426,3 +426,31 @@ def test_sign_rows_shapes():
     assert rows.shape == (8, 3) and set(np.unique(rows)) == {-1, 1}
     half = sign_rows(3, fix_first=True)
     assert half.shape == (4, 3) and (half[:, 0] == 1).all()
+
+
+def test_component_bounds_keep_a_rounding_margin():
+    # the all-ones start is the Perron vector of a block of ones, so the
+    # Collatz-Wielandt bound is exact there; the margin still lifts it
+    A = sp.block_diag([np.ones((2, 2)), np.ones((1, 3)), [[1.0]]], format="csr")
+    row_comp, bounds = spectral.component_norm_bounds(A)
+    assert row_comp.tolist() == [0, 0, 1, 2]
+    want = np.array([2.0, math.sqrt(3), 1.0])
+    assert (bounds > want).all()
+    assert (bounds <= want * (1 + 1e-13)).all()
+
+
+def test_component_bounds_symmetric_keeps_bipartite_component_whole(rng):
+    # a path's adjacency is symmetric with a bipartite graph: as a general
+    # matrix its rows and columns split into two transposed halves
+    path = sp.diags([np.ones(5), np.ones(5)], [-1, 1], shape=(6, 6), format="csr")
+    X = _random_counting(rng, 3, 3, 9)
+    A = sp.block_diag([path, sp.csr_matrix((2, 2)), X + X.T + sp.eye(3)], format="csr")
+    want = np.linalg.norm(path.toarray(), 2)
+    rows, bounds = spectral.component_norm_bounds(A, symmetric=True)
+    assert rows.tolist() == [0] * 6 + [-1, -1] + [1] * 3
+    assert want <= bounds[0] <= want * (1 + spectral._SCREEN_TOL)
+    rows, bounds = spectral.component_norm_bounds(A)
+    halves = rows[:6].reshape(3, 2).T  # even rows and odd rows
+    assert (halves == halves[:, :1]).all() and halves[0, 0] != halves[1, 0]
+    assert rows[6:].tolist() == [-1, -1, 2, 2, 2]
+    assert bounds[0] == bounds[1] >= want
