@@ -202,6 +202,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _at_least("--trials", args.trials, 2)
     inst = load_instance(args.inp)
     out: dict = {"tool_version": __version__, "in": args.inp}
     signs = None

@@ -372,21 +372,23 @@ def expected_val(inst, trials: int = 200, seed: int = 0, limit: int = EXHAUSTIVE
     """Mean (and stderr) of val over uniform signs b.
 
     Exhaustive over all 2^k sign vectors when k <= 16 (stderr 0); Monte Carlo
-    otherwise, with every sampled sign vector in one scan.
+    otherwise, with every sampled sign vector in one scan, which needs two
+    draws for its standard error.
     """
     if inst.k <= EXHAUSTIVE_B_LIMIT:
         vals = val_for_all_signs(inst, limit=limit)
         return float(vals.mean()), 0.0
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2 to sample signs, got {trials}")
     nv = _oracle_vars(inst, limit)
     rng = np.random.default_rng(seed)
     b = np.array(
         [1 - 2 * rng.integers(0, 2, size=inst.k) for _ in range(trials)],
         dtype=np.int8,
-    ).reshape(trials, inst.k)
+    )
     owner, masks = _constraint_masks(inst)
     arr = _scan(masks, b[:, owner], nv)[0].astype(float)
-    stderr = arr.std(ddof=1) / np.sqrt(len(arr)) if len(arr) > 1 else 0.0
-    return float(arr.mean()), float(stderr)
+    return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(trials))
 
 
 def generate_random_matching_instance(
@@ -534,11 +536,15 @@ def generate_planted_linear_instance(
 
 
 def load_instance(path):
+    """The instance in a JSON file; ValueError names a key it lacks."""
     with open(path) as fh:
         d = json.load(fh)
-    if "s" in d:
-        return BipartiteXorInstance.from_dict(d)
-    return XorInstance.from_dict(d)
+    try:
+        if "s" in d:
+            return BipartiteXorInstance.from_dict(d)
+        return XorInstance.from_dict(d)
+    except KeyError as exc:
+        raise ValueError(f"{path}: instance file has no key {exc}") from None
 
 
 def dump_instance(inst, path, extra: dict | None = None):

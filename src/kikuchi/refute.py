@@ -1,24 +1,33 @@
 """End-to-end refutation certificates for matching XOR instances.
 
-Regular route (leftover instance): squaring the polynomial and
-Cauchy-Schwarz give, for every fixed sign vector b and every x,
+One spectral route serves every Kikuchi graph: the graph is pruned to its
+target degrees and the norms of its signed matrices B(b) are averaged over
+b, and for every fixed b
+
+    val  <=  (sqrt(N_L N_R) / D') |B(b)|_2  =  ratio |B(b)|_2,
+
+N_L x N_R the graph's shape and D' the edges each label keeps.  Each route
+returns a ``Refutation``, whose ``spectral(rows)`` is that bound per sign
+row, or the route's trivial bound when pruning left no family; the two
+subclasses differ only in how ``bounds`` transforms it.
+
+Regular route (leftover instance): the square full pair graph (N_L = N_R)
+bounds val(F_b), where F_b sums the derived pair constraints over all
+ordered i != j and never exceeds its label count.  Squaring the polynomial
+and Cauchy-Schwarz give, for every fixed b and every x,
 
     q^2 Psi_b(x)^2  <=  q n m  +  n F_b(x),      m = sum_i |H_i|,
 
-where F_b sums the derived pair constraints over all ordered i != j.  The
-full pair Kikuchi graph certifies val(F_b) <= (N / D') |B(b)|_2 for the
-realized signs, which is sound per fixed b; this alone gives the regular
-``bound``.  Alongside it the certificate records a Matrix-Khintchine
-estimate over sampled partitions (L, R), each graph a slice of the full
-one: F_b = 4 E f_{L,R} needs the mean over all partitions, so the sampled
-mean is labelled ``khintchine_guarantee: "estimate"`` and never enters a
-bound.  ``n_partitions=0`` skips it.
+which turns it into the regular ``bound``.  Alongside it the certificate
+records a Matrix-Khintchine estimate over sampled partitions (L, R), each
+graph a slice of the full one: F_b = 4 E f_{L,R} needs the mean over all
+partitions, so the sampled mean is labelled ``khintchine_guarantee:
+"estimate"`` and never enters a bound.  ``n_partitions=0`` skips it.
 
-Bipartite route (decomposed pieces): z^T B w = D' Psi^(s)(x, y) gives
-val(Psi^(s)_b) <= (sqrt(N_L N_R) / D') |B(b)|_2 directly, no pair
-derivation needed.  The measured total edge count of a piece is kept as the
-trivial fallback bound; it is sound for every b, unlike the piece's
-asymptotic shorthand.
+Bipartite route (decomposed pieces): z^T B w = D' Psi^(s)(x, y), so the
+route bounds val(Psi^(s)_b) directly, no pair derivation needed.  The
+measured total edge count of a piece is its trivial bound; it is sound for
+every b, unlike the piece's asymptotic shorthand.
 
 Per-b norms come from ``SignedFamily``: the distinct label-sign classes of
 a certificate's sign rows are solved in blocks of sign columns, each block
@@ -243,20 +252,30 @@ class SignedFamily:
 
 
 @dataclass
-class RegularRefutation:
-    """Certificate for the leftover instance, plus per-b bound machinery."""
+class Refutation:
+    """One route's certificate, plus per-b bound machinery."""
 
-    instance: XorInstance
-    thresholds: Thresholds
-    ell: int
-    gamma: float
     certificate: dict
-    family: SignedFamily | None  # pruned full-pair family, None if degenerate
-    ratio_N_over_Dp: float | None
-    f_trivial: int  # label count; |F_b(x)| never exceeds it
-    used_trivial_f: bool
+    family: SignedFamily | None  # the pruned graph's family, None on fallback
+    ratio: float | None  # sqrt(N_L N_R) / D'
+    trivial: int  # bounds, for every b, what ratio |B(b)| bounds
     graph: KikuchiGraph | None = None
     pruned: PrunedGraph | None = None  # the graph actually used, if any
+
+    def spectral(self, rows) -> np.ndarray:
+        """ratio |B(b)| at each sign row of the (c, k) array ``rows``, or
+        the trivial bound when there is no family."""
+        if self.family is None:
+            return np.full(len(rows), float(self.trivial))
+        return self.ratio * self.family.norms(rows)
+
+
+@dataclass(kw_only=True)
+class RegularRefutation(Refutation):
+    """Certificate for the leftover instance; ``spectral`` bounds val(F_b)
+    and ``trivial`` is the label count, which |F_b(x)| never exceeds."""
+
+    instance: XorInstance
 
     def bounds(self, rows, capped: bool = True) -> np.ndarray:
         """Certified bound on val of this instance's polynomial at each fixed
@@ -264,16 +283,62 @@ class RegularRefutation:
 
         ``capped=False`` returns the bare spectral chain (also sound; the
         reported certificate takes the minimum with the trivial bound)."""
-        m = self.instance.total_edges
-        if m == 0:
-            return np.zeros(len(rows))
-        if self.family is None or self.used_trivial_f:
-            f = np.full(len(rows), float(self.f_trivial))
-        else:
-            f = self.ratio_N_over_Dp * self.family.norms(rows)
-        q, n = self.instance.q, self.instance.n
-        chain = np.sqrt(q * n * m + n * f) / q
-        return np.minimum(float(m), chain) if capped else chain
+        chain = _chain(self.instance, self.spectral(rows))
+        return np.minimum(float(self.instance.total_edges), chain) if capped else chain
+
+
+@dataclass(kw_only=True)
+class BipartiteRefutation(Refutation):
+    """Certificate for one decomposed piece; ``trivial`` is its edge count."""
+
+    fallback_applies: bool
+
+    def bounds(self, rows, capped: bool = True) -> np.ndarray:
+        """Certified bound on val of the piece at each sign row of ``rows``."""
+        spectral = self.spectral(rows)
+        if capped and self.fallback_applies:
+            return np.minimum(spectral, float(self.trivial))
+        return spectral
+
+
+def _chain(inst: XorInstance, f):
+    """Cauchy-Schwarz: val(Psi_b) <= sqrt(q n m + n f) / q when f bounds val(F_b)."""
+    q, n = inst.q, inst.n
+    return np.sqrt(q * n * inst.total_edges + n * f) / q
+
+
+def _ratio(pruned: PrunedGraph) -> float:
+    nl, nr = pruned.shape
+    return math.sqrt(float(nl) * float(nr)) / pruned.D_prime
+
+
+def _spectral_route(graph, gamma, d_left, d_right, k, trials, seed, threads,
+                    cert, flags):
+    """Prune ``graph`` to the target degrees and average its family's norms
+    over b: (pruned graph, family, norm summary, ratio), all None with a
+    ``pruning_failed:`` flag when pruning empties a label."""
+    try:
+        pruned = prune(graph, gamma, d_left, d_right)
+    except PruningError as exc:
+        flags.append(f"pruning_failed: {exc}")
+        return None, None, None, None
+    cert["pruned"] = pruned.report
+    family = SignedFamily(pruned)
+    mean, stderr, exhaustive, draws = average_over_signs(
+        lambda rows: family.norms(rows, seed=seed, threads=threads), k,
+        trials, np.random.default_rng((seed, 7103)),
+    )
+    norm = {"mean": mean, "stderr": stderr, "exhaustive": exhaustive, "draws": draws}
+    return pruned, family, norm, _ratio(pruned)
+
+
+def _khintchine(pruned: PrunedGraph) -> tuple[dict, float]:
+    """The sigma^2 fields of the pruned graph's sign-free groups and its
+    Matrix-Khintchine bound ratio * sqrt(2 sigma^2 ln(N_L + N_R))."""
+    sig = khintchine_sigma(pruned.group_matrices())
+    fields = {"sigma_sq": sig["sigma_sq"], "sigma_sq_guarantee": sig["guarantee"],
+              "sigma_proxy": sig["proxy"]}
+    return fields, _ratio(pruned) * khintchine_bound(sig["sigma_sq"], *pruned.shape)
 
 
 def _check_trials(trials: int):
@@ -337,38 +402,24 @@ def refute_regular(
     }
     if m_total == 0:
         cert.update({"bound": 0.0, "bound_empirical": 0.0, "flags": ["empty"]})
-        return RegularRefutation(inst, thresholds, ell, gamma, cert,
-                                 None, None, 0, True)
+        return RegularRefutation(cert, None, None, 0, instance=inst)
 
     flags = []
-    graph_feasible = ell >= (q - 1) // 2 and n >= q - 1
-    full = assemble_regular_cs(inst, ell) if graph_feasible else None
-    if not graph_feasible:
+    full = assemble_regular_cs(inst, ell) if ell >= (q - 1) // 2 and n >= q - 1 else None
+    pruned = family = norm = ratio = d = None
+    if full is None:
         flags.append("ell_too_small")
+    elif full.D:
+        # the target degree d = delta*n*k*D / N; partition slices share D and N
+        d = target_degrees(full, delta_n, k)["d"]
+        pruned, family, norm, ratio = _spectral_route(
+            full, gamma, d, d, k, trials, seed, threads, cert, flags)
+    else:
+        flags.append("degenerate_D_zero" if full.n_labels else "no_shared_pairs")
 
-    family = None
-    ratio = None
-    f_trivial = full.n_labels if full is not None else 0
-    used_trivial_f = True
-    pruned_obj = None
-    # the target degree d = delta*n*k*D / N; partition slices share D and N
-    d = target_degrees(full, delta_n, k)["d"] if full is not None and full.D else None
-    if d is not None:
-        try:
-            pruned_obj = prune(full, gamma, d, d)
-            family = SignedFamily(pruned_obj)
-            ratio = full.shape[0] / pruned_obj.D_prime
-            used_trivial_f = False
-            cert["pruned"] = pruned_obj.report
-        except PruningError as exc:
-            flags.append(f"pruning_failed: {exc}")
-    elif full is not None and full.n_labels == 0:
-        flags.append("no_shared_pairs")
-    elif full is not None:
-        flags.append("degenerate_D_zero")
-
+    trivial = full.n_labels if full is not None else 0
     cert["graph"] = {
-        "n_labels": f_trivial,
+        "n_labels": trivial,
         "D": full.D if full is not None else None,
         "N": full.shape[0] if full is not None else None,
         "target_d": float(d) if d is not None else None,
@@ -380,24 +431,11 @@ def refute_regular(
         if cert["graph"]["target_d"] and shape > 0 else None,
     }
 
-    # empirical variant: full-pair graph, realized norms averaged over signs
-    if family is not None and not used_trivial_f:
-        mean_norm, stderr, exhaustive, draws = average_over_signs(
-            lambda rows: family.norms(rows, seed=seed, threads=threads), k,
-            trials, np.random.default_rng((seed, 7103)),
-        )
-        f_emp_mean = ratio * mean_norm
-        cert["full_graph_norm"] = {
-            "mean": mean_norm, "stderr": stderr,
-            "exhaustive": exhaustive, "draws": draws,
-        }
-    else:
-        f_emp_mean = float(f_trivial)
-        cert["full_graph_norm"] = None
-    bound_emp = min(
-        float(m_total), math.sqrt(q * n * m_total + n * f_emp_mean) / q
-    )
-    cert.update({"bound_empirical": bound_emp, "bound": bound_emp, "flags": flags})
+    # empirical variant: the full pair graph's norms averaged over signs
+    f_mean = ratio * norm["mean"] if family is not None else float(trivial)
+    bound_emp = min(float(m_total), float(_chain(inst, f_mean)))
+    cert.update({"full_graph_norm": norm, "bound_empirical": bound_emp,
+                 "bound": bound_emp, "flags": flags})
 
     # Khintchine estimate over sampled partitions, each a slice of the full graph
     per_partition = []
@@ -405,29 +443,19 @@ def refute_regular(
         entry: dict = {"partition": part.to_dict(), "L_size": len(part.left)}
         per_partition.append(entry)
         pgraph = pair_partition(full, part.left, part.right) if full is not None else None
+        entry["n_labels"] = 0 if pgraph is None else pgraph.n_labels
         if pgraph is None or not pgraph.D:
-            entry.update({"n_labels": 0 if pgraph is None else pgraph.n_labels,
-                          "f_bound_khintchine": 0.0})
+            entry["f_bound_khintchine"] = 0.0
             continue
         try:
             ppruned = prune(pgraph, gamma, d, d)
         except PruningError:
-            entry.update({"n_labels": pgraph.n_labels,
-                          "f_bound_khintchine": float(pgraph.n_labels),
+            entry.update({"f_bound_khintchine": float(pgraph.n_labels),
                           "pruning_failed": True})
             continue
-        N = pgraph.shape[0]
-        sig = khintchine_sigma(ppruned.group_matrices())
-        entry.update({
-            "n_labels": pgraph.n_labels,
-            "D": pgraph.D,
-            "D_prime": ppruned.D_prime,
-            "sigma_sq": sig["sigma_sq"],
-            "sigma_sq_guarantee": sig["guarantee"],
-            "sigma_proxy": sig["proxy"],
-            "f_bound_khintchine": (N / ppruned.D_prime)
-            * khintchine_bound(sig["sigma_sq"], N, N),
-        })
+        fields, khin = _khintchine(ppruned)
+        entry.update({"D": pgraph.D, "D_prime": ppruned.D_prime, **fields,
+                      "f_bound_khintchine": khin})
 
     if per_partition:
         khin_f_bounds = [e["f_bound_khintchine"] for e in per_partition]
@@ -436,43 +464,23 @@ def refute_regular(
             "partitions": per_partition,
             "f_bound_khintchine_mean": f_khin_mean,
             "f_bound_khintchine_min": float(np.min(khin_f_bounds)),
-            "bound_khintchine": min(
-                float(m_total),
-                math.sqrt(q * n * m_total + 4 * n * f_khin_mean) / q,
-            ),
+            # F_b = 4 E f_{L,R}
+            "bound_khintchine": min(float(m_total), float(_chain(inst, 4 * f_khin_mean))),
             "khintchine_guarantee": "estimate",
         })
-    return RegularRefutation(
-        instance=inst, thresholds=thresholds, ell=ell, gamma=gamma,
-        certificate=cert, family=family, ratio_N_over_Dp=ratio,
-        f_trivial=f_trivial, used_trivial_f=used_trivial_f,
-        graph=full, pruned=pruned_obj,
-    )
+    return RegularRefutation(cert, family, ratio, trivial, full, pruned, instance=inst)
 
 
-@dataclass
-class BipartiteRefutation:
-    """Certificate for one decomposed piece, plus per-b bound machinery."""
-
-    piece: BipartiteXorInstance
-    ell: int
-    gamma: float
-    certificate: dict
-    family: SignedFamily | None
-    ratio: float | None  # sqrt(N_L N_R) / D'
-    trivial_bound: int
-    fallback_applies: bool
-    graph: KikuchiGraph | None = None
-    pruned: PrunedGraph | None = None
-
-    def bounds(self, rows, capped: bool = True) -> np.ndarray:
-        """Certified bound on val of the piece at each sign row of ``rows``."""
-        if self.family is None:
-            return np.full(len(rows), float(self.trivial_bound))
-        spectral = self.ratio * self.family.norms(rows)
-        if capped and self.fallback_applies:
-            return np.minimum(spectral, float(self.trivial_bound))
-        return spectral
+def _piece_header(piece: BipartiteXorInstance, ell, gamma, trials, seed) -> dict:
+    """The certificate fields a piece has whether or not its refutation ran."""
+    return {
+        "kind": "bipartite",
+        "params": {"n": piece.n, "k": piece.k, "q": piece.q, "s": piece.s,
+                   "ell": ell, "gamma": gamma, "seed": seed, "trials": trials},
+        "P_size": piece.p_size,
+        "m_total": piece.total_edges,
+        "trivial_bound": float(piece.total_edges),
+    }
 
 
 def refute_bipartite(
@@ -495,15 +503,8 @@ def refute_bipartite(
     n, k, q, s = piece.n, piece.k, piece.q, piece.s
     m_total = piece.total_edges
     delta_n = max(piece.edge_counts, default=0)
-    cert: dict = {
-        "kind": "bipartite",
-        "params": {"n": n, "k": k, "q": q, "s": s, "ell": ell, "gamma": gamma,
-                   "seed": seed, "trials": trials},
-        "P_size": piece.p_size,
-        "m_total": m_total,
-        "delta_n_measured": delta_n,
-        "trivial_bound": float(m_total),
-    }
+    cert = _piece_header(piece, ell, gamma, trials, seed)
+    cert["delta_n_measured"] = delta_n
     if thresholds is not None:
         d_s = thresholds.d_float(s)
         cert["analytic_shapes"] = {
@@ -514,28 +515,19 @@ def refute_bipartite(
         cert.update({"bound": 0.0, "bound_empirical": 0.0,
                      "bound_khintchine": 0.0, "flags": ["empty"],
                      "fallback_applies": True})
-        return BipartiteRefutation(piece, ell, gamma, cert, None, None, 0, True)
+        return BipartiteRefutation(cert, None, None, 0, fallback_applies=True)
 
-    fallback = piece.p_size < 4 * ell
     flags = []
     graph = assemble_bipartite(piece, ell)
-    family = None
-    ratio = None
-    pruned_obj = None
-    if (graph.D or 0) == 0:
-        flags.append("degenerate_D_zero")
-        fallback = True
+    tg = target_degrees(graph, delta_n, k)
+    pruned = family = norm = ratio = None
+    if graph.D:
+        pruned, family, norm, ratio = _spectral_route(
+            graph, gamma, tg["d_left"], tg["d_right"], k, trials, seed, threads,
+            cert, flags)
     else:
-        nl, nr = graph.shape
-        tg = target_degrees(graph, delta_n, k)
-        try:
-            pruned_obj = prune(graph, gamma, tg["d_left"], tg["d_right"])
-            family = SignedFamily(pruned_obj)
-            ratio = math.sqrt(float(nl) * float(nr)) / pruned_obj.D_prime
-            cert["pruned"] = pruned_obj.report
-        except PruningError as exc:
-            flags.append(f"pruning_failed: {exc}")
-            fallback = True
+        flags.append("degenerate_D_zero")
+    fallback = piece.p_size < 4 * ell or family is None
 
     cert["graph"] = {
         "n_labels": graph.n_labels,
@@ -545,40 +537,25 @@ def refute_bipartite(
     }
     shapes = analytic_degree_shapes("bipartite", n, ell, q, delta_n, k,
                                     s=s, p_size=piece.p_size)
-    tg_rep = target_degrees(graph, delta_n, k)
     cert["degree_analytic"] = {
         "shape_d_left": shapes["d_left"],
         "shape_d_right": shapes["d_right"],
-        "measured_d_left": float(tg_rep["d_left"]),
-        "measured_d_right": float(tg_rep["d_right"]),
-        "ratio_left": float(tg_rep["d_left"]) / shapes["d_left"]
+        "measured_d_left": float(tg["d_left"]),
+        "measured_d_right": float(tg["d_right"]),
+        "ratio_left": float(tg["d_left"]) / shapes["d_left"]
         if shapes["d_left"] > 0 else None,
-        "ratio_right": float(tg_rep["d_right"]) / shapes["d_right"]
+        "ratio_right": float(tg["d_right"]) / shapes["d_right"]
         if shapes["d_right"] > 0 else None,
     }
 
     if family is not None:
         # sigma^2 on the actual sign-free pruned groups
-        gm = pruned_obj.group_matrices()
-        sig = khintchine_sigma(gm)
-        kb = khintchine_bound(sig["sigma_sq"], graph.shape[0], graph.shape[1])
-        bound_khin = ratio * kb if family.nnz else 0.0
-        nonempty = sum(1 for m in gm if m.nnz)
-        mean_norm, stderr, exhaustive, draws = average_over_signs(
-            lambda rows: family.norms(rows, seed=seed, threads=threads), k,
-            trials, np.random.default_rng((seed, 7103)),
-        )
-        bound_emp = ratio * mean_norm
-        cert.update({
-            "sigma_sq": sig["sigma_sq"],
-            "sigma_sq_guarantee": sig["guarantee"],
-            "sigma_proxy": sig["proxy"],
-            "norm_mc": {"mean": mean_norm, "stderr": stderr,
-                        "exhaustive": exhaustive, "draws": draws,
-                        "nonempty_groups": nonempty},
-            "bound_khintchine": bound_khin,
-            "bound_empirical": bound_emp,
-        })
+        fields, bound_khin = _khintchine(pruned)
+        bound_emp = ratio * norm["mean"]
+        # every label keeps D' >= 1 edges, so a group is nonempty iff it has a label
+        nonempty = len(np.unique(pruned.label_group))
+        cert.update({**fields, "norm_mc": {**norm, "nonempty_groups": nonempty},
+                     "bound_khintchine": bound_khin, "bound_empirical": bound_emp})
         bound = min(bound_khin, bound_emp)
         if fallback:
             bound = min(bound, float(m_total))
@@ -587,16 +564,9 @@ def refute_bipartite(
                      "bound_empirical": float(m_total)})
         bound = float(m_total)
 
-    cert.update({
-        "bound": bound,
-        "fallback_applies": fallback,
-        "flags": flags,
-    })
-    return BipartiteRefutation(
-        piece=piece, ell=ell, gamma=gamma, certificate=cert, family=family,
-        ratio=ratio, trivial_bound=m_total, fallback_applies=fallback,
-        graph=graph, pruned=pruned_obj,
-    )
+    cert.update({"bound": bound, "fallback_applies": fallback, "flags": flags})
+    return BipartiteRefutation(cert, family, ratio, m_total, graph, pruned,
+                               fallback_applies=fallback)
 
 
 @dataclass
@@ -682,7 +652,6 @@ def refute_full(
         n_partitions=n_partitions, thresholds=thr, threads=threads,
     )
     pieces = {}
-    piece_bounds = {}
     piece_failures = {}
     for s in sorted(dec.pieces):
         piece = dec.pieces[s]
@@ -693,29 +662,15 @@ def refute_full(
             )
         except REFUTATION_ERRORS as exc:  # partial results kept; trivial bound is sound
             piece_failures[s] = str(exc)
-            trivial = piece.total_edges
-            pieces[s] = BipartiteRefutation(
-                piece=piece, ell=thr.ell, gamma=gamma,
-                certificate={
-                    "kind": "bipartite",
-                    "params": {"n": piece.n, "k": piece.k, "q": piece.q,
-                               "s": s, "ell": thr.ell, "gamma": gamma,
-                               "seed": seed * 131 + s, "trials": trials},
-                    "P_size": piece.p_size,
-                    "m_total": trivial,
-                    "trivial_bound": float(trivial),
-                    "bound": float(trivial),
-                    "fallback_applies": True,
-                    "flags": [f"refutation_failed: {exc}"],
-                },
-                family=None, ratio=None, trivial_bound=trivial,
-                fallback_applies=True,
-            )
-        piece_bounds[s] = pieces[s].certificate["bound"]
+            cert = _piece_header(piece, thr.ell, gamma, trials, seed * 131 + s)
+            cert.update({"bound": cert["trivial_bound"], "fallback_applies": True,
+                         "flags": [f"refutation_failed: {exc}"]})
+            pieces[s] = BipartiteRefutation(cert, None, None, piece.total_edges,
+                                            fallback_applies=True)
 
     combined = regular.certificate["bound"]
     for s in sorted(pieces):
-        combined += piece_bounds[s]
+        combined += pieces[s].certificate["bound"]
     delta_n = max(inst.edge_counts, default=0)
     eps_delta_nk = float(epsilon) * delta_n * inst.k
     refuted = combined < eps_delta_nk
@@ -764,5 +719,13 @@ def dump_certificate(cert: dict, path, extra_meta: dict | None = None):
 
 
 def load_certificate(path) -> dict:
+    """A combined certificate; ValueError names a key ``kikuchi verify``
+    reads that it lacks."""
     with open(path) as fh:
-        return json.load(fh)
+        cert = json.load(fh)
+    missing = [key for key in ("params", "combined_bound", "verdict") if key not in cert]
+    missing += [f"params.{key}" for key in ("epsilon", "gamma", "trials", "seed")
+                if key not in cert.get("params", {})]
+    if missing:
+        raise ValueError(f"{path}: certificate has no key {missing[0]!r}")
+    return cert

@@ -417,23 +417,31 @@ def component_norm_bounds(A, symmetric: bool = False):
     root of a Collatz-Wielandt bound on its block of the Gram matrix of A's
     smaller side, with ``_gram``'s rounding margin.  The power steps run on
     every component at once, from the all-ones vector, until each bound meets
-    its Rayleigh quotient to _SCREEN_TOL.  Returns (row_comp, bounds): each
-    row's component index, -1 for an empty row, and one bound per component.
+    its Rayleigh quotient to _SCREEN_TOL.  A lone component, whose bound
+    could never skip anything, gets +inf and no Gram matrix is formed.
+    Returns (row_comp, bounds): each row's component index, -1 for an empty
+    row, and one bound per component.
     """
     A = sp.csr_matrix(A)
     transpose = A.shape[1] <= A.shape[0]
-    S, margin = _gram([A], transpose)
-    # labels of the Gram side's vertices: the Gram links two of them when
-    # they share an entry's row (column), so its components are A's
-    label = _components(A if symmetric else S)
+    # the support graph with the Gram side's vertices first, so that a
+    # component's label is its smallest Gram-side vertex
+    G = A.T if transpose else A
+    label = _components(A if symmetric else sp.bmat([[None, G], [G.T, None]],
+                                                     format="csr"))
     filled = np.flatnonzero(np.diff(A.indptr))
     # with columns on the Gram side, a row takes its first entry's label
     row_label = label[A.indices[A.indptr[filled]]] if transpose else label[filled]
+    labels = np.unique(row_label)
+    row_comp = np.full(A.shape[0], -1, dtype=np.int64)
+    row_comp[filled] = np.searchsorted(labels, row_label)
+    if len(labels) < 2:
+        return row_comp, np.full(len(labels), np.inf)
+    S, margin = _gram([A], transpose)
     # Gram vertices holding an entry, grouped by component; every one of
     # them has a positive diagonal, so the power iterates stay positive
     used = np.flatnonzero(np.diff(S.indptr))
-    labels, comp, sizes = np.unique(label[used], return_inverse=True,
-                                    return_counts=True)
+    _, comp, sizes = np.unique(label[used], return_inverse=True, return_counts=True)
     order = used[np.argsort(comp, kind="stable")]
 
     def mul(live, w):
@@ -445,8 +453,6 @@ def component_norm_bounds(A, symmetric: bool = False):
         return (S @ full)[at]
 
     cw = _collatz_wielandt(mul, np.ones(len(order)), sizes, tol=_SCREEN_TOL)
-    row_comp = np.full(A.shape[0], -1, dtype=np.int64)
-    row_comp[filled] = np.searchsorted(labels, row_label)
     return row_comp, np.sqrt(cw * margin)
 
 

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import kikuchi.cli as cli
@@ -215,6 +216,58 @@ def test_trials_below_two_is_config_error(tmp_path, capsys, command, trials):
     assert err.count("\n") == 1 and err.startswith("config error:")
     assert "trials" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["1", "0", "-3"])
+def test_oracle_trials_below_two_is_config_error(tmp_path, capsys, trials):
+    # k > EXHAUSTIVE_B_LIMIT: the oracle samples signs, and one draw has no
+    # standard error
+    inst = tmp_path / "inst.json"
+    run_cli("gen", "--n", "12", "--q", "3", "--k", "18", "--delta", "0.25",
+            "--seed", "1", "--out", str(inst))
+    capsys.readouterr()
+    assert run_cli("oracle", "--in", str(inst), "--trials", trials) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert "--trials" in err
+    assert run_cli("oracle", "--in", str(inst), "--trials", "2") == 0
+    out = json.loads(capsys.readouterr().out)
+    assert np.isfinite([out["expected_val"], out["stderr"]]).all()
+
+
+@pytest.mark.parametrize("command", ["decompose", "refute", "build", "oracle", "verify"])
+def test_instance_file_without_k_is_config_error(tmp_path, capsys, command):
+    inst = tmp_path / "inst.json"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+            "--seed", "4", "--out", str(inst))
+    body = read_json(inst)
+    del body["k"]
+    inst.write_text(json.dumps(body))
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    argv = {
+        "decompose": ["decompose", "--in", str(inst), "--out", str(out)],
+        "refute": ["refute", "--in", str(inst), "--out", str(out)],
+        "build": ["build", "--in", str(inst), "--ell", "1", "--out", str(out)],
+        "oracle": ["oracle", "--in", str(inst)],
+        "verify": ["verify", "--in", str(inst), "--cert", str(out)],
+    }[command]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert str(inst) in err and "'k'" in err
+    assert not out.exists()
+
+
+def test_verify_with_an_instance_as_certificate_is_config_error(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+            "--seed", "4", "--out", str(inst))
+    capsys.readouterr()
+    assert run_cli("verify", "--in", str(inst), "--cert", str(inst)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert f"{inst}: certificate has no key 'params'" in err
 
 
 def test_threads_help_names_sign_column_blocks():

@@ -377,7 +377,10 @@ def test_component_bounds_cover_each_component(name):
     for r, bound in enumerate(fam.bounds):
         sub = _on(pg, counts, fam.rank == r)
         want = np.linalg.norm(sub, 2)
-        assert want <= bound <= want * (1 + spectral._SCREEN_TOL)
+        if len(fam.bounds) == 1:
+            assert bound == np.inf  # a lone component is never screened
+        else:
+            assert want <= bound <= want * (1 + spectral._SCREEN_TOL)
         held += sub.sum()
     assert held == counts.sum()  # every entry lies in one component
     assert (fam.rank == len(fam.bounds)).sum() == (~counts.any(axis=1)).sum()
@@ -434,6 +437,26 @@ def test_cancelled_top_component_solves_the_others(monkeypatch):
     assert len(seen) == 2
     assert seen[0].shape == (4, 4)  # both rows on the top component
     assert np.array_equal(seen[1].toarray(), g.to_dense(g.signs_for(rows[1]))[2:, 2:])
+
+
+def _counting_grams(monkeypatch):
+    calls = []
+    gram = spectral._gram
+    monkeypatch.setattr(spectral, "_gram", lambda *a: calls.append(a) or gram(*a))
+    return calls
+
+
+def test_one_component_family_forms_no_gram(monkeypatch):
+    calls = _counting_grams(monkeypatch)
+    fam = SignedFamily(VARIANTS["many_signs_duplicates"])
+    assert fam.bounds.tolist() == [np.inf] and calls == []
+
+
+def test_three_component_family_keeps_finite_bounds(monkeypatch):
+    calls = _counting_grams(monkeypatch)
+    fam = SignedFamily(_three_components())
+    assert len(fam.bounds) == 3 and np.isfinite(fam.bounds).all()
+    assert len(calls) == 1
 
 
 def test_tied_components_are_solved_first(monkeypatch):

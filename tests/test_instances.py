@@ -162,6 +162,24 @@ def test_expected_val_exhaustive_vs_sampled():
     assert abs(mean - exact) <= 3 * err + 1e-9
 
 
+@pytest.mark.parametrize("trials", [1, 0, -3])
+def test_sampled_expected_val_needs_two_trials(trials):
+    inst = generate_random_matching_instance(12, 3, 18, 0.25, seed=1)
+    with pytest.raises(ValueError, match="trials must be >= 2"):
+        expected_val(inst, trials=trials)
+    small = generate_random_matching_instance(12, 3, 4, 0.25, seed=1)
+    assert expected_val(small, trials=trials)[1] == 0.0  # exhaustive, no draws
+
+
+def test_load_instance_names_the_missing_key(tmp_path):
+    path = tmp_path / "inst.json"
+    d = generate_random_matching_instance(12, 3, 4, 0.25, seed=1).to_dict()
+    del d["k"]
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match=f"{path}: instance file has no key 'k'"):
+        load_instance(path)
+
+
 def test_expected_val_sampled_matches_on_k10():
     inst = generate_random_matching_instance(12, 3, 10, 0.1, seed=2)
     exact, _ = expected_val(inst)

@@ -204,7 +204,7 @@ def test_negative_control_corrupt_D_prime():
     ]
     assert all(ok_before)
     assert ref.family is not None
-    ref.ratio_N_over_Dp *= 0.5  # simulate D' inflated by 2
+    ref.ratio *= 0.5  # simulate D' inflated by 2
     ref.family._norm_cache.clear()
     ok_after = [
         bound + 1e-6 >= vals[i]
@@ -220,14 +220,14 @@ def test_negative_control_through_pipeline():
     run = refute_full(inst, epsilon=0.1, ell=1, n_partitions=2)
     assert all(e["ok"] for e in run.soundness_check())
     if run.regular.family is not None:
-        run.regular.ratio_N_over_Dp *= 0.25
+        run.regular.ratio *= 0.25
         run.regular.family._norm_cache.clear()
-    run.regular.f_trivial = 0
+    run.regular.trivial = 0
     for ref in run.pieces.values():
         if ref.family is not None:
             ref.ratio *= 0.25
             ref.family._norm_cache.clear()
-        ref.trivial_bound = 0
+        ref.trivial = 0
     assert not all(e["ok"] for e in run.soundness_check())
 
 
@@ -455,6 +455,43 @@ def test_piece_failure_keeps_the_trivial_bound(monkeypatch):
     edges = run.decomposition.pieces[2].total_edges
     assert piece["bound"] == piece["trivial_bound"] == edges
     assert all(e["ok"] for e in run.soundness_check())
+
+
+def test_failed_piece_keeps_the_piece_header(monkeypatch):
+    inst = generate_random_matching_instance(12, 3, 4, 0.25, seed=1)
+    ok = refute_full(inst, ell=1, n_partitions=0, trials=10).certificate["pieces"]["2"]
+    failed = _pieces_failing_with(monkeypatch, AssertionError("x")).certificate
+    assert "refutation_failed" not in str(ok["flags"])
+    for key in ("kind", "params", "P_size", "m_total", "trivial_bound"):
+        assert failed["pieces"]["2"][key] == ok[key]
+
+
+def test_regular_pruning_failure_falls_back_to_the_label_count():
+    inst = generate_random_matching_instance(12, 3, 4, 0.25, seed=2)
+    run = refute_full(inst, gamma=0.05, ell=1, n_partitions=2, trials=10)
+    cert = run.regular.certificate
+    assert any(f.startswith("pruning_failed:") for f in cert["flags"])
+    assert cert["full_graph_norm"] is None and run.regular.family is None
+    m, labels = cert["m_total"], cert["graph"]["n_labels"]
+    assert labels > 0
+    assert cert["bound"] == min(m, math.sqrt(3 * 12 * m + 12 * labels) / 3)
+    rows = sign_rows(4)
+    assert run.regular.spectral(rows).tolist() == [float(labels)] * len(rows)
+    assert all(e["ok"] for e in run.soundness_check())
+
+
+def test_spectral_is_ratio_times_norms():
+    inst = generate_random_matching_instance(12, 3, 5, 0.25, seed=3)
+    run = refute_full(inst, ell=1, n_partitions=0, trials=10)
+    rows = sign_rows(5)
+    routes = [run.regular, *run.pieces.values()]
+    assert any(r.family is not None for r in routes)
+    for ref in routes:
+        if ref.family is not None:
+            want = ref.ratio * ref.family.norms(rows)
+            assert np.array_equal(ref.spectral(rows), want)
+        ref.family = None
+        assert ref.spectral(rows).tolist() == [float(ref.trivial)] * len(rows)
 
 
 def test_piece_refutation_bug_propagates(monkeypatch):
