@@ -144,12 +144,10 @@ def cmd_refute(args) -> int:
     config = {
         "epsilon": args.epsilon, "gamma": args.gamma,
         "trials": args.trials, "seed": args.seed, "ell": args.ell,
-        "partitions": args.partitions,
     }
     run = refute_full(
         inst, epsilon=args.epsilon, gamma=args.gamma, trials=args.trials,
-        seed=args.seed, ell=args.ell, n_partitions=args.partitions,
-        threads=threads,
+        seed=args.seed, ell=args.ell, threads=threads,
     )
     cert = dict(run.certificate)
     cert.update(_meta(config, args.seed))
@@ -294,8 +292,7 @@ def cmd_verify(args) -> int:
     run = refute_full(
         inst, epsilon=params["epsilon"], gamma=params["gamma"],
         trials=params["trials"], seed=params["seed"],
-        ell=params.get("ell"), n_partitions=params.get("n_partitions", 4),
-        threads=threads,
+        ell=params.get("ell"), threads=threads,
     )
     dec = run.decomposition
     report = verify_decomposition(dec)
@@ -397,9 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--trials", type=int, default=200)
     r.add_argument("--seed", type=int, default=7)
     r.add_argument("--ell", type=int, default=None)
-    r.add_argument("--partitions", type=int, default=4,
-                   help="partitions sampled for the Matrix-Khintchine estimate "
-                        "recorded beside the bound; 0 skips it")
+    r.add_argument("--partitions", type=int, default=0,
+                   help="accepted for older scripts and ignored (must be >= 0): "
+                        "no partition is sampled")
     r.add_argument("--soundness", action="store_true",
                    help="embed an exhaustive per-b soundness log")
     r.add_argument("--threads", type=int, default=None, help=THREADS_HELP)

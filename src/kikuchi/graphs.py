@@ -34,6 +34,10 @@ from .setops import subset_rank
 
 DENSE_ENTRY_LIMIT = 10**8  # explicit dense matrices allowed below this
 SPACE_ENUM_LIMIT = 5 * 10**7  # lift vectors materialize the whole space
+# entries the regular pair graph may hold: at the n=24, k=8, l=2 grid point
+# (1.29M entries) assembly took about 150 bytes per entry and a whole
+# refutation about 230, so this caps a run near 1 GB
+PAIR_GRAPH_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -424,14 +428,22 @@ def cs_pair_labels(inst: XorInstance, left_idx, right_idx):
 def assemble_regular_cs(inst: XorInstance, ell: int) -> KikuchiGraph:
     """Graph of the derived even pairs over all ordered i != j, which is the
     full pair polynomial F_b; group = the left index i of a label.
-    ``pair_partition`` cuts the graph of f_{L,R} out of it."""
+    ``pair_partition`` cuts the graph of f_{L,R} out of it.  ValueError,
+    before any edge is built, when the graph would hold more than
+    PAIR_GRAPH_ENTRIES entries."""
     everything = range(inst.k)
     n = inst.n
     space = VertexSpace(
         (SpaceComponent("main", n, ell), SpaceComponent("main", n, ell))
     )
+    pairs = cs_pair_labels(inst, everything, everything)
+    entries = len(pairs) * closed_form_D("regular_cs", n, ell, inst.q)
+    if entries > PAIR_GRAPH_ENTRIES:
+        raise ValueError(
+            f"the regular pair graph at ell={ell} would hold {entries:,} entries, "
+            f"above the budget of {PAIR_GRAPH_ENTRIES:,}; pass a smaller --ell")
     labels, per_label, group_of_label, sign_factors = [], [], [], []
-    for (i, j, u, c1, c2) in cs_pair_labels(inst, everything, everything):
+    for (i, j, u, c1, c2) in pairs:
         labels.append((i, j, u, c1, c2))
         per_label.append(build_regular_cs(c1, c2, n, ell))
         group_of_label.append(i)

@@ -535,10 +535,20 @@ def generate_planted_linear_instance(
 # file I/O
 
 
-def load_instance(path):
-    """The instance in a JSON file; ValueError names a key it lacks."""
+def load_json_object(path, what: str) -> dict:
+    """The JSON object a file holds; ValueError naming the file when its top
+    level is not an object."""
     with open(path) as fh:
         d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: {what} file must hold a JSON object, "
+                         f"not {type(d).__name__}")
+    return d
+
+
+def load_instance(path):
+    """The instance in a JSON file; ValueError names a key it lacks."""
+    d = load_json_object(path, "instance")
     try:
         if "s" in d:
             return BipartiteXorInstance.from_dict(d)

@@ -18,11 +18,9 @@ and Cauchy-Schwarz give, for every fixed b and every x,
 
     q^2 Psi_b(x)^2  <=  q n m  +  n F_b(x),      m = sum_i |H_i|,
 
-which turns it into the regular ``bound``.  Alongside it the certificate
-records a Matrix-Khintchine estimate over sampled partitions (L, R), each
-graph a slice of the full one: F_b = 4 E f_{L,R} needs the mean over all
-partitions, so the sampled mean is labelled ``khintchine_guarantee:
-"estimate"`` and never enters a bound.  ``n_partitions=0`` skips it.
+which turns it into the regular ``bound``.  The route records no
+Matrix-Khintchine estimate: F_b = 4 E f_{L,R} needs the mean over all
+partitions (L, R), and a mean over sampled ones would bound nothing.
 
 Bipartite route (decomposed pieces): z^T B w = D' Psi^(s)(x, y), so the
 route bounds val(Psi^(s)_b) directly, no pair derivation needed.  The
@@ -67,12 +65,12 @@ from .graphs import (
     assemble_bipartite,
     assemble_regular_cs,
     cs_pair_labels,
-    pair_partition,
 )
 from .instances import (
     BipartiteXorInstance,
     XorInstance,
     brute_force_val,
+    load_json_object,
     val_for_all_signs,
 )
 from .prune import (
@@ -109,22 +107,6 @@ class Partition:
     left: tuple
     right: tuple
     seed: int
-
-    def to_dict(self):
-        return {"L": [i + 1 for i in self.left],
-                "R": [i + 1 for i in self.right], "seed": self.seed}
-
-
-def sample_partitions(k: int, count: int, seed: int) -> list[Partition]:
-    """Uniform iid membership: each index lands in L with probability 1/2."""
-    out = []
-    for r in range(count):
-        rng = np.random.default_rng((seed, 7001, r))
-        mask = rng.integers(0, 2, size=k)
-        left = tuple(int(i) for i in np.flatnonzero(mask == 1))
-        right = tuple(int(i) for i in np.flatnonzero(mask == 0))
-        out.append(Partition(left=left, right=right, seed=r))
-    return out
 
 
 def eval_f(inst: XorInstance, partition: Partition, b, x) -> int:
@@ -347,6 +329,12 @@ def _check_trials(trials: int):
         raise ValueError(f"trials must be >= 2, got {trials}")
 
 
+def _check_positive(name: str, value: float):
+    """A finite value above zero, checked before any work is done."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 def check_regularity(inst: XorInstance, thr: Thresholds):
     """deg_H(Q) <= d_|Q| over the union multiset for 2 <= |Q| <= (q+1)/2."""
     for q_set, d, t in heavy_sets(inst, thr):
@@ -359,7 +347,6 @@ def refute_regular(
     gamma: float = 8.0,
     trials: int = 200,
     seed: int = 0,
-    n_partitions: int = 4,
     thresholds: Thresholds | None = None,
     threads: int = 1,
 ) -> RegularRefutation:
@@ -367,18 +354,12 @@ def refute_regular(
 
     ``bound`` is the empirical variant: the full pair graph with realized
     norms, sound for each fixed b and (exhaustively averaged) for the
-    expectation.  With ``n_partitions > 0`` the certificate also carries the
-    Matrix-Khintchine variant over that many sampled partitions, whose
-    graphs are slices of the unpruned full graph.  Each partition's
-    ``f_bound_khintchine`` is a rigorous bound on E_b val(f_{L,R,b}), but
-    their mean over sampled partitions only estimates the mean over all of
-    them, so ``bound_khintchine`` is labelled an estimate.
+    expectation.  No Matrix-Khintchine estimate over sampled partitions is
+    computed or recorded.
     """
     q, n, k = inst.q, inst.n, inst.k
     if q % 2 == 0 or q < 3:
         raise ValueError("regular refutation requires odd q >= 3")
-    if n_partitions < 0:
-        raise ValueError(f"n_partitions must be >= 0, got {n_partitions}")
     _check_trials(trials)
     if thresholds is None:
         thresholds = compute_thresholds(
@@ -394,7 +375,7 @@ def refute_regular(
         "kind": "regular",
         "params": {
             "n": n, "k": k, "q": q, "ell": ell, "gamma": gamma,
-            "seed": seed, "trials": trials, "n_partitions": n_partitions,
+            "seed": seed, "trials": trials,
         },
         "m_total": m_total,
         "delta_n_measured": delta_n,
@@ -410,7 +391,7 @@ def refute_regular(
     if full is None:
         flags.append("ell_too_small")
     elif full.D:
-        # the target degree d = delta*n*k*D / N; partition slices share D and N
+        # the target degree d = delta*n*k*D / N
         d = target_degrees(full, delta_n, k)["d"]
         pruned, family, norm, ratio = _spectral_route(
             full, gamma, d, d, k, trials, seed, threads, cert, flags)
@@ -436,38 +417,6 @@ def refute_regular(
     bound_emp = min(float(m_total), float(_chain(inst, f_mean)))
     cert.update({"full_graph_norm": norm, "bound_empirical": bound_emp,
                  "bound": bound_emp, "flags": flags})
-
-    # Khintchine estimate over sampled partitions, each a slice of the full graph
-    per_partition = []
-    for part in sample_partitions(k, n_partitions, seed):
-        entry: dict = {"partition": part.to_dict(), "L_size": len(part.left)}
-        per_partition.append(entry)
-        pgraph = pair_partition(full, part.left, part.right) if full is not None else None
-        entry["n_labels"] = 0 if pgraph is None else pgraph.n_labels
-        if pgraph is None or not pgraph.D:
-            entry["f_bound_khintchine"] = 0.0
-            continue
-        try:
-            ppruned = prune(pgraph, gamma, d, d)
-        except PruningError:
-            entry.update({"f_bound_khintchine": float(pgraph.n_labels),
-                          "pruning_failed": True})
-            continue
-        fields, khin = _khintchine(ppruned)
-        entry.update({"D": pgraph.D, "D_prime": ppruned.D_prime, **fields,
-                      "f_bound_khintchine": khin})
-
-    if per_partition:
-        khin_f_bounds = [e["f_bound_khintchine"] for e in per_partition]
-        f_khin_mean = float(np.mean(khin_f_bounds))
-        cert.update({
-            "partitions": per_partition,
-            "f_bound_khintchine_mean": f_khin_mean,
-            "f_bound_khintchine_min": float(np.min(khin_f_bounds)),
-            # F_b = 4 E f_{L,R}
-            "bound_khintchine": min(float(m_total), float(_chain(inst, 4 * f_khin_mean))),
-            "khintchine_guarantee": "estimate",
-        })
     return RegularRefutation(cert, family, ratio, trivial, full, pruned, instance=inst)
 
 
@@ -629,7 +578,7 @@ def refute_full(
     trials: int = 200,
     seed: int = 0,
     ell: int | None = None,
-    n_partitions: int = 4,
+    n_partitions: int = 0,
     threads: int = 1,
 ) -> FullRefutation:
     """Decompose, refute the leftover and every piece, and combine.
@@ -638,18 +587,23 @@ def refute_full(
     piece bounds (summed in increasing s).  Verdict: the instance cannot be
     the query structure of a (q, delta, epsilon)-normal LDC when the bound
     is below epsilon * delta*n * k, with delta*n measured as max_i |H_i|.
+
+    ``n_partitions`` is accepted for older callers and ignored: no
+    partition is sampled and nothing records it.  It must still be >= 0.
     """
     if inst.q % 2 == 0 or inst.q < 3:
         raise ValueError("the pipeline requires odd q >= 3")
     if n_partitions < 0:
         raise ValueError(f"n_partitions must be >= 0, got {n_partitions}")
+    _check_positive("epsilon", epsilon)
+    _check_positive("gamma", gamma)
     _check_trials(trials)
     delta_meas = inst.measured_delta() if inst.total_edges else Fraction(1, inst.n)
     thr = compute_thresholds(inst.n, inst.k, inst.q, delta_meas, ell_override=ell)
     dec = decompose(inst, thr)
     regular = refute_regular(
         dec.leftover, thr.ell, gamma=gamma, trials=trials, seed=seed,
-        n_partitions=n_partitions, thresholds=thr, threads=threads,
+        thresholds=thr, threads=threads,
     )
     pieces = {}
     piece_failures = {}
@@ -682,7 +636,7 @@ def refute_full(
         "params": {
             "n": inst.n, "k": inst.k, "q": inst.q, "epsilon": epsilon,
             "gamma": gamma, "trials": trials, "seed": seed,
-            "ell": thr.ell, "n_partitions": n_partitions,
+            "ell": thr.ell,
         },
         "thresholds": thr.to_dict(),
         "decomposition": {
@@ -721,8 +675,7 @@ def dump_certificate(cert: dict, path, extra_meta: dict | None = None):
 def load_certificate(path) -> dict:
     """A combined certificate; ValueError names a key ``kikuchi verify``
     reads that it lacks."""
-    with open(path) as fh:
-        cert = json.load(fh)
+    cert = load_json_object(path, "certificate")
     missing = [key for key in ("params", "combined_bound", "verdict") if key not in cert]
     missing += [f"params.{key}" for key in ("epsilon", "gamma", "trials", "seed")
                 if key not in cert.get("params", {})]

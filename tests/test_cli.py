@@ -270,6 +270,75 @@ def test_verify_with_an_instance_as_certificate_is_config_error(tmp_path, capsys
     assert f"{inst}: certificate has no key 'params'" in err
 
 
+@pytest.mark.parametrize("command", ["oracle", "verify"])
+def test_json_file_not_an_object_is_config_error(tmp_path, capsys, command):
+    inst = tmp_path / "inst.json"
+    listing = tmp_path / "list.json"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+            "--seed", "4", "--out", str(inst))
+    listing.write_text("[1, 2]\n")
+    capsys.readouterr()
+    argv = {
+        "oracle": ["oracle", "--in", str(listing)],
+        "verify": ["verify", "--in", str(inst), "--cert", str(listing)],
+    }[command]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert f"{listing}: " in err and "JSON object" in err
+
+
+def test_verify_accepts_a_certificate_with_partition_fields(tmp_path):
+    """Certificates written while the regular route sampled partitions carry
+    params.n_partitions and five Khintchine-estimate fields; verify ignores
+    them and recomputes the same bound."""
+    inst = tmp_path / "inst.json"
+    cert = tmp_path / "cert.json"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+            "--seed", "4", "--out", str(inst))
+    assert run_cli("refute", "--in", str(inst), "--out", str(cert), "--ell", "1",
+                   "--trials", "10") == 0
+    c = read_json(cert)
+    c["params"]["n_partitions"] = 4
+    c["regular"]["params"]["n_partitions"] = 4
+    c["regular"].update({
+        "partitions": [{"partition": {"L": [1], "R": [2, 3, 4], "seed": 0},
+                        "f_bound_khintchine": 1.0}],
+        "f_bound_khintchine_mean": 1.0, "f_bound_khintchine_min": 1.0,
+        "bound_khintchine": 1.0, "khintchine_guarantee": "estimate",
+    })
+    cert.write_text(json.dumps(c))
+    assert run_cli("verify", "--in", str(inst), "--cert", str(cert)) == 0
+
+
+def test_refute_nan_gamma_is_config_error_naming_it(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    out = tmp_path / "cert.json"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+            "--seed", "4", "--out", str(inst))
+    capsys.readouterr()
+    assert run_cli("refute", "--in", str(inst), "--out", str(out), "--ell", "1",
+                   "--gamma", "nan") == 2
+    err = capsys.readouterr().err
+    assert err == "config error: gamma must be finite and > 0, got nan\n"
+    assert not out.exists()
+
+
+def test_refute_formula_ell_above_the_pair_graph_budget_is_config_error(
+        tmp_path, capsys):
+    """n=12, k=4 takes the formula ell = 5, whose pair graph would hold
+    about 8.1M entries; the run stops before building any of them."""
+    inst = tmp_path / "inst.json"
+    out = tmp_path / "cert.json"
+    run_cli("gen", "--n", "12", "--q", "3", "--k", "4", "--delta", "0.25",
+            "--seed", "1", "--out", str(inst))
+    capsys.readouterr()
+    assert run_cli("refute", "--in", str(inst), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "ell=5" in err and "--ell" in err
+    assert not out.exists()
+
+
 def test_threads_help_names_sign_column_blocks():
     parser = build_parser()
     sub = next(a for a in parser._actions if a.choices and "refute" in a.choices)

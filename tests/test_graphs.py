@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import count_edges_by_scan
+import kikuchi.graphs as graphs
 from kikuchi.graphs import (
     ParityObstruction,
     SpaceComponent,
@@ -170,6 +171,21 @@ def test_assemble_empty_instance():
     inst = XorInstance(n=6, k=2, q=3, delta=0.1, hypergraphs=[[], []])
     g = assemble_regular_cs(inst, 2)
     assert g.n_edges == 0 and g.n_labels == 0
+
+
+def test_pair_graph_budget_is_the_exact_entry_count(monkeypatch):
+    """The predicted size (labels times the closed-form D) is the built edge
+    count, so a budget of exactly that many entries builds the graph and one
+    fewer refuses before building anything."""
+    inst = generate_random_matching_instance(10, 3, 4, 0.25, seed=3)
+    g = assemble_regular_cs(inst, 2)
+    assert g.n_edges > 0
+    monkeypatch.setattr(graphs, "PAIR_GRAPH_ENTRIES", g.n_edges)
+    assert assemble_regular_cs(inst, 2).n_edges == g.n_edges
+    monkeypatch.setattr(graphs, "PAIR_GRAPH_ENTRIES", g.n_edges - 1)
+    monkeypatch.setattr(graphs, "build_regular_cs", None)  # never reached
+    with pytest.raises(ValueError, match=f"{g.n_edges:,} entries.*--ell"):
+        assemble_regular_cs(inst, 2)
 
 
 @pytest.mark.parametrize("left_idx,right_idx", [

@@ -17,17 +17,14 @@ from kikuchi.instances import (
     generate_random_matching_instance,
     val_for_all_signs,
 )
-from kikuchi.prune import prune, target_degrees
 from kikuchi.refute import (
     FullRefutation,
     Partition,
     RegularityError,
-    SignedFamily,
     eval_f,
     refute_bipartite,
     refute_full,
     refute_regular,
-    sample_partitions,
 )
 from kikuchi.spectral import sign_rows
 
@@ -86,19 +83,11 @@ def test_quadratic_form_matches_eval_f(rng):
         assert total == g.D * eval_f(inst, part, b, x)
 
 
-def test_sample_partitions_deterministic():
-    a = sample_partitions(6, 4, seed=9)
-    b = sample_partitions(6, 4, seed=9)
-    assert a == b
-    for part in a:
-        assert sorted(part.left + part.right) == list(range(6))
-
-
 def test_regular_degenerate_no_shared_pairs():
     inst = XorInstance(n=12, k=2, q=3, delta=1 / 12,
                        hypergraphs=[[[0, 1, 2]], [[3, 4, 5]]])
     thr = Thresholds.exact(ell=1, n=12, k=2, q=3, d_values={2: 10})
-    ref = refute_regular(inst, ell=1, n_partitions=2, thresholds=thr)
+    ref = refute_regular(inst, ell=1, thresholds=thr)
     assert "no_shared_pairs" in ref.certificate["flags"]
     m = inst.total_edges
     expect = min(m, math.sqrt(3 * 12 * m) / 3)
@@ -123,7 +112,7 @@ def test_regular_per_b_soundness(rng):
         from kikuchi.decompose import decompose
 
         dec = decompose(inst, thr)
-        ref = refute_regular(dec.leftover, ell=1, thresholds=thr, n_partitions=2)
+        ref = refute_regular(dec.leftover, ell=1, thresholds=thr)
         vals = val_for_all_signs(dec.leftover)
         for idx, bound in enumerate(ref.bounds(sign_rows(4))):
             assert bound + 1e-6 >= vals[idx]
@@ -196,7 +185,7 @@ def test_negative_control_corrupt_D_prime():
     inst = XorInstance(n=3, k=2, q=3, delta=1 / 3,
                        hypergraphs=[[[0, 1, 2]], [[0, 1, 2]]])
     thr = Thresholds.exact(ell=1, n=3, k=2, q=3, d_values={2: 10})
-    ref = refute_regular(inst, ell=1, n_partitions=1, thresholds=thr)
+    ref = refute_regular(inst, ell=1, thresholds=thr)
     vals = val_for_all_signs(inst)
     ok_before = [
         bound + 1e-6 >= vals[i]
@@ -239,38 +228,9 @@ def test_gamma_tightens_D_prime():
     dec = decompose(inst, thr)
     dps = []
     for gamma in (2, 4, 8):
-        ref = refute_regular(dec.leftover, ell=1, thresholds=thr, gamma=gamma,
-                             n_partitions=1)
+        ref = refute_regular(dec.leftover, ell=1, thresholds=thr, gamma=gamma)
         dps.append(ref.certificate.get("pruned", {}).get("D_prime", 0))
     assert dps == sorted(dps)
-
-
-def test_certificate_khintchine_dominates_empirical():
-    """Within each partition entry the analytic bound should sit above the
-    empirical mean of realized norms of that partition's pruned graph (the
-    inequality it certifies)."""
-    inst = generate_random_matching_instance(12, 3, 5, 0.25, seed=6)
-    run = refute_full(inst, ell=1, n_partitions=3, seed=6)
-    cert = run.regular.certificate
-    full, k = run.regular.graph, run.regular.instance.k
-    d = target_degrees(full, cert["delta_n_measured"], k)["d"]
-    entries = [e for e in cert["partitions"] if "sigma_sq" in e]
-    assert entries
-    for e in entries:
-        part = e["partition"]
-        pruned = prune(pair_partition(full, [i - 1 for i in part["L"]],
-                                      [i - 1 for i in part["R"]]), 8.0, d, d)
-        assert pruned.D_prime == e["D_prime"]
-        family = SignedFamily(pruned)
-        rng = np.random.default_rng((6, 7207, part["seed"]))
-        draws = 1 - 2 * rng.integers(0, 2, size=(16, k)).astype(np.int8)
-        mean = np.mean([family.norm(b, seed=6) for b in draws])
-        empirical = full.shape[0] / pruned.D_prime * mean
-        assert e["f_bound_khintchine"] >= empirical * (1 - 1e-9)
-    for ref in run.pieces.values():
-        c = ref.certificate
-        if "norm_mc" in c and c["norm_mc"]["exhaustive"]:
-            assert c["bound_khintchine"] >= c["bound_empirical"] * (1 - 1e-9)
 
 
 KHINTCHINE_KEYS = ("partitions", "f_bound_khintchine_mean", "f_bound_khintchine_min",
@@ -278,24 +238,21 @@ KHINTCHINE_KEYS = ("partitions", "f_bound_khintchine_mean", "f_bound_khintchine_
 
 
 def test_partitions_never_reach_the_bound():
-    """The sampled-partition Khintchine fields are a labelled estimate: with
-    no partitions they are absent and every bound is unchanged."""
+    """``n_partitions`` is accepted and ignored: the certificates are equal
+    and carry neither the parameter nor a sampled-partition estimate."""
     inst = generate_random_matching_instance(12, 3, 5, 0.25, seed=6)
-    with_parts = refute_full(inst, ell=1, n_partitions=3, seed=6, trials=20)
+    with_parts = refute_full(inst, ell=1, n_partitions=4, seed=6, trials=20)
     without = refute_full(inst, ell=1, n_partitions=0, seed=6, trials=20)
-    for key in ("combined_bound", "verdict"):
-        assert without.certificate[key] == with_parts.certificate[key]
-    assert without.regular.certificate["bound"] == with_parts.regular.certificate["bound"]
-    reg = with_parts.regular.certificate
-    assert all(key in reg for key in KHINTCHINE_KEYS)
-    assert reg["khintchine_guarantee"] == "estimate"
-    assert len(reg["partitions"]) == 3
-    assert not any(key in without.regular.certificate for key in KHINTCHINE_KEYS)
+    assert with_parts.certificate == without.certificate
+    assert "n_partitions" not in without.certificate["params"]
+    reg = without.regular.certificate
+    assert "n_partitions" not in reg["params"]
+    assert not any(key in reg for key in KHINTCHINE_KEYS)
 
 
-def test_partitions_are_slices_not_assemblies(monkeypatch):
-    """Partitions reuse the full pair graph and cost no norm solve: the run
-    assembles one pair graph and solves as many norms as without them."""
+def test_one_prune_per_route_and_sigma_per_piece(monkeypatch):
+    """The run assembles one pair graph, prunes once per route and computes
+    sigma^2 only for the piece family, whatever ``n_partitions`` says."""
     inst = generate_random_matching_instance(12, 3, 5, 0.25, seed=6)
     calls = {}
 
@@ -309,15 +266,27 @@ def test_partitions_are_slices_not_assemblies(monkeypatch):
                         counting("assemble", refute.assemble_regular_cs))
     monkeypatch.setattr(refute, "block_spectral_norms",
                         counting("norm", refute.block_spectral_norms))
+    monkeypatch.setattr(refute, "prune", counting("prune", refute.prune))
+    monkeypatch.setattr(refute, "khintchine_sigma",
+                        counting("sigma", refute.khintchine_sigma))
     counts = []
-    for n_partitions in (3, 0):
+    for n_partitions in (4, 0):
         calls.clear()
         run = refute_full(inst, ell=1, n_partitions=n_partitions, seed=6, trials=20)
         counts.append(dict(calls))
-        if n_partitions:  # the partitions did prune and bound something
-            assert any("sigma_sq" in e for e in run.regular.certificate["partitions"])
-    assert counts[0]["assemble"] == counts[1]["assemble"] == 1
-    assert counts[0]["norm"] == counts[1]["norm"] > 0
+    routes = [run.regular, *run.pieces.values()]
+    assert len(routes) == 2 and all(r.family is not None for r in routes)
+    assert counts[0] == counts[1]
+    assert counts[0]["assemble"] == 1 and counts[0]["norm"] > 0
+    assert counts[0]["prune"] == 2 and counts[0]["sigma"] == 1
+
+
+@pytest.mark.parametrize("name", ["gamma", "epsilon"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_non_positive_or_non_finite_gamma_epsilon_raise(name, value):
+    inst = generate_random_matching_instance(12, 3, 4, 0.25, seed=3)
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+        refute_full(inst, ell=1, trials=10, **{name: value})
 
 
 @pytest.mark.parametrize("trials", [1, 0])
@@ -367,7 +336,7 @@ def test_soundness_check_solves_sign_rows_in_blocks(monkeypatch):
     assert all(e["ok"] for e in log) and len(log) == 40
 
 
-@pytest.mark.parametrize("refuter", [refute_full, refute_regular])
+@pytest.mark.parametrize("refuter", [refute_full])
 def test_negative_partitions_raise(refuter):
     inst = generate_random_matching_instance(12, 3, 4, 0.25, seed=3)
     with pytest.raises(ValueError, match="n_partitions"):
@@ -375,17 +344,18 @@ def test_negative_partitions_raise(refuter):
 
 
 def test_sigma_sq_rigorous_in_certificates():
-    """Partition entries and pieces record sigma^2 as a rigorous upper bound
-    that matches a dense eigensolve of the piece's Gram matrices."""
+    """Pieces record sigma^2 as a rigorous upper bound that matches a dense
+    eigensolve of the piece's Gram matrices, and their Khintchine bound sits
+    above the exhaustive mean of realized norms it certifies."""
     inst = generate_random_matching_instance(12, 3, 4, 0.25, seed=3)
-    run = refute_full(inst, ell=1, n_partitions=2, seed=3, trials=20)
-    entries = [e for e in run.regular.certificate["partitions"] if "sigma_sq" in e]
+    run = refute_full(inst, ell=1, seed=3, trials=20)
     pieces = [r for r in run.pieces.values() if "sigma_sq" in r.certificate]
-    assert entries and pieces
-    assert all(e["sigma_sq_guarantee"] == "rigorous" for e in entries)
+    assert pieces
     for ref in pieces:
         cert = ref.certificate
         assert cert["sigma_sq_guarantee"] == "rigorous"
+        assert cert["norm_mc"]["exhaustive"]
+        assert cert["bound_khintchine"] >= cert["bound_empirical"] * (1 - 1e-9)
         dense = [abs(m.toarray()) for m in ref.pruned.group_matrices()]
         exact = max(
             np.linalg.eigvalsh(sum(d @ d.T for d in dense))[-1],
