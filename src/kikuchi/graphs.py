@@ -346,11 +346,7 @@ def build_bipartite(c_set, p: int, n: int, ell: int, p_size: int, s: int):
     c = tuple(sorted(c_set))
     h = (len(c) + s - 1) // 2
     ones = _one_sided_edges(c, n, ell, h, ell + 1 - s)
-    twos = []
-    others = [u for u in range(p_size) if u != p]
-    for s2 in combinations(others, ell):
-        t2 = tuple(sorted(s2 + (p,)))
-        twos.append((subset_rank(s2, ell), subset_rank(t2, ell + 1)))
+    twos = _one_sided_edges((p,), p_size, ell, 0, ell + 1)
     return _product_edges(ones, twos, comb(p_size, ell), comb(p_size, ell + 1))
 
 

@@ -61,6 +61,14 @@ def validate_matching(edges) -> tuple[bool, tuple | None]:
     return True, None
 
 
+def _field(d: dict, key: str, convert):
+    """``convert(d[key])``, with a TypeError from it naming the field."""
+    try:
+        return convert(d[key])
+    except TypeError as exc:
+        raise TypeError(f"field {key!r} has the wrong type: {exc}") from None
+
+
 def _norm_edges(hypergraphs):
     return tuple(tuple(tuple(sorted(e)) for e in h) for h in hypergraphs)
 
@@ -123,7 +131,8 @@ class XorInstance:
             k=d["k"],
             q=d["q"],
             delta=d["delta"],
-            hypergraphs=[[[v - 1 for v in e] for e in h] for h in d["hypergraphs"]],
+            hypergraphs=_field(d, "hypergraphs", lambda hs: [
+                [[v - 1 for v in e] for e in h] for h in hs]),
             signs=d.get("signs"),
         )
 
@@ -206,11 +215,9 @@ class BipartiteXorInstance:
             k=d["k"],
             q=d["q"],
             s=d["s"],
-            registry=[[v - 1 for v in p] for p in d["labels"]],
-            hypergraphs=[
-                [([v - 1 for v in e["left"]], e["p"]) for e in h]
-                for h in d["hypergraphs"]
-            ],
+            registry=_field(d, "labels", lambda ps: [[v - 1 for v in p] for p in ps]),
+            hypergraphs=_field(d, "hypergraphs", lambda hs: [
+                [([v - 1 for v in e["left"]], e["p"]) for e in h] for h in hs]),
             signs=d.get("signs"),
         )
 
@@ -547,7 +554,8 @@ def load_json_object(path, what: str) -> dict:
 
 
 def load_instance(path):
-    """The instance in a JSON file; ValueError names a key it lacks."""
+    """The instance in a JSON file; ValueError names a key it lacks or one
+    of the wrong type."""
     d = load_json_object(path, "instance")
     try:
         if "s" in d:
@@ -555,6 +563,8 @@ def load_instance(path):
         return XorInstance.from_dict(d)
     except KeyError as exc:
         raise ValueError(f"{path}: instance file has no key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: instance file: {exc}") from None
 
 
 def dump_instance(inst, path, extra: dict | None = None):

@@ -8,8 +8,10 @@ b, and for every fixed b
 
 N_L x N_R the graph's shape and D' the edges each label keeps.  Each route
 returns a ``Refutation``, whose ``spectral(rows)`` is that bound per sign
-row, or the route's trivial bound when pruning left no family; the two
-subclasses differ only in how ``bounds`` transforms it.
+row, or the route's trivial bound when pruning left no family.  One rule
+turns it into a bound on val: ``min(cap, chain(spectral))``, with ``cap``
+a bound on val that holds for every b.  The certificate's ``bound`` is the
+same rule applied to the mean over b.
 
 Regular route (leftover instance): the square full pair graph (N_L = N_R)
 bounds val(F_b), where F_b sums the derived pair constraints over all
@@ -18,25 +20,20 @@ and Cauchy-Schwarz give, for every fixed b and every x,
 
     q^2 Psi_b(x)^2  <=  q n m  +  n F_b(x),      m = sum_i |H_i|,
 
-which turns it into the regular ``bound``.  The route records no
-Matrix-Khintchine estimate: F_b = 4 E f_{L,R} needs the mean over all
-partitions (L, R), and a mean over sampled ones would bound nothing.
+the chain, and m caps it.  The route records no Matrix-Khintchine
+estimate: F_b = 4 E f_{L,R} needs the mean over all partitions (L, R), and
+a mean over sampled ones would bound nothing.
 
 Bipartite route (decomposed pieces): z^T B w = D' Psi^(s)(x, y), so the
-route bounds val(Psi^(s)_b) directly, no pair derivation needed.  The
-measured total edge count of a piece is its trivial bound; it is sound for
-every b, unlike the piece's asymptotic shorthand.
+route bounds val(Psi^(s)_b) directly: the chain is the identity, and the
+piece's edge count sum_i |H_i^(s)| caps it.
 
-Per-b norms come from ``SignedFamily``: the distinct label-sign classes of
-a certificate's sign rows are solved in blocks of sign columns, each block
-one block-diagonal matrix built once and handed to one batched Lanczos
-recurrence, with the L1 guard computed once per family.  B(b) is
-block-diagonal over the b-independent components of its support, so a
-family bounds each component's norm sign-free once (P_C), solves every
-column on the component of largest P_C first, and then only on the other
-components whose P_C lies above the norm found.  Per-b bounds are asked the
-same way: each refutation's ``bounds(rows)`` takes a (c, k) array of sign
-rows and makes one ``norms`` call per family.
+Per-b norms come from ``SignedFamily``, which solves each missing
+label-sign class on the support component of largest norm bound first and
+then only on the components whose bound lies above the norm found, in
+blocks of sign columns handed to one batched Lanczos recurrence each.
+Per-b bounds are asked the same way: each refutation's ``bounds(rows)``
+takes a (c, k) array of sign rows and makes one ``norms`` call per family.
 
 Everything is deterministic under the master seed, whatever the block size
 or thread count.
@@ -44,7 +41,6 @@ or thread count.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -133,22 +129,18 @@ class SignedFamily:
 
     Norms are cached by the realized label-sign vector up to a global flip,
     so distinct b hitting the same label signs or their negation (b and -b
-    always do) share one solve.  The classes still missing are solved in
-    blocks of BLOCK_ENTRIES // (entries solved per column) sign columns,
-    blocks mapped over ``threads``; a column's value does not depend on its
-    block.  Every stored entry is +-1 and duplicates are stored apart, so
-    sqrt(max row count * max column count) bounds every |B(b)|: the L1
-    guard, computed once here.
+    always do) share one solve.  Every stored entry is +-1 and duplicates
+    are stored apart, so sqrt(max row count * max column count) bounds every
+    |B(b)|: the L1 guard, computed once here.
 
     The support of B(b) does not depend on b, and B(b) is block-diagonal
     over the support's connected components, so |B(b)| = max_C |B_C(b)| and
     |B_C(b)| <= P_C, a rigorous bound on the norm of the unsigned count
-    matrix on C (``component_norm_bounds``), also computed once here.  A
-    block is solved in two phases, each one ``block_spectral_norms`` run on
-    the block-diagonal matrix of the columns' signed submatrices: first on
-    the components of largest P_C (one, unless several tie), whose Ritz
-    values L_t are lower bounds on |B(b_t)|; then on the other components
-    with P_C > L_t, if any, one run per such set of components, so a
+    matrix on C (``component_norm_bounds``), also computed once here.  The
+    missing classes are solved in ``_phase`` runs: first all of them on the
+    components of largest P_C (one, unless several tie), whose Ritz values
+    L_t are lower bounds on |B(b_t)|; then, once per distinct set of other
+    components with P_C > L_t, the classes that reach that set, so a
     column's value depends on its own L_t alone.  Each column reports the
     larger of its residual-inflated values; every component left out has
     |B_C(b_t)| <= P_C <= L_t.
@@ -193,52 +185,46 @@ class SignedFamily:
             if key not in self._norm_cache:
                 todo.setdefault(key, i)
         if todo:
-            missing = np.fromiter(todo.values(), dtype=np.int64, count=len(todo))
-            size = self._block_size(self.rank < self.first)
-            solved = thread_map(
-                lambda a: self._solve(signs[missing[a:a + size]], seed),
-                range(0, len(missing), size), threads)
-            self._norm_cache.update(zip(todo, itertools.chain.from_iterable(solved)))
+            signs = signs[list(todo.values())]  # rebinding frees the full array
+            lower, value = self._phase(signs, 0, self.first, seed, threads)
+            # per column, how many components have a bound above its Ritz value
+            reach = np.searchsorted(-self.bounds, -lower)
+            for n in np.unique(reach[reach > self.first]).tolist():
+                cols = np.flatnonzero(reach == n)
+                rest = self._phase(signs[cols], self.first, n, seed, threads)[1]
+                value[cols] = np.maximum(value[cols], rest)
+            self._norm_cache.update(zip(todo, value.tolist()))
         return np.array([self._norm_cache[key] for key in keys])
 
     def norm(self, b, seed: int = 0) -> float:
         """``norms`` of the one sign vector b."""
         return float(self.norms(np.asarray(b)[None], seed=seed)[0])
 
-    def _block_size(self, rows) -> int:
-        """Sign columns per block when the submatrix on ``rows`` is solved."""
-        return max(1, BLOCK_ENTRIES // int(self._row_entries[rows].sum()))
-
-    def _solve(self, signs, seed) -> list[float]:
-        lower, value = self._phase(signs, self.rank < self.first, seed)
-        # per column, how many components have a bound above its Ritz value
-        reach = np.searchsorted(-self.bounds, -lower)
-        for n in np.unique(reach[reach > self.first]).tolist():
-            cols = np.flatnonzero(reach == n)
-            rest = self._phase(signs[cols],
-                               (self.rank >= self.first) & (self.rank < n), seed)[1]
-            value[cols] = np.maximum(value[cols], rest)
-        return value.tolist()
-
-    def _phase(self, signs, rows, seed):
+    def _phase(self, signs, lo, hi, seed, threads):
         """(Ritz values, residual-inflated values) of the signed submatrices
-        on ``rows``, solved in blocks of ``_block_size`` columns."""
-        size = self._block_size(rows)
-        ests = []
-        for a in range(0, len(signs), size):
+        on the components of rank lo <= r < hi, in blocks of BLOCK_ENTRIES //
+        (their entries) columns, each one ``block_spectral_norms`` run, mapped
+        over ``threads``; a column's value does not depend on its block."""
+        rows = (self.rank >= lo) & (self.rank < hi)
+        size = max(1, BLOCK_ENTRIES // int(self._row_entries[rows].sum()))
+
+        def solve(a):
             part = signs[a:a + size]
-            ests += block_spectral_norms(self.graph.to_csr(part, rows), len(part),
-                                         seed=seed, upper=self.upper)
-        return (np.array([est.value for est in ests]),
-                np.array([est.value * (1.0 + est.residual) for est in ests]))
+            ests = block_spectral_norms(self.graph.to_csr(part, rows), len(part),
+                                        seed=seed, upper=self.upper)
+            return np.array([(est.value, est.value * (1.0 + est.residual)) for est in ests])
+
+        return np.vstack(thread_map(solve, range(0, len(signs), size), threads)).T
 
 
 @dataclass
 class Refutation:
-    """One route's certificate, plus per-b bound machinery."""
+    """One route's certificate, plus per-b bound machinery; as is, a
+    decomposed piece's, whose chain is the identity and whose ``cap`` is
+    ``trivial``, its edge count."""
 
     certificate: dict
-    family: SignedFamily | None  # the pruned graph's family, None on fallback
+    family: SignedFamily | None  # the pruned graph's family, None without one
     ratio: float | None  # sqrt(N_L N_R) / D'
     trivial: int  # bounds, for every b, what ratio |B(b)| bounds
     graph: KikuchiGraph | None = None
@@ -251,6 +237,25 @@ class Refutation:
             return np.full(len(rows), float(self.trivial))
         return self.ratio * self.family.norms(rows)
 
+    @property
+    def cap(self) -> float:
+        """Bounds val of the route's polynomial for every b."""
+        return float(self.trivial)
+
+    def _chain(self, f):
+        return f
+
+    def bound_of(self, f):
+        """The one bound rule: the chain of f, a bound on what ``spectral``
+        bounds, capped at ``cap``."""
+        return np.minimum(self.cap, self._chain(f))
+
+    def bounds(self, rows, capped: bool = True) -> np.ndarray:
+        """``bound_of`` the spectral bound at each sign row of the (c, k)
+        array ``rows``; ``capped=False`` leaves out the cap (also sound)."""
+        f = self.spectral(rows)
+        return self.bound_of(f) if capped else self._chain(f)
+
 
 @dataclass(kw_only=True)
 class RegularRefutation(Refutation):
@@ -259,34 +264,14 @@ class RegularRefutation(Refutation):
 
     instance: XorInstance
 
-    def bounds(self, rows, capped: bool = True) -> np.ndarray:
-        """Certified bound on val of this instance's polynomial at each fixed
-        sign row of the (c, k) array ``rows``.
+    @property
+    def cap(self) -> float:
+        return float(self.instance.total_edges)
 
-        ``capped=False`` returns the bare spectral chain (also sound; the
-        reported certificate takes the minimum with the trivial bound)."""
-        chain = _chain(self.instance, self.spectral(rows))
-        return np.minimum(float(self.instance.total_edges), chain) if capped else chain
-
-
-@dataclass(kw_only=True)
-class BipartiteRefutation(Refutation):
-    """Certificate for one decomposed piece; ``trivial`` is its edge count."""
-
-    fallback_applies: bool
-
-    def bounds(self, rows, capped: bool = True) -> np.ndarray:
-        """Certified bound on val of the piece at each sign row of ``rows``."""
-        spectral = self.spectral(rows)
-        if capped and self.fallback_applies:
-            return np.minimum(spectral, float(self.trivial))
-        return spectral
-
-
-def _chain(inst: XorInstance, f):
-    """Cauchy-Schwarz: val(Psi_b) <= sqrt(q n m + n f) / q when f bounds val(F_b)."""
-    q, n = inst.q, inst.n
-    return np.sqrt(q * n * inst.total_edges + n * f) / q
+    def _chain(self, f):
+        """Cauchy-Schwarz: val(Psi_b) <= sqrt(q n m + n f) / q."""
+        q, n = self.instance.q, self.instance.n
+        return np.sqrt(q * n * self.instance.total_edges + n * f) / q
 
 
 def _ratio(pruned: PrunedGraph) -> float:
@@ -413,11 +398,12 @@ def refute_regular(
     }
 
     # empirical variant: the full pair graph's norms averaged over signs
+    ref = RegularRefutation(cert, family, ratio, trivial, full, pruned, instance=inst)
     f_mean = ratio * norm["mean"] if family is not None else float(trivial)
-    bound_emp = min(float(m_total), float(_chain(inst, f_mean)))
+    bound_emp = float(ref.bound_of(f_mean))
     cert.update({"full_graph_norm": norm, "bound_empirical": bound_emp,
                  "bound": bound_emp, "flags": flags})
-    return RegularRefutation(cert, family, ratio, trivial, full, pruned, instance=inst)
+    return ref
 
 
 def _piece_header(piece: BipartiteXorInstance, ell, gamma, trials, seed) -> dict:
@@ -440,13 +426,14 @@ def refute_bipartite(
     seed: int = 0,
     thresholds: Thresholds | None = None,
     threads: int = 1,
-) -> BipartiteRefutation:
+) -> Refutation:
     """Certify E_b[val(Psi^(s)_b)] <= (sqrt(N_L N_R)/D') E_b|B|_2.
 
     No partition and no pair derivation: the groups A_i are sign-free, so
-    sigma^2 is exact and the Khintchine variant is rigorous.  When
-    |P_s| < 4*ell (or the graph degenerates) the measured trivial bound
-    sum_i |H_i^(s)| is taken as the fallback and the minimum is used.
+    sigma^2 is exact and the Khintchine variant is rigorous.  The bound is
+    capped at the piece's edge count sum_i |H_i^(s)|, which bounds val for
+    every b; it alone is the bound when the graph degenerates or pruning
+    fails.
     """
     _check_trials(trials)
     n, k, q, s = piece.n, piece.k, piece.q, piece.s
@@ -462,9 +449,8 @@ def refute_bipartite(
         }
     if m_total == 0:
         cert.update({"bound": 0.0, "bound_empirical": 0.0,
-                     "bound_khintchine": 0.0, "flags": ["empty"],
-                     "fallback_applies": True})
-        return BipartiteRefutation(cert, None, None, 0, fallback_applies=True)
+                     "bound_khintchine": 0.0, "flags": ["empty"]})
+        return Refutation(cert, None, None, 0)
 
     flags = []
     graph = assemble_bipartite(piece, ell)
@@ -476,7 +462,6 @@ def refute_bipartite(
             cert, flags)
     else:
         flags.append("degenerate_D_zero")
-    fallback = piece.p_size < 4 * ell or family is None
 
     cert["graph"] = {
         "n_labels": graph.n_labels,
@@ -497,25 +482,19 @@ def refute_bipartite(
         if shapes["d_right"] > 0 else None,
     }
 
+    bound_khin = bound_emp = float(m_total)
     if family is not None:
         # sigma^2 on the actual sign-free pruned groups
         fields, bound_khin = _khintchine(pruned)
         bound_emp = ratio * norm["mean"]
         # every label keeps D' >= 1 edges, so a group is nonempty iff it has a label
         nonempty = len(np.unique(pruned.label_group))
-        cert.update({**fields, "norm_mc": {**norm, "nonempty_groups": nonempty},
-                     "bound_khintchine": bound_khin, "bound_empirical": bound_emp})
-        bound = min(bound_khin, bound_emp)
-        if fallback:
-            bound = min(bound, float(m_total))
-    else:
-        cert.update({"bound_khintchine": float(m_total),
-                     "bound_empirical": float(m_total)})
-        bound = float(m_total)
-
-    cert.update({"bound": bound, "fallback_applies": fallback, "flags": flags})
-    return BipartiteRefutation(cert, family, ratio, m_total, graph, pruned,
-                               fallback_applies=fallback)
+        cert.update({**fields, "norm_mc": {**norm, "nonempty_groups": nonempty}})
+    ref = Refutation(cert, family, ratio, m_total, graph, pruned)
+    cert.update({"bound_khintchine": bound_khin, "bound_empirical": bound_emp,
+                 "bound": float(ref.bound_of(min(bound_khin, bound_emp))),
+                 "flags": flags})
+    return ref
 
 
 @dataclass
@@ -526,7 +505,7 @@ class FullRefutation:
     epsilon: float
     decomposition: DecomposedInstance
     regular: RegularRefutation
-    pieces: dict  # s -> BipartiteRefutation
+    pieces: dict  # s -> Refutation
     certificate: dict
 
     def bounds(self, rows, capped: bool = True) -> np.ndarray:
@@ -617,10 +596,9 @@ def refute_full(
         except REFUTATION_ERRORS as exc:  # partial results kept; trivial bound is sound
             piece_failures[s] = str(exc)
             cert = _piece_header(piece, thr.ell, gamma, trials, seed * 131 + s)
-            cert.update({"bound": cert["trivial_bound"], "fallback_applies": True,
+            cert.update({"bound": cert["trivial_bound"],
                          "flags": [f"refutation_failed: {exc}"]})
-            pieces[s] = BipartiteRefutation(cert, None, None, piece.total_edges,
-                                            fallback_applies=True)
+            pieces[s] = Refutation(cert, None, None, piece.total_edges)
 
     combined = regular.certificate["bound"]
     for s in sorted(pieces):
@@ -674,11 +652,15 @@ def dump_certificate(cert: dict, path, extra_meta: dict | None = None):
 
 def load_certificate(path) -> dict:
     """A combined certificate; ValueError names a key ``kikuchi verify``
-    reads that it lacks."""
+    reads that it lacks, or ``params`` when that is not an object."""
     cert = load_json_object(path, "certificate")
+    params = cert.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"{path}: certificate field 'params' must be an object, "
+                         f"not {type(params).__name__}")
     missing = [key for key in ("params", "combined_bound", "verdict") if key not in cert]
     missing += [f"params.{key}" for key in ("epsilon", "gamma", "trials", "seed")
-                if key not in cert.get("params", {})]
+                if key not in params]
     if missing:
         raise ValueError(f"{path}: certificate has no key {missing[0]!r}")
     return cert

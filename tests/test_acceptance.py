@@ -304,6 +304,23 @@ def test_criterion_4_certificate_soundness(c4_runs):
     assert not violations, violations[:3]
 
 
+def test_certificates_never_exceed_edge_counts(c4_runs, c6_runs):
+    """Every route caps its bound at its edge count, which bounds val for
+    every b: no piece bound above its m_total, and no combined bound above
+    the instance's edges."""
+    runs = [(inst, run) for _, inst, run in c4_runs]
+    runs += [(inst, run) for _, inst, _, run in c6_runs]
+    capped = 0
+    for inst, run in runs:
+        cert = run.certificate
+        assert cert["regular"]["bound"] <= cert["regular"]["m_total"]
+        for piece in cert["pieces"].values():
+            assert piece["bound"] <= piece["m_total"]
+            capped += piece["bound"] == piece["m_total"] < piece["bound_empirical"]
+        assert cert["combined_bound"] <= inst.total_edges
+    assert capped  # the cap binds somewhere
+
+
 def test_criterion_5_matrix_khintchine(c4_runs):
     """Empirical mean of |sum b_i B_i| (exhaustive signs) never exceeds
     sqrt(2 sigma^2 ln(d1+d2)) on 50 pruned-group families."""

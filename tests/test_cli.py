@@ -288,6 +288,37 @@ def test_json_file_not_an_object_is_config_error(tmp_path, capsys, command):
     assert f"{listing}: " in err and "JSON object" in err
 
 
+@pytest.mark.parametrize("case", ["oracle", "refute", "verify", "bipartite"])
+def test_nested_field_of_wrong_type_is_config_error(tmp_path, capsys, case):
+    from kikuchi.instances import dump_instance, generate_random_bipartite_instance
+
+    inst, bad = tmp_path / "inst.json", tmp_path / "bad.json"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+            "--seed", "4", "--out", str(inst))
+    if case == "verify":
+        body, field = {"params": 5, "combined_bound": 1, "verdict": "x"}, "params"
+    elif case == "bipartite":
+        dump_instance(generate_random_bipartite_instance(
+            8, 3, 2, 2, edges_per=2, p_size=5, seed=4), bad)
+        body, field = {**read_json(bad), "labels": 3}, "labels"
+    else:
+        body, field = {**read_json(inst), "hypergraphs": 7}, "hypergraphs"
+    bad.write_text(json.dumps(body))
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    argv = {
+        "oracle": ["oracle", "--in", str(bad)],
+        "refute": ["refute", "--in", str(bad), "--out", str(out)],
+        "verify": ["verify", "--in", str(inst), "--cert", str(bad)],
+        "bipartite": ["build", "--in", str(bad), "--ell", "2", "--out", str(out)],
+    }[case]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert f"{bad}: " in err and f"'{field}'" in err
+    assert not out.exists()
+
+
 def test_verify_accepts_a_certificate_with_partition_fields(tmp_path):
     """Certificates written while the regular route sampled partitions carry
     params.n_partitions and five Khintchine-estimate fields; verify ignores

@@ -117,14 +117,20 @@ def _first(fam):
 
 
 def _phases(monkeypatch, fam, solved):
-    """Record (first phase?, column count) of every solve phase."""
-    phase = fam._phase
+    """Record (first phase?, column count) of every block solve."""
+    phase, solve = fam._phase, refute.block_spectral_norms
+    first = []
 
-    def record(signs, rows, seed):
-        solved.append((np.array_equal(rows, _first(fam)), len(signs)))
-        return phase(signs, rows, seed)
+    def record(signs, lo, hi, seed, threads):
+        first.append(lo == 0 and hi == fam.first)
+        return phase(signs, lo, hi, seed, threads)
+
+    def count(A, c, **kw):
+        solved.append((first[-1], c))
+        return solve(A, c, **kw)
 
     monkeypatch.setattr(fam, "_phase", record)
+    monkeypatch.setattr(refute, "block_spectral_norms", count)
 
 
 def _on(pg, dense, rows):
@@ -437,6 +443,32 @@ def test_cancelled_top_component_solves_the_others(monkeypatch):
     assert len(seen) == 2
     assert seen[0].shape == (4, 4)  # both rows on the top component
     assert np.array_equal(seen[1].toarray(), g.to_dense(g.signs_for(rows[1]))[2:, 2:])
+
+
+def test_second_phase_runs_once_per_reach(monkeypatch):
+    # one column per first-phase block; the classes with b_0 != b_1 leave
+    # the top component at norm 1, below both other bounds, and are solved
+    # on them together, not once per first-phase block
+    g = _three_components()
+    fam = SignedFamily(g)
+    monkeypatch.setattr(refute, "BLOCK_ENTRIES",
+                        int(fam._row_entries[_first(fam)].sum()))
+    phases, solved = [], []
+    _phases(monkeypatch, fam, solved)
+    phase = fam._phase
+    monkeypatch.setattr(fam, "_phase", lambda signs, lo, hi, *args: phases.append(
+        (lo, hi, len(signs))) or phase(signs, lo, hi, *args))
+    rows = sign_rows(5, fix_first=True)
+    got = fam.norms(rows)
+    want = [np.linalg.norm(g.to_dense(s), 2) for s in g.signs_for(rows)]
+    assert got == pytest.approx(want, rel=1e-12)
+    # top-component norms of the 16 classes give one reach value past it
+    top = [np.linalg.norm(g.to_dense(s)[:2, :2], 2) for s in g.signs_for(rows)]
+    reach = np.searchsorted(-fam.bounds, -np.array(top) * (1 - 1e-9))
+    assert sorted(set(reach[reach > fam.first].tolist())) == [3]
+    assert phases == [(0, fam.first, 16), (fam.first, 3, 8)]
+    assert [c for first, c in solved if first] == [1] * 16  # sixteen blocks
+    assert sum(c for first, c in solved if not first) == 8
 
 
 def _counting_grams(monkeypatch):

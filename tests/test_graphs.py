@@ -33,6 +33,7 @@ from kikuchi.instances import (
     generate_random_matching_instance,
 )
 from kikuchi.refute import eval_full_pairs
+from kikuchi.setops import subset_rank
 
 
 def test_basic_even_examples():
@@ -78,6 +79,17 @@ def test_regular_cs_overlapping_constraints():
 def test_bipartite_example():
     edges = build_bipartite((0,), 0, 6, 2, 5, 2)
     assert len(edges) == 30 == closed_form_D("bipartite", 6, 2, 3, 2, 5)
+
+
+@pytest.mark.parametrize("p_size", range(1, 9))
+def test_bipartite_label_side_is_the_one_sided_enumerator(p_size):
+    # build_bipartite's label side (S2, T2 = S2 u {p}), listed directly
+    for ell in range(5):
+        for p in range(p_size):
+            others = [u for u in range(p_size) if u != p]
+            want = [(subset_rank(s2, ell), subset_rank(tuple(sorted(s2 + (p,))), ell + 1))
+                    for s2 in combinations(others, ell)]
+            assert graphs._one_sided_edges((p,), p_size, ell, 0, ell + 1) == want
 
 
 def test_bipartite_label_membership():
