@@ -178,8 +178,9 @@ class SignedFamily:
         signs = self.graph.signs_for(rows)
         if self.nnz == 0:
             return np.zeros(len(signs))
-        # one key per +- class; the first row of a class is the one solved
-        keys = [(row * row[0]).tobytes() for row in signs]
+        # one key per +- class, the labels whose sign differs from the first
+        # label's packed to bits; the first row of a class is the one solved
+        keys = [key.tobytes() for key in np.packbits(signs != signs[:, :1], axis=1)]
         todo = {}
         for i, key in enumerate(keys):
             if key not in self._norm_cache:
@@ -397,12 +398,12 @@ def refute_regular(
         if cert["graph"]["target_d"] and shape > 0 else None,
     }
 
-    # empirical variant: the full pair graph's norms averaged over signs
+    # the full pair graph's norms averaged over signs; bound_empirical is
+    # the chain before the cap, as on a piece
     ref = RegularRefutation(cert, family, ratio, trivial, full, pruned, instance=inst)
     f_mean = ratio * norm["mean"] if family is not None else float(trivial)
-    bound_emp = float(ref.bound_of(f_mean))
-    cert.update({"full_graph_norm": norm, "bound_empirical": bound_emp,
-                 "bound": bound_emp, "flags": flags})
+    cert.update({"full_graph_norm": norm, "bound_empirical": float(ref._chain(f_mean)),
+                 "bound": float(ref.bound_of(f_mean)), "flags": flags})
     return ref
 
 

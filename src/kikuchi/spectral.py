@@ -4,17 +4,16 @@ Signed norms |B(b)| come from one Lanczos recurrence run on a block of c
 matrices at once (``block_spectral_norms``): the caller builds their
 block-diagonal matrix once, and each step is one product with it and one
 with its transpose, on the Gram operator of the smaller side (A^T A or
-A A^T), from a deterministic all-ones start plus one seeded random restart.
-The recurrence keeps three (c, dim) arrays and the tridiagonal T per
-column, not a basis, and a column stops once its top Ritz pair's residual
-is below the tolerance; the Ritz value approaches the top eigenvalue from
-below, and the residual bounds its relative error.  A stopped column enters
-later products as a zero row.  Every operation is row-wise, so a column gets
-the same steps and bits in any block; ``spectral_norm`` is the one-matrix
-case.  The solver is numpy only: importing
-``scipy.sparse.linalg`` would cost about 10 MB of resident memory, and
-numpy's LAPACK SVD stays out so the test suite can keep it as an
-independent oracle.
+A A^T), from one seeded random start.  The recurrence keeps three (c, dim)
+arrays and the tridiagonal T per column, not a basis, and a column stops
+once its top Ritz pair's residual is below the tolerance; the Ritz value
+approaches the top eigenvalue from below, and the residual bounds its
+relative error.  A stopped column enters later products as a zero row.
+Every operation is row-wise, so a column gets the same steps and bits in
+any block; ``spectral_norm`` is the one-matrix case.  The solver is numpy
+only: importing ``scipy.sparse.linalg`` would cost about 10 MB of resident
+memory, and numpy's LAPACK SVD stays out so the test suite can keep it as
+an independent oracle.
 
 Expectations over uniform signs go through one loop, ``average_over_signs``:
 exhaustive over b with b_1 = +1 up to EXHAUSTIVE_SIGN_LIMIT groups, Monte
@@ -49,7 +48,7 @@ import scipy.sparse as sp
 DEFAULT_TOL = 1e-9
 DEFAULT_MAXIT = 10_000
 EXHAUSTIVE_SIGN_LIMIT = 12  # enumerate all 2^k sign vectors up to here
-# Lanczos steps per start: the error after m steps decays like
+# Lanczos steps per solve: the error after m steps decays like
 # exp(-2 m sqrt(gap)), power iteration's like exp(-m gap), so on any gap
 # where 10^4 power steps would not have converged, 300 Lanczos steps reach
 # further; a dense eigh of T also stays cheap at this size
@@ -67,7 +66,7 @@ _PROBES = 3  # random bilinear forms checked against each norm
 class NormEstimate:
     value: float
     method: str  # "lanczos" | "empty"
-    iterations: int  # Lanczos steps of the start that gave ``value``
+    iterations: int  # Lanczos steps taken
     residual: float  # relative error bound on value^2; <= tol on success
     tol: float
     converged: bool
@@ -177,17 +176,16 @@ def block_spectral_norms(
     ``A`` is anything with ``@`` and ``.T`` on flat vectors.  Each Lanczos
     step is one product with it and one with its transpose, on the Gram
     operator of the smaller side (A_t^T A_t when A_t has no more columns
-    than rows, A_t A_t^T otherwise), from the all-ones start and then one
-    ``default_rng(seed)`` normal start shared by every column; per column
-    the larger value is kept.  A stopped column enters each product as a
+    than rows, A_t A_t^T otherwise), from one ``default_rng(seed)`` normal
+    start shared by every column.  A stopped column enters each product as a
     zero row; every row and every column of ``A`` lies in one block, so a
     live column's sums keep their order, and their bits, in any block.
     ``residual`` bounds the relative error of value^2, so it bounds that of
     value with a factor two to spare.  _PROBES random bilinear forms per
     column (one block product each) and ``upper``, an upper bound on every
     |A_t| such as the L1 row/column bound, are asserted afterwards as sanity
-    guards.  ``trace`` collects the top Ritz values of the first start at
-    its checkpoints.
+    guards; their draws follow the start's.  ``trace`` collects the top
+    Ritz values at the recurrence's checkpoints.
     """
     n_rows, n_cols = A.shape[0] // c, A.shape[1] // c
     # the smaller side's Gram operator: A^T A on columns, A A^T on rows
@@ -204,14 +202,8 @@ def block_spectral_norms(
         return mul(second, mul(first, full))[live]
 
     rng = np.random.default_rng(seed)
-    dim = min(n_rows, n_cols)
-    starts = [np.ones(dim), rng.standard_normal(dim)]
-    best = (np.zeros(c), np.zeros(c, dtype=np.int64), np.zeros(c), np.ones(c, bool))
-    for idx, st in enumerate(starts):
-        got = _lanczos_top(gram, st, c, tol, trace=trace if idx == 0 else None)
-        better = got[0] > best[0]
-        best = tuple(np.where(better, g, b) for g, b in zip(got, best))
-    theta, its, resid, conv = best
+    theta, its, resid, conv = _lanczos_top(
+        gram, rng.standard_normal(min(n_rows, n_cols)), c, tol, trace=trace)
     val = np.sqrt(theta)
 
     cols = np.flatnonzero(val > 0)
@@ -231,8 +223,8 @@ def spectral_norm(A, tol: float = DEFAULT_TOL, seed: int = 0,
                   trace=None) -> NormEstimate:
     """Top singular value of a dense array or sparse matrix:
     ``block_spectral_norms`` on one matrix, with its L1 row/column bound as
-    the upper guard.  ``trace``, if a list, collects the top Ritz values of
-    the all-ones start, one per checkpoint.
+    the upper guard.  ``trace``, if a list, collects the top Ritz values,
+    one per checkpoint.
     """
     if sp.issparse(A):
         A = A.tocsr()

@@ -321,6 +321,23 @@ def test_certificates_never_exceed_edge_counts(c4_runs, c6_runs):
     assert capped  # the cap binds somewhere
 
 
+def test_bound_empirical_is_the_uncapped_bound(c4_runs, c6_runs):
+    """``bound_empirical`` means the spectral bound before the cap on every
+    route, so no route with a family reports a ``bound`` above it, and on
+    the regular route the cap makes them differ somewhere."""
+    runs = [run for _, _, run in c4_runs] + [run for _, _, _, run in c6_runs]
+    capped = 0
+    for run in runs:
+        for route in [run.regular, *run.pieces.values()]:
+            cert = route.certificate
+            if route.family is not None:
+                assert cert["bound"] <= cert["bound_empirical"] + 1e-12 * max(
+                    1.0, abs(cert["bound_empirical"]))
+        regular = run.regular.certificate
+        capped += regular["bound"] < regular["bound_empirical"]
+    assert capped
+
+
 def test_criterion_5_matrix_khintchine(c4_runs):
     """Empirical mean of |sum b_i B_i| (exhaustive signs) never exceeds
     sqrt(2 sigma^2 ln(d1+d2)) on 50 pruned-group families."""

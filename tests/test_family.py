@@ -317,6 +317,30 @@ def test_signed_family_norm_brackets_svd(name):
         assert want * (1 - 1e-12) <= got <= want * (1 + 1e-8)
 
 
+def _all_ones_start_norm(M) -> float:
+    """The Lanczos value of one matrix from the all-ones start alone."""
+    def gram(live, Q):
+        return (M.T @ (M @ Q[0]))[None]
+
+    return float(np.sqrt(spectral._lanczos_top(gram, np.ones(M.shape[1]), 1, 1e-9)[0][0]))
+
+
+def test_family_norms_bracket_dense_where_all_ones_stopped_low():
+    # on the many-signs family an all-ones start stops on a lower eigenvalue
+    # for some sign classes; the family's seeded start must still sit on or
+    # just above every dense norm, those classes included
+    pg = VARIANTS["many_signs_duplicates"]
+    rows = sign_rows(_k(pg), fix_first=True)[::16]
+    signs = pg.signs_for(rows)
+    dense = np.array([np.linalg.norm(pg.to_dense(s), 2) for s in signs])
+    assert len(rows) >= 64
+    ones = np.array([_all_ones_start_norm(pg.to_csr(s[None])) for s in signs])
+    assert (ones < dense * (1 - 1e-3)).sum() >= 3
+    got = SignedFamily(pg).norms(rows)
+    assert (got >= dense * (1 - 1e-12)).all()
+    assert (got <= dense * (1 + 2e-9)).all()
+
+
 def test_signed_family_norm_inflates_by_residual(monkeypatch):
     # an unconverged solve loosens the certificate instead of undercutting it
     est = NormEstimate(2.0, "lanczos", 2, 0.25, 1e-9, False)

@@ -470,20 +470,24 @@ def test_piece_refutation_bug_propagates(monkeypatch):
 
 
 def test_refute_imports_no_heavy_scipy_submodule():
-    # each of these costs about 10 MB of resident memory
+    # each of these costs about 10 MB of resident memory; the norm solves of
+    # a certificate and of its exhaustive soundness check stay numpy only
     code = (
         "import sys\n"
         "from kikuchi.instances import generate_random_matching_instance\n"
         "from kikuchi.refute import refute_full\n"
         "inst = generate_random_matching_instance(12, 3, 4, 0.25, seed=1)\n"
         "run = refute_full(inst, ell=1, n_partitions=2, trials=10)\n"
+        "log = run.soundness_check()\n"
         "heavy = ('scipy.sparse.linalg', 'scipy.linalg', 'scipy.sparse.csgraph')\n"
         "print(' '.join(m for m in heavy if m in sys.modules))\n"
         "print(len(run.regular.family.bounds))\n"
+        "print(len(log), all(e['ok'] for e in log))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    heavy, components = proc.stdout.split("\n")[:2]
+    heavy, components, checked = proc.stdout.split("\n")[:3]
     assert heavy == ""
     assert int(components) > 1  # the component screen ran
+    assert checked == "16 True"  # every b in {+-1}^4

@@ -93,7 +93,7 @@ def test_lanczos_shapes_against_svd(rng, shape):
 
 
 def test_lanczos_rank_one(rng):
-    # constant rows: the all-ones start is the top vector, beta ~ 0 at step 1
+    # constant rows: rank one, so the Krylov space is exhausted by step two
     u = rng.standard_normal(30)
     flat = sp.csr_matrix(np.outer(u, np.ones(20)))
     est = spectral_norm(flat)
@@ -121,14 +121,14 @@ def test_lanczos_repeated_top_singular_value(rng):
     _assert_brackets(spectral_norm(copies, tol=1e-10), _svd_top(copies))
 
 
-def test_lanczos_random_restart_finds_hidden_top():
+def test_lanczos_finds_top_hidden_from_all_ones():
     # every top right singular vector e_{2i} - e_{2i+1} is orthogonal to the
-    # all-ones start, which is an eigenvector of A^T A for 0.5: only the
-    # random restart sees the top value 2
+    # all-ones vector, an eigenvector of A^T A for 0.5: an all-ones start
+    # would stop there, the seeded random start reaches the top value 2
     M = sp.kron(sp.eye(10), sp.csr_matrix([[1.0, -1.0], [0.5, 0.5]])).tocsr()
     trace = []
     est = spectral_norm(M, trace=trace)
-    assert max(trace) == pytest.approx(0.5, rel=1e-12)
+    assert max(trace) == pytest.approx(2.0, rel=1e-12)
     assert est.value == pytest.approx(math.sqrt(2.0), rel=1e-12)
     _assert_brackets(est, _svd_top(M))
 
@@ -145,6 +145,18 @@ def test_block_finds_hidden_top_in_every_column():
     for est in ests:
         assert est.value == pytest.approx(math.sqrt(2.0), rel=1e-12)
         _assert_brackets(est, _svd_top(M))
+
+
+def test_one_recurrence_per_block(monkeypatch):
+    calls = []
+    real = spectral._lanczos_top
+    monkeypatch.setattr(spectral, "_lanczos_top",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    M = sp.kron(sp.eye(10), sp.csr_matrix([[1.0, -1.0], [0.5, 0.5]])).tocsr()
+    ests = block_spectral_norms(_block_of([M, 2 * M, M]), 3)
+    assert len(calls) == 1
+    assert [e.value for e in ests] == pytest.approx(
+        [math.sqrt(2.0), 2 * math.sqrt(2.0), math.sqrt(2.0)], rel=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(40, 40), (25, 60), (60, 25), (1, 9),
@@ -165,7 +177,11 @@ def test_block_columns_equal_single_solves(rng, shape):
         got = block_spectral_norms(_block_of(mats[lo:hi]), hi - lo, seed=5)
         assert got == single[lo:hi]
     assert single[3].value == 0.0
-    assert len({e.iterations for e in single}) > 1
+    if min(shape) == 1:
+        # a one-dimensional Krylov space: every column stops at step 1
+        assert {e.iterations for e in single} == {1}
+    else:
+        assert len({e.iterations for e in single}) > 1
 
 
 def test_block_eigh_batches_keep_results(rng, monkeypatch):
