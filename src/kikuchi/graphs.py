@@ -313,14 +313,43 @@ def closed_form_D(variant: str, n: int, ell: int, q: int, s: int = 0, p_size: in
     raise ValueError(f"unknown variant {variant}")
 
 
-def _product_edges(ones, twos, card_l2: int, card_r2: int):
-    """Entries ((S1,S2),(T1,T2)) of the product of two per-component edge
-    lists, ranked row-major with second-component cardinalities given."""
-    return [
-        (s1 * card_l2 + s2, t1 * card_r2 + t2)
-        for s1, t1 in ones
-        for s2, t2 in twos
-    ]
+def _edge_array(edges) -> np.ndarray:
+    """(left, right) rank pairs as an (m, 2) int64 array."""
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def _pairs(edges: np.ndarray) -> list:
+    """An (m, 2) edge array as a list of (left, right) int tuples."""
+    return list(map(tuple, edges.tolist()))
+
+
+def _product_edges(ones, twos, card_l2: int, card_r2: int) -> np.ndarray:
+    """Entries ((S1,S2),(T1,T2)) of the product of two per-component (m, 2)
+    edge arrays, ranked row-major with second-component cardinalities given;
+    ``ones`` varies slowest."""
+    left = ones[:, None, 0] * card_l2 + twos[None, :, 0]
+    right = ones[:, None, 1] * card_r2 + twos[None, :, 1]
+    return np.stack([left.ravel(), right.ravel()], axis=1)
+
+
+def _one_sided_array(memo: dict, c, *args) -> np.ndarray:
+    """``_one_sided_edges(c, *args)`` as an (m, 2) array, built once per
+    argument tuple and kept in ``memo``: the labels of one graph share
+    their sets C."""
+    key = (c, *args)
+    if key not in memo:
+        memo[key] = _edge_array(_one_sided_edges(c, *args))
+    return memo[key]
+
+
+def _regular_cs_edges(c1_set, c2_set, n: int, ell: int, memo: dict) -> np.ndarray:
+    """``build_regular_cs`` as an (m, 2) array."""
+    if len(c1_set) % 2 or len(c2_set) % 2:
+        raise ParityObstruction("regular CS graph needs even |C1|, |C2|")
+    ones = _one_sided_array(memo, tuple(sorted(c1_set)), n, ell, len(c1_set) // 2, ell)
+    twos = _one_sided_array(memo, tuple(sorted(c2_set)), n, ell, len(c2_set) // 2, ell)
+    card = comb(n, ell)
+    return _product_edges(ones, twos, card, card)
 
 
 def build_regular_cs(c1_set, c2_set, n: int, ell: int):
@@ -329,12 +358,17 @@ def build_regular_cs(c1_set, c2_set, n: int, ell: int):
     The space is C([n], l)^2 with row-major ranks; C1 and C2 need not be
     disjoint (separate components never interact).
     """
-    if len(c1_set) % 2 or len(c2_set) % 2:
-        raise ParityObstruction("regular CS graph needs even |C1|, |C2|")
-    ones = _one_sided_edges(tuple(sorted(c1_set)), n, ell, len(c1_set) // 2, ell)
-    twos = _one_sided_edges(tuple(sorted(c2_set)), n, ell, len(c2_set) // 2, ell)
-    card = comb(n, ell)
-    return _product_edges(ones, twos, card, card)
+    return _pairs(_regular_cs_edges(c1_set, c2_set, n, ell, {}))
+
+
+def _bipartite_edges(c_set, p: int, n: int, ell: int, p_size: int, s: int,
+                     memo: dict) -> np.ndarray:
+    """``build_bipartite`` as an (m, 2) array."""
+    c = tuple(sorted(c_set))
+    h = (len(c) + s - 1) // 2
+    ones = _one_sided_array(memo, c, n, ell, h, ell + 1 - s)
+    twos = _one_sided_array(memo, (p,), p_size, ell, 0, ell + 1)
+    return _product_edges(ones, twos, comb(p_size, ell), comb(p_size, ell + 1))
 
 
 def build_bipartite(c_set, p: int, n: int, ell: int, p_size: int, s: int):
@@ -343,23 +377,22 @@ def build_bipartite(c_set, p: int, n: int, ell: int, p_size: int, s: int):
     |C| = q - s; right sizes are l+1-s and l+1.  An infeasible size yields
     an empty list (reported, not an error).
     """
-    c = tuple(sorted(c_set))
-    h = (len(c) + s - 1) // 2
-    ones = _one_sided_edges(c, n, ell, h, ell + 1 - s)
-    twos = _one_sided_edges((p,), p_size, ell, 0, ell + 1)
-    return _product_edges(ones, twos, comb(p_size, ell), comb(p_size, ell + 1))
+    return _pairs(_bipartite_edges(c_set, p, n, ell, p_size, s, {}))
 
 
 def _make_graph(variant, left_space, right_space, per_label, labels, groups,
                 group_of_label, sign_factors, symmetric) -> KikuchiGraph:
+    """The graph of the (m, 2) edge arrays in ``per_label``, in order."""
     counts = {len(e) for e in per_label}
     if len(counts) > 1:
         raise AssertionError(f"unequal per-label edge counts: {sorted(counts)}")
     D = counts.pop() if counts else None
-    sizes = [len(e) for e in per_label]
-    left = np.fromiter((l for e in per_label for l, _ in e), np.int64, sum(sizes))
-    right = np.fromiter((r for e in per_label for _, r in e), np.int64, sum(sizes))
-    lab = np.repeat(np.arange(len(per_label), dtype=np.int32), sizes)
+    if max(left_space.cardinality, right_space.cardinality) > 2**63:
+        raise OverflowError("vertex space exceeds index range")
+    edges = np.concatenate([np.empty((0, 2), dtype=np.int64), *per_label])
+    left, right = edges.T.copy()
+    lab = np.repeat(np.arange(len(per_label), dtype=np.int32),
+                    [len(e) for e in per_label])
     return KikuchiGraph(
         variant=variant,
         left_space=left_space,
@@ -395,7 +428,7 @@ def assemble_basic(inst: XorInstance, ell: int, variant: str | None = None) -> K
     for i, h in enumerate(inst.hypergraphs):
         for e in h:
             labels.append((i, e))
-            per_label.append(build(e))
+            per_label.append(_edge_array(build(e)))
             group_of_label.append(i)
             sign_factors.append((i,))
     return _make_graph(variant, main_l, right, per_label, labels, groups,
@@ -439,9 +472,10 @@ def assemble_regular_cs(inst: XorInstance, ell: int) -> KikuchiGraph:
             f"the regular pair graph at ell={ell} would hold {entries:,} entries, "
             f"above the budget of {PAIR_GRAPH_ENTRIES:,}; pass a smaller --ell")
     labels, per_label, group_of_label, sign_factors = [], [], [], []
+    memo = {}
     for (i, j, u, c1, c2) in pairs:
         labels.append((i, j, u, c1, c2))
-        per_label.append(build_regular_cs(c1, c2, n, ell))
+        per_label.append(_regular_cs_edges(c1, c2, n, ell, memo))
         group_of_label.append(i)
         sign_factors.append((i, j))
     return _make_graph("regular_cs", space, space, per_label, labels,
@@ -485,10 +519,11 @@ def assemble_bipartite(piece: BipartiteXorInstance, ell: int) -> KikuchiGraph:
     )
     labels, per_label, group_of_label, sign_factors = [], [], [], []
     groups = list(range(piece.k))
+    memo = {}
     for i, h in enumerate(piece.hypergraphs):
         for c, p in h:
             labels.append((i, c, p))
-            per_label.append(build_bipartite(c, p, n, ell, ps, s))
+            per_label.append(_bipartite_edges(c, p, n, ell, ps, s, memo))
             group_of_label.append(i)
             sign_factors.append((i,))
     return _make_graph("bipartite", left_space, right_space, per_label, labels,

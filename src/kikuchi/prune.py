@@ -132,35 +132,29 @@ def prune(graph: KikuchiGraph, gamma, d_left: Fraction, d_right: Fraction) -> Pr
     # exceeds the cap's floor
     limit_l = math.floor(Fraction(gamma) * d_left)
     limit_r = math.floor(Fraction(gamma) * d_right)
-    keep_mask = np.ones(graph.n_edges, dtype=bool)
-    heavy_l_total = 0
-    heavy_r_total = 0
-    per_group = []
-    for g in range(len(graph.group_ids)):
-        gmask = graph.group_edge_mask(g)
-        if not gmask.any():
-            per_group.append({"group": graph.group_ids[g], "heavy_left": 0,
-                              "heavy_right": 0})
-            continue
-        lv, lc = np.unique(graph.left[gmask], return_counts=True)
-        heavy_left = lv[lc > limit_l]
-        if graph.symmetric:
-            # entries come in swapped pairs, so row and column degrees agree
-            heavy_right = heavy_left
-        else:
-            rv, rc = np.unique(graph.right[gmask], return_counts=True)
-            heavy_right = rv[rc > limit_r]
-        heavy_l_total += len(heavy_left)
-        heavy_r_total += len(heavy_right)
-        per_group.append({
-            "group": graph.group_ids[g],
-            "heavy_left": len(heavy_left),
-            "heavy_right": len(heavy_right),
-        })
-        if heavy_left.size:
-            keep_mask[gmask & np.isin(graph.left, heavy_left)] = False
-        if heavy_right.size:
-            keep_mask[gmask & np.isin(graph.right, heavy_right)] = False
+    # one pass over (group, endpoint) keys: an endpoint is heavy in a group
+    # when more of the group's edges hold it than the limit
+    n_groups = len(graph.group_ids)
+    group = graph.label_group[graph.edge_label].astype(np.int64)
+    keys, at, degree = np.unique(group * graph.shape[0] + graph.left,
+                                 return_inverse=True, return_counts=True)
+    heavy = degree > limit_l
+    keep_mask = ~heavy[at]
+    heavy_left = np.bincount(keys[heavy] // graph.shape[0], minlength=n_groups)
+    if graph.symmetric:
+        # entries come in swapped pairs, so row and column degrees agree
+        keep_mask &= ~np.isin(group * graph.shape[0] + graph.right, keys[heavy])
+        heavy_right = heavy_left
+    else:
+        keys, at, degree = np.unique(group * graph.shape[1] + graph.right,
+                                     return_inverse=True, return_counts=True)
+        heavy = degree > limit_r
+        keep_mask &= ~heavy[at]
+        heavy_right = np.bincount(keys[heavy] // graph.shape[1], minlength=n_groups)
+    heavy_l_total = int(heavy_left.sum())
+    heavy_r_total = int(heavy_right.sum())
+    per_group = [{"group": gid, "heavy_left": int(hl), "heavy_right": int(hr)}
+                 for gid, hl, hr in zip(graph.group_ids, heavy_left, heavy_right)]
 
     surviving = np.flatnonzero(keep_mask)
     counts = np.bincount(graph.edge_label[surviving], minlength=graph.n_labels)
@@ -171,27 +165,24 @@ def prune(graph: KikuchiGraph, gamma, d_left: Fraction, d_right: Fraction) -> Pr
             f"(survivor counts {counts.min()}..{counts.max()})"
         )
 
-    # equalize: sort survivors by (label, edge key) and keep each label's
-    # first D'.  Symmetric variants sort by the unordered pair key, which
-    # makes the two entries of a pair adjacent, so an even-length prefix
-    # never splits a pair and B_i stays symmetric.
+    # equalize: sort the survivors of labels above D' by (label, edge key)
+    # and keep each such label's first D'.  Symmetric variants sort by the
+    # unordered pair key, which makes the two entries of a pair adjacent, so
+    # an even-length prefix never splits a pair and B_i stays symmetric.
     lab_surv = graph.edge_label[surviving]
+    over = counts[lab_surv] > D_prime
+    trim, lab_trim = surviving[over], lab_surv[over]
     if graph.symmetric:
-        lo = np.minimum(graph.left[surviving], graph.right[surviving])
-        hi = np.maximum(graph.left[surviving], graph.right[surviving])
-        order = np.lexsort((hi, lo, lab_surv))
+        lo = np.minimum(graph.left[trim], graph.right[trim])
+        hi = np.maximum(graph.left[trim], graph.right[trim])
+        order = np.lexsort((hi, lo, lab_trim))
     else:
-        order = np.lexsort(
-            (graph.right[surviving], graph.left[surviving], lab_surv)
-        )
-    surv_sorted = surviving[order]
-    lab_sorted = lab_surv[order]
-    bounds = np.searchsorted(lab_sorted, np.arange(graph.n_labels + 1))
-    keep_parts = [
-        surv_sorted[bounds[j]: bounds[j] + D_prime]
-        for j in range(graph.n_labels)
-    ]
-    keep = np.sort(np.concatenate(keep_parts))
+        order = np.lexsort((graph.right[trim], graph.left[trim], lab_trim))
+    trim_sorted = trim[order]
+    lab_sorted = lab_trim[order]
+    # each survivor's rank within its label
+    rank = np.arange(len(lab_sorted)) - np.searchsorted(lab_sorted, lab_sorted)
+    keep = np.sort(np.concatenate([surviving[~over], trim_sorted[rank < D_prime]]))
 
     report = {
         "gamma": float(gamma),

@@ -77,9 +77,9 @@ from .prune import (
     target_degrees,
 )
 from .spectral import (
+    ComponentBounds,
     average_over_signs,
     block_spectral_norms,
-    component_norm_bounds,
     khintchine_bound,
     khintchine_sigma,
     sign_rows,
@@ -136,14 +136,27 @@ class SignedFamily:
     The support of B(b) does not depend on b, and B(b) is block-diagonal
     over the support's connected components, so |B(b)| = max_C |B_C(b)| and
     |B_C(b)| <= P_C, a rigorous bound on the norm of the unsigned count
-    matrix on C (``component_norm_bounds``), also computed once here.  The
-    missing classes are solved in ``_phase`` runs: first all of them on the
-    components of largest P_C (one, unless several tie), whose Ritz values
-    L_t are lower bounds on |B(b_t)|; then, once per distinct set of other
-    components with P_C > L_t, the classes that reach that set, so a
-    column's value depends on its own L_t alone.  Each column reports the
-    larger of its residual-inflated values; every component left out has
+    matrix on C (``ComponentBounds``).  The missing classes are solved in
+    ``_phase`` runs: first all of them on the components of largest P_C
+    (one, unless several tie), whose Ritz values L_t are lower bounds on
+    |B(b_t)|; then, once per distinct set of other components with
+    P_C > L_t, the classes that reach that set, so a column's value depends
+    on its own L_t alone.  Each column reports the larger of its
+    residual-inflated values; every component left out has
     |B_C(b_t)| <= P_C <= L_t.
+
+    P_C starts as every component's first-step Collatz-Wielandt bound, and
+    is refined only where that can change what is solved.  Here: the
+    component of largest lower bound, then every component whose bound
+    reaches the largest refined one, until the largest bound is a refined
+    one; an unrefined bound below it cannot tie, so this fixes the top set.
+    After each first phase: the components whose bound exceeds that call's
+    smallest L_t, so later calls (``soundness_check``) refine further as
+    they need.  Refining cannot change which components a column is solved
+    on: a refined bound is never above the first-step bound and has the
+    same bits whichever components are refined with it, and a component is
+    solved only when its bound exceeds some L_t, which an unrefined bound
+    never does.  So certificates are those of refining every P_C up front.
     """
 
     def __init__(self, graph: PrunedGraph):
@@ -156,15 +169,13 @@ class SignedFamily:
                                * float(np.bincount(indices).max(initial=0)))
         counts = graph.to_csr()
         counts.sum_duplicates()
-        row_component, bounds = component_norm_bounds(counts, graph.symmetric)
-        # components by decreasing bound: each row's place in that order, and
-        # len(bounds) for an empty row
-        order = np.argsort(-bounds, kind="stable")
-        self.bounds = bounds[order]
-        place = np.empty(len(bounds) + 1, dtype=np.int64)
-        place[order] = np.arange(len(bounds))
-        place[-1] = len(bounds)
-        self.rank = place[row_component]
+        self.screen = screen = ComponentBounds(counts, graph.symmetric)
+        # an unrefined bound below a refined one can never tie with it: refine
+        # from the largest lower bound on until the largest bound is refined
+        screen.refine(screen.lower == screen.lower.max(initial=0.0))
+        while screen.refine(screen.bounds >= screen.bounds[screen.refined].max(initial=0.0)):
+            pass
+        self._rank_components()
         # no Ritz value reaches the largest bound (L_t <= |A_top| < P_top), so
         # the components tied at it are never skipped: all are solved first
         self.first = int(np.count_nonzero(self.bounds == self.bounds[:1]))
@@ -188,6 +199,9 @@ class SignedFamily:
         if todo:
             signs = signs[list(todo.values())]  # rebinding frees the full array
             lower, value = self._phase(signs, 0, self.first, seed, threads)
+            # only a component whose bound lies above some Ritz value is solved
+            if self.screen.refine(self.screen.bounds > lower.min()):
+                self._rank_components()
             # per column, how many components have a bound above its Ritz value
             reach = np.searchsorted(-self.bounds, -lower)
             for n in np.unique(reach[reach > self.first]).tolist():
@@ -200,6 +214,18 @@ class SignedFamily:
     def norm(self, b, seed: int = 0) -> float:
         """``norms`` of the one sign vector b."""
         return float(self.norms(np.asarray(b)[None], seed=seed)[0])
+
+    def _rank_components(self):
+        """Components by decreasing bound: ``bounds`` in that order, and
+        ``rank``, each row's place in it (len(bounds) for an empty row).
+        Refining keeps the top set first: its bounds are refined already,
+        and every other bound lies below them."""
+        order = np.argsort(-self.screen.bounds, kind="stable")
+        self.bounds = self.screen.bounds[order]
+        place = np.empty(len(order) + 1, dtype=np.int64)
+        place[order] = np.arange(len(order))
+        place[-1] = len(order)  # an empty row's component index is -1
+        self.rank = place[self.screen.row_comp]
 
     def _phase(self, signs, lo, hi, seed, threads):
         """(Ritz values, residual-inflated values) of the signed submatrices

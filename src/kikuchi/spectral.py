@@ -24,10 +24,14 @@ group-matrix sums.
 
 The support of a signed matrix does not depend on the signs, and its norm
 is the largest over the support's connected components, each at most the
-norm of the unsigned count matrix there: ``component_norm_bounds`` bounds
-every component's at once, by Collatz-Wielandt power steps over
-component-sorted vertices, so callers can skip the components that cannot
-reach a norm already found.
+norm of the unsigned count matrix there.  ``ComponentBounds`` bounds every
+component's at once by the first Collatz-Wielandt step from the all-ones
+vector, one product with the Gram matrix, and tightens a bound by further
+power steps only when asked, on the Gram rows of the components asked for.
+A refined bound is never above the first-step one and has the same bits
+whichever components are refined beside it, so callers can skip the
+components that cannot reach a norm already found, and refine only those
+whose first-step bound could.
 
 The Matrix-Khintchine variance sigma^2 needs no iteration over signs: the
 group matrices are sign-free, so both Gram matrices are built explicitly,
@@ -398,54 +402,91 @@ def _gram_top(mats, transpose: bool) -> float:
     return float(_top_eig_bound(S)) * margin
 
 
-def component_norm_bounds(A, symmetric: bool = False):
+class ComponentBounds:
     """Support components of a nonnegative sparse matrix A and a rigorous
-    upper bound on the spectral norm of A restricted to each.
+    upper bound on the spectral norm of A restricted to each, refined on
+    demand.
 
     The support graph joins row i to column j where A_ij != 0; with
     ``symmetric`` (A = A^T) row i and column i are one vertex, so a
     component whose graph is bipartite stays whole instead of splitting into
     two transposed halves of equal norm.  A component's bound is the square
-    root of a Collatz-Wielandt bound on its block of the Gram matrix of A's
-    smaller side, with ``_gram``'s rounding margin.  The power steps run on
-    every component at once, from the all-ones vector, until each bound meets
-    its Rayleigh quotient to _SCREEN_TOL.  A lone component, whose bound
-    could never skip anything, gets +inf and no Gram matrix is formed.
-    Returns (row_comp, bounds): each row's component index, -1 for an empty
-    row, and one bound per component.
+    root of a Collatz-Wielandt bound on its block of the Gram matrix S of
+    A's smaller side, with ``_gram``'s rounding margin.  Construction takes
+    one product y = S 1: a component's bound starts from its largest Gram
+    row sum (the first Collatz-Wielandt step), and ``lower``, the square
+    root of |y|^2 / 1^T y over the component (the Rayleigh quotient of S at
+    S^(1/2) 1), is a lower bound on its norm.  ``refine(mask)`` runs the
+    power steps from the all-ones vector on the Gram rows of the masked
+    components alone, until each bound meets its Rayleigh quotient to
+    _SCREEN_TOL.  A refined bound is never above the first-step bound, and
+    the steps are row-wise, so a component's refined bound has the same bits
+    whichever components are refined beside it.  A lone component, whose
+    bound could never skip anything, gets +inf, counts as refined, and no
+    Gram matrix is formed.
+
+    ``row_comp`` holds each row's component index, -1 for an empty row;
+    ``bounds``, ``lower`` and ``refined`` one entry per component.
     """
-    A = sp.csr_matrix(A)
-    transpose = A.shape[1] <= A.shape[0]
-    # the support graph with the Gram side's vertices first, so that a
-    # component's label is its smallest Gram-side vertex
-    G = A.T if transpose else A
-    label = _components(A if symmetric else sp.bmat([[None, G], [G.T, None]],
-                                                     format="csr"))
-    filled = np.flatnonzero(np.diff(A.indptr))
-    # with columns on the Gram side, a row takes its first entry's label
-    row_label = label[A.indices[A.indptr[filled]]] if transpose else label[filled]
-    labels = np.unique(row_label)
-    row_comp = np.full(A.shape[0], -1, dtype=np.int64)
-    row_comp[filled] = np.searchsorted(labels, row_label)
-    if len(labels) < 2:
-        return row_comp, np.full(len(labels), np.inf)
-    S, margin = _gram([A], transpose)
-    # Gram vertices holding an entry, grouped by component; every one of
-    # them has a positive diagonal, so the power iterates stay positive
-    used = np.flatnonzero(np.diff(S.indptr))
-    _, comp, sizes = np.unique(label[used], return_inverse=True, return_counts=True)
-    order = used[np.argsort(comp, kind="stable")]
 
-    def mul(live, w):
-        at = np.zeros(len(sizes), dtype=bool)
-        at[live] = True
-        at = order[np.repeat(at, sizes)]
-        full = np.zeros(S.shape[0])  # settled components: zero entries
-        full[at] = w
-        return (S @ full)[at]
+    def __init__(self, A, symmetric: bool = False):
+        A = sp.csr_matrix(A)
+        transpose = A.shape[1] <= A.shape[0]
+        # the support graph with the Gram side's vertices first, so that a
+        # component's label is its smallest Gram-side vertex
+        G = A.T if transpose else A
+        label = _components(A if symmetric else sp.bmat([[None, G], [G.T, None]],
+                                                         format="csr"))
+        filled = np.flatnonzero(np.diff(A.indptr))
+        # with columns on the Gram side, a row takes its first entry's label
+        row_label = label[A.indices[A.indptr[filled]]] if transpose else label[filled]
+        labels = np.unique(row_label)
+        self.row_comp = np.full(A.shape[0], -1, dtype=np.int64)
+        self.row_comp[filled] = np.searchsorted(labels, row_label)
+        self.refined = np.full(len(labels), len(labels) < 2)
+        if len(labels) < 2:
+            self.bounds = np.full(len(labels), np.inf)
+            self.lower = np.zeros(len(labels))
+            return
+        self._S, self._margin = _gram([A], transpose)
+        # Gram vertices holding an entry, grouped by component; every one of
+        # them has a positive diagonal, so the power iterates stay positive
+        used = np.flatnonzero(np.diff(self._S.indptr))
+        _, comp, self._sizes = np.unique(label[used], return_inverse=True,
+                                         return_counts=True)
+        self._order = used[np.argsort(comp, kind="stable")]
+        y = (self._S @ np.ones(self._S.shape[0]))[self._order]
+        starts = np.cumsum(self._sizes) - self._sizes
+        self.bounds = np.sqrt(np.maximum.reduceat(y, starts) * self._margin)
+        self.lower = np.sqrt(np.add.reduceat(y * y, starts) / np.add.reduceat(y, starts))
 
-    cw = _collatz_wielandt(mul, np.ones(len(order)), sizes, tol=_SCREEN_TOL)
-    return row_comp, np.sqrt(cw * margin)
+    def refine(self, mask) -> int:
+        """Refine the bounds of the components in the boolean ``mask`` that
+        are not refined yet; returns how many were."""
+        todo = mask & ~self.refined
+        if not todo.any():
+            return 0
+        sizes = self._sizes[todo]
+        verts = self._order[np.repeat(todo, self._sizes)]
+        # their Gram rows, entries in order, on columns renumbered to verts
+        rows = self._S[verts]
+        local = np.full(self._S.shape[0], -1, dtype=np.int64)
+        local[verts] = np.arange(len(verts))
+        R = sp.csr_matrix((rows.data, local[rows.indices], rows.indptr),
+                          shape=(len(verts), len(verts)))
+
+        def mul(live, w):
+            at = np.zeros(len(sizes), dtype=bool)
+            at[live] = True
+            at = np.repeat(at, sizes)
+            full = np.zeros(len(verts))  # settled components: zero entries
+            full[at] = w
+            return (R @ full)[at]
+
+        cw = _collatz_wielandt(mul, np.ones(len(verts)), sizes, tol=_SCREEN_TOL)
+        self.bounds[todo] = np.sqrt(cw * self._margin)
+        self.refined[todo] = True
+        return int(todo.sum())
 
 
 def khintchine_sigma(group_mats) -> dict:

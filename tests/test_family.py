@@ -232,18 +232,29 @@ def test_columns_solved_equal_sign_classes(name, monkeypatch):
     assert len(solved) == count
 
 
+def _regular_l2():
+    """The benchmark's n=20, k=6, l=2 instance, decomposed: (the leftover
+    instance, the decomposition)."""
+    inst = generate_random_matching_instance(20, 3, 6, 0.25, seed=1)
+    thr = compute_thresholds(20, 6, 3, inst.measured_delta(), ell_override=2)
+    dec = decompose(inst, thr)
+    return dec.leftover, dec
+
+
+def _regular_l2_pruned():
+    left, _ = _regular_l2()
+    return _pruned(assemble_regular_cs(left, 2), max(left.edge_counts), left.k)
+
+
 def test_regular_l2_exhaustive_rows_solve_once_per_class(monkeypatch):
     """The benchmark's n=20, k=6, l=2 pair graph: its 32 exhaustive rows
     fall into 16 +- classes, solved in one block on the top component alone
     (1,708 of the 77,760 entries), whose norm every other component's bound
     lies below."""
-    inst = generate_random_matching_instance(20, 3, 6, 0.25, seed=1)
-    thr = compute_thresholds(20, 6, 3, inst.measured_delta(), ell_override=2)
-    left = decompose(inst, thr).leftover
-    pg = _pruned(assemble_regular_cs(left, 2), max(left.edge_counts), left.k)
+    pg = _regular_l2_pruned()
     seen = []
     _capturing(monkeypatch, seen)
-    rows = sign_rows(left.k, fix_first=True)
+    rows = sign_rows(_k(pg), fix_first=True)
     fam = SignedFamily(pg)
     got = fam.norms(rows)
     assert len(rows) == 32
@@ -409,8 +420,10 @@ def test_component_bounds_cover_each_component(name):
         want = np.linalg.norm(sub, 2)
         if len(fam.bounds) == 1:
             assert bound == np.inf  # a lone component is never screened
-        else:
+        elif fam.screen.refined[fam.screen.row_comp[fam.rank == r][0]]:
             assert want <= bound <= want * (1 + spectral._SCREEN_TOL)
+        else:
+            assert want <= bound  # a first-step bound, never refined
         held += sub.sum()
     assert held == counts.sum()  # every entry lies in one component
     assert (fam.rank == len(fam.bounds)).sum() == (~counts.any(axis=1)).sum()
@@ -513,6 +526,70 @@ def test_three_component_family_keeps_finite_bounds(monkeypatch):
     fam = SignedFamily(_three_components())
     assert len(fam.bounds) == 3 and np.isfinite(fam.bounds).all()
     assert len(calls) == 1
+
+
+class _EagerBounds(spectral.ComponentBounds):
+    """Refines every component up front, through the same ``refine``."""
+
+    def __init__(self, A, symmetric=False):
+        super().__init__(A, symmetric)
+        self.refine(np.ones(len(self.bounds), dtype=bool))
+
+
+def _regular_l2_piece():
+    """The pruned graph of the n=20, k=6, l=2 instance's one bipartite piece."""
+    _, dec = _regular_l2()
+    (piece,) = dec.pieces.values()
+    return _pruned(assemble_bipartite(piece, 2), max(piece.edge_counts), piece.k)
+
+
+def _component_norms(pg, row_comp, comps) -> np.ndarray:
+    """The dense norm of the unsigned count matrix on each component of the
+    index array ``comps``."""
+    order = np.argsort(row_comp, kind="stable")
+    counts = pg.to_csr()[order]  # rows grouped by component
+    counts.sum_duplicates()
+    cuts = np.searchsorted(row_comp[order], np.arange(row_comp.max() + 2))
+    out = np.empty(len(comps))
+    for i, c in enumerate(comps):
+        sub = counts[cuts[c]:cuts[c + 1]]
+        cols, at = np.unique(sub.indices, return_inverse=True)
+        dense = np.zeros((sub.shape[0], len(cols)))
+        dense[np.repeat(np.arange(sub.shape[0]), np.diff(sub.indptr)), at] = sub.data
+        out[i] = np.linalg.norm(dense, 2)
+    return out
+
+
+@pytest.mark.parametrize("name", ["regular_l2", "regular_l2_piece", "three_components"])
+def test_lazy_screen_matches_eager_refinement(name, monkeypatch):
+    """Refining only the components a Ritz value can reach gives the norms,
+    bit for bit, of refining every component up front: a refined bound has
+    the same bits either way, and an unrefined bound, at least its
+    component's norm, lies at or below every Ritz value."""
+    pg = {"regular_l2": _regular_l2_pruned, "regular_l2_piece": _regular_l2_piece,
+          "three_components": _three_components}[name]()
+    rows = np.vstack([sign_rows(_k(pg)), _rows(pg)])
+    lazy = SignedFamily(pg)
+    refined_at_start = lazy.screen.refined.sum()
+    got = np.concatenate([lazy.norms(rows[:4]), lazy.norms(rows)])
+    with monkeypatch.context() as m:
+        m.setattr(refute, "ComponentBounds", _EagerBounds)
+        eager = SignedFamily(pg)
+    assert eager.screen.refined.all()
+    want = np.concatenate([eager.norms(rows[:4]), eager.norms(rows)])
+    assert got.tolist() == want.tolist()  # bitwise
+    assert lazy.first == eager.first
+    assert np.array_equal(lazy.rank < lazy.first, eager.rank < eager.first)
+    screen = lazy.screen
+    held = screen.refined
+    assert screen.bounds[held].tolist() == eager.screen.bounds[held].tolist()
+    assert (screen.bounds >= eager.screen.bounds).all()
+    rest = np.flatnonzero(~held)
+    assert (screen.bounds[rest] >= _component_norms(pg, screen.row_comp, rest)).all()
+    assert (screen.bounds[~held] <= got.min()).all()
+    if name == "regular_l2":
+        assert len(screen.bounds) == 3114
+        assert refined_at_start <= held.sum() < 100
 
 
 def test_tied_components_are_solved_first(monkeypatch):

@@ -26,6 +26,7 @@ from kikuchi.graphs import (
     reverify_edges,
 )
 from kikuchi.instances import (
+    InfeasibleSize,
     XorInstance,
     eval_phi,
     eval_psi_bipartite,
@@ -349,3 +350,88 @@ def test_space_cardinality_matches_enumeration():
         for s2 in combinations(range(5), 2):
             seen.add(space.rank((s1, s2)))
     assert seen == set(range(space.cardinality))
+
+
+def _nested_product(ones, twos, card_l2, card_r2):
+    """The product of two per-component edge lists, by nested loops."""
+    return [(s1 * card_l2 + s2, t1 * card_r2 + t2)
+            for s1, t1 in ones for s2, t2 in twos]
+
+
+def _nested_graph_arrays(per_label):
+    """(left, right, edge label, D) of per-label edge lists, entry by entry."""
+    sizes = [len(e) for e in per_label]
+    left = np.fromiter((l for e in per_label for l, _ in e), np.int64, sum(sizes))
+    right = np.fromiter((r for e in per_label for _, r in e), np.int64, sum(sizes))
+    counts = set(sizes)
+    return (left, right, np.repeat(np.arange(len(sizes)), sizes),
+            counts.pop() if counts else None)
+
+
+def _assert_same_graph(g, per_label):
+    left, right, label, D = _nested_graph_arrays(per_label)
+    assert g.left.dtype == g.right.dtype == np.int64
+    assert g.left.tolist() == left.tolist()
+    assert g.right.tolist() == right.tolist()
+    assert g.edge_label.tolist() == label.tolist()
+    assert g.D == D
+
+
+def _regular_cases():
+    for n in range(4, 9):
+        for q in (3, 5):
+            for seed in range(2):
+                try:
+                    yield n, generate_random_matching_instance(n, q, 3, 0.2, seed=seed)
+                except InfeasibleSize:
+                    pass
+    yield 6, XorInstance(n=6, k=2, q=3, delta=0.1, hypergraphs=[[], []])
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_regular_cs_arrays_match_nested_enumeration(ell):
+    # every label in order, a q=5 label with no edge at ell=1, zero labels
+    seen_d = set()
+    for n, inst in _regular_cases():
+        card = comb(n, ell)
+        per_label = []
+        for (_, _, _, c1, c2) in cs_pair_labels(inst, range(inst.k), range(inst.k)):
+            ones = graphs._one_sided_edges(c1, n, ell, len(c1) // 2, ell)
+            twos = graphs._one_sided_edges(c2, n, ell, len(c2) // 2, ell)
+            per_label.append(_nested_product(ones, twos, card, card))
+            assert build_regular_cs(c1, c2, n, ell) == per_label[-1]
+        g = assemble_regular_cs(inst, ell)
+        _assert_same_graph(g, per_label)
+        seen_d.add(g.D)
+    assert None in seen_d and (ell > 1 or 0 in seen_d)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_bipartite_arrays_match_nested_enumeration(ell):
+    # every feasible s for q = 3 and 5; labels with no edge where l + 1 < s
+    # or the registry is too small
+    seen_d, seen_s = set(), set()
+    for n in range(5, 9):
+        for q in (3, 5):
+            for s in range(2, (q + 1) // 2 + 1):
+                for p_size in (2, 4):
+                    try:
+                        piece = generate_random_bipartite_instance(
+                            n, q, s, 2, edges_per=2, p_size=p_size, seed=n + s)
+                    except InfeasibleSize:
+                        continue
+                    seen_s.add(s)
+                    per_label = []
+                    for h in piece.hypergraphs:
+                        for c, p in h:
+                            ones = graphs._one_sided_edges(
+                                c, n, ell, (len(c) + s - 1) // 2, ell + 1 - s)
+                            twos = graphs._one_sided_edges((p,), p_size, ell, 0, ell + 1)
+                            per_label.append(_nested_product(
+                                ones, twos, comb(p_size, ell), comb(p_size, ell + 1)))
+                            assert build_bipartite(c, p, n, ell, p_size, s) == per_label[-1]
+                    g = assemble_bipartite(piece, ell)
+                    _assert_same_graph(g, per_label)
+                    seen_d.add(g.D)
+    assert seen_s == {2, 3}
+    assert 0 in seen_d and max(seen_d) > 0

@@ -108,25 +108,29 @@ def test_adversarial_heavy_vertex():
     assert verify_pruned(pr)["ok"]
 
 
-def test_heavy_test_exact_at_non_dyadic_gamma():
-    """gamma = 0.7 is stored just below 7/10, so at d = 10 the exact cap is
-    just below 7 although 0.7 * 10 == 7.0 in floating point: a left vertex
-    of degree 6, the cap's floor, stays and one of degree 7 is heavy."""
-    gamma, d = 0.7, Fraction(10)
-    assert math.floor(Fraction(gamma) * d) == 6 and gamma * 10 == 7.0
-    # 13 labels of two edges each, (v_j, j) and (4 + j, j): left vertex 0
-    # has degree 6, vertex 1 degree 7, every other endpoint degree <= 2
+def _non_dyadic_graph():
+    """13 labels of two edges each, (v_j, j) and (4 + j, j): left vertex 0
+    has degree 6, vertex 1 degree 7, every other endpoint degree <= 2."""
     heavy_of = [0] * 6 + [1] * 7
     left = [v for j, v in enumerate(heavy_of) for v in (v, 4 + j)]
     right = [j for j in range(13) for _ in range(2)]
     space = VertexSpace((SpaceComponent("main", 20, 1),))
-    g = KikuchiGraph(
+    return KikuchiGraph(
         variant="naive_odd", left_space=space, right_space=space,
         left=np.array(left, dtype=np.int64), right=np.array(right, dtype=np.int64),
         edge_label=np.repeat(np.arange(13, dtype=np.int32), 2),
         labels=list(range(13)), label_group=np.zeros(13, dtype=np.int32),
         group_ids=[0], label_sign_factors=[(0,)] * 13, D=2, symmetric=False,
     )
+
+
+def test_heavy_test_exact_at_non_dyadic_gamma():
+    """gamma = 0.7 is stored just below 7/10, so at d = 10 the exact cap is
+    just below 7 although 0.7 * 10 == 7.0 in floating point: a left vertex
+    of degree 6, the cap's floor, stays and one of degree 7 is heavy."""
+    gamma, d = 0.7, Fraction(10)
+    assert math.floor(Fraction(gamma) * d) == 6 and gamma * 10 == 7.0
+    g = _non_dyadic_graph()
     pr = prune(g, gamma, d, d)
     assert pr.report["heavy_left"] == 1 and pr.report["heavy_right"] == 0
     assert pr.report["per_group"] == [{"group": 0, "heavy_left": 1, "heavy_right": 0}]
@@ -244,3 +248,82 @@ def test_pruned_group_matrices_are_subsets():
     for m in pr.group_matrices():
         diff = (full - m).toarray()
         assert (diff >= -1e-12).all()  # never more multiplicity than parent
+
+
+def _per_group_reference(graph, gamma, d_left, d_right):
+    """(kept edge indices, heavy counts per group, survivors trimmed) by one
+    degree count per group and side and one slice per label."""
+    limit_l = math.floor(Fraction(gamma) * d_left)
+    limit_r = math.floor(Fraction(gamma) * d_right)
+    keep_mask = np.ones(graph.n_edges, dtype=bool)
+    per_group = []
+    for g in range(len(graph.group_ids)):
+        gmask = graph.group_edge_mask(g)
+        lv, lc = np.unique(graph.left[gmask], return_counts=True)
+        heavy_left = lv[lc > limit_l]
+        if graph.symmetric:
+            heavy_right = heavy_left
+        else:
+            rv, rc = np.unique(graph.right[gmask], return_counts=True)
+            heavy_right = rv[rc > limit_r]
+        per_group.append({"group": graph.group_ids[g], "heavy_left": len(heavy_left),
+                          "heavy_right": len(heavy_right)})
+        keep_mask[gmask & np.isin(graph.left, heavy_left)] = False
+        keep_mask[gmask & np.isin(graph.right, heavy_right)] = False
+    surviving = np.flatnonzero(keep_mask)
+    D_prime = np.bincount(graph.edge_label[surviving], minlength=graph.n_labels).min()
+    lab = graph.edge_label[surviving]
+    if graph.symmetric:
+        lo = np.minimum(graph.left[surviving], graph.right[surviving])
+        hi = np.maximum(graph.left[surviving], graph.right[surviving])
+        order = np.lexsort((hi, lo, lab))
+    else:
+        order = np.lexsort((graph.right[surviving], graph.left[surviving], lab))
+    bounds = np.searchsorted(lab[order], np.arange(graph.n_labels + 1))
+    keep = np.sort(np.concatenate([surviving[order][bounds[j]:bounds[j] + D_prime]
+                                   for j in range(graph.n_labels)]))
+    return keep, per_group, len(surviving) - len(keep)
+
+
+def _reference_cases():
+    _, cs = cs_toy()
+    d = target_degrees(cs, 2, 4)["d"]
+    yield cs, 1.5, d, d
+    yield cs, 0.7, d * 5, d * 5
+    piece = generate_random_bipartite_instance(9, 3, 2, 4, edges_per=3, p_size=6, seed=0)
+    bip = assemble_bipartite(piece, 2)
+    tg = target_degrees(bip, 3, 4)
+    for scale_right in (1, 2, 4):
+        yield bip, 1.0, tg["d_left"] * 4, tg["d_right"] * scale_right
+    # a heavy vertex leaves labels of one and two edges; D' = 1 trims
+    yield _non_dyadic_graph(), 0.7, Fraction(10), Fraction(10)
+    # a group that holds no label
+    empty = XorInstance(n=6, k=3, q=3, delta=1 / 3,
+                        hypergraphs=[[[0, 1, 2], [3, 4, 5]], [], [[0, 2, 4], [1, 3, 5]]])
+    g = assemble_regular_cs(empty, 2)
+    yield g, 8.0, target_degrees(g, 2, 3)["d"], target_degrees(g, 2, 3)["d"]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_prune_matches_per_group_reference(case):
+    graph, gamma, d_left, d_right = list(_reference_cases())[case]
+    keep, per_group, _ = _per_group_reference(graph, gamma, d_left, d_right)
+    pr = prune(graph, gamma, d_left, d_right)
+    assert pr.keep.tolist() == keep.tolist()
+    assert pr.report["per_group"] == per_group
+    assert pr.report["heavy_left"] == sum(e["heavy_left"] for e in per_group)
+    assert pr.report["heavy_right"] == sum(e["heavy_right"] for e in per_group)
+    assert all(type(v) is int for e in pr.report["per_group"] for v in e.values()
+               if not isinstance(v, str))
+
+
+def test_prune_reference_cases_prune_something():
+    cases = list(_reference_cases())
+    assert any(g.symmetric for g, *_ in cases) and not all(g.symmetric for g, *_ in cases)
+    heavy = [prune(*c).report for c in cases]
+    assert sum(r["heavy_left"] > 0 for r in heavy) >= 3
+    assert any(r["heavy_right"] > 0 for r, (g, *_) in zip(heavy, cases) if not g.symmetric)
+    assert any(e["heavy_left"] == 0 for e in heavy[-1]["per_group"])
+    # labels above D' are trimmed on both kinds of graph
+    trimmed = {g.symmetric for g, *rest in cases if _per_group_reference(g, *rest)[2]}
+    assert trimmed == {True, False}

@@ -446,13 +446,18 @@ def test_sign_rows_shapes():
 
 def test_component_bounds_keep_a_rounding_margin():
     # the all-ones start is the Perron vector of a block of ones, so the
-    # Collatz-Wielandt bound is exact there; the margin still lifts it
+    # Collatz-Wielandt bound is exact there, at the first step and refined;
+    # the margin still lifts it
     A = sp.block_diag([np.ones((2, 2)), np.ones((1, 3)), [[1.0]]], format="csr")
-    row_comp, bounds = spectral.component_norm_bounds(A)
-    assert row_comp.tolist() == [0, 0, 1, 2]
+    screen = spectral.ComponentBounds(A)
+    assert screen.row_comp.tolist() == [0, 0, 1, 2]
     want = np.array([2.0, math.sqrt(3), 1.0])
-    assert (bounds > want).all()
-    assert (bounds <= want * (1 + 1e-13)).all()
+    assert screen.lower == pytest.approx(want, rel=1e-15)
+    for refined in (False, True):
+        assert screen.refined.tolist() == [refined] * 3
+        assert (screen.bounds > want).all()
+        assert (screen.bounds <= want * (1 + 1e-13)).all()
+        assert screen.refine(np.ones(3, dtype=bool)) == 3 * (not refined)
 
 
 def test_component_bounds_symmetric_keeps_bipartite_component_whole(rng):
@@ -462,10 +467,14 @@ def test_component_bounds_symmetric_keeps_bipartite_component_whole(rng):
     X = _random_counting(rng, 3, 3, 9)
     A = sp.block_diag([path, sp.csr_matrix((2, 2)), X + X.T + sp.eye(3)], format="csr")
     want = np.linalg.norm(path.toarray(), 2)
-    rows, bounds = spectral.component_norm_bounds(A, symmetric=True)
-    assert rows.tolist() == [0] * 6 + [-1, -1] + [1] * 3
-    assert want <= bounds[0] <= want * (1 + spectral._SCREEN_TOL)
-    rows, bounds = spectral.component_norm_bounds(A)
+    screen = spectral.ComponentBounds(A, symmetric=True)
+    assert screen.row_comp.tolist() == [0] * 6 + [-1, -1] + [1] * 3
+    assert screen.bounds[0] >= want
+    screen.refine(np.ones(2, dtype=bool))
+    assert want <= screen.bounds[0] <= want * (1 + spectral._SCREEN_TOL)
+    screen = spectral.ComponentBounds(A)
+    screen.refine(np.ones(3, dtype=bool))
+    rows, bounds = screen.row_comp, screen.bounds
     halves = rows[:6].reshape(3, 2).T  # even rows and odd rows
     assert (halves == halves[:, :1]).all() and halves[0, 0] != halves[1, 0]
     assert rows[6:].tolist() == [-1, -1, 2, 2, 2]
