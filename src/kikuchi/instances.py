@@ -17,6 +17,20 @@ factors as chi_C(a) = chi_{C_hi}(a >> t) chi_{C_lo}(a mod 2^t); a block of
 (high bits, sign row) pairs is then one float64 GEMM against a low-bit
 character table built once.  ``val_for_all_signs`` scans only the sign
 vectors with b_k = +1 and reads val(Phi_-b) = -min Phi_b off the same rows.
+
+Callers that need only values (``val_for_all_signs``, ``expected_val`` and
+through them ``FullRefutation.soundness_check``) scan a quotient of the
+assignment space.  Phi_b(a) depends on a only through the parities
+<mask_C, a> over GF(2).  For a basis beta_1..beta_r of the masks' span,
+a -> (<beta_j, a>)_j hits every point of GF(2)^r 2^(nv - r) times, so with
+each mask rewritten in basis coordinates lambda_C (``_quotient``) the max
+and min over the 2^r points equal those over all assignments.  When some w
+has <lambda_C, w> = 1 for every C (always for odd q: flip every variable;
+always for bipartite pieces: flip every label), Phi_b(y xor w) = -Phi_b(y);
+w can be taken with its top bit set, so only the 2^(r-1) points with a
+clear top bit are scanned, max = max(top, -bottom) and min = -max.
+``brute_force_val`` keeps the plain 2^nv scan: its argmax is the lowest
+maximising assignment index, which the quotient does not see.
 """
 
 from __future__ import annotations
@@ -298,7 +312,8 @@ def _chi(a, b) -> np.ndarray:
 def _scan(masks, coeff, nv: int):
     """Max, first argmax and min of ``coeff[r] . chi(a)`` over a in [0, 2^nv).
 
-    ``chi(a)[c] = (-1)^popcount(a & masks[c])``.  With a = (hi << t) | lo,
+    ``chi(a)[c] = (-1)^popcount(a & masks[c])``, so mask bits at or above
+    nv play no part.  With a = (hi << t) | lo,
     every character factors as chi_C(a) = chi_{C_hi}(hi) chi_{C_lo}(lo), so
     the values of a block of (hi, row) pairs are one float64 GEMM,
     ``(high[hi] * coeff[row]) @ low``, against the (m, 2^t) low-bit table.
@@ -337,6 +352,46 @@ def _scan(masks, coeff, nv: int):
     return best.astype(np.int64), arg, worst.astype(np.int64)
 
 
+def _quotient(masks):
+    """(lam, r, flip): ``masks`` in the coordinates of a GF(2) basis of
+    their span, its rank r, and whether all-ones flips every parity.
+
+    The basis is the masks that are independent of those before them, in
+    order; basis mask j gets lam = e_j, and every other mask the sum of the
+    basis masks it reduces to.  So the only w that can flip every parity is
+    all-ones, whose top bit is set, and ``flip`` holds when r > 0 and every
+    lam has odd weight.
+    """
+    pivots = []  # (reduced mask, its lam); leading bits are distinct
+    lam = []
+    for mask in masks:
+        comb = 0
+        for p, c in pivots:
+            if mask ^ p < mask:  # mask holds p's leading bit
+                mask ^= p
+                comb ^= c
+        if mask:
+            bit = 1 << len(pivots)
+            pivots.append((mask, comb ^ bit))
+            comb = bit
+        lam.append(comb)
+    r = len(pivots)
+    return lam, r, r > 0 and all(c.bit_count() & 1 for c in lam)
+
+
+def _values(masks, coeff):
+    """Max and min of ``coeff[row] . chi(a)`` over all assignments a, by
+    one ``_scan`` over the quotient (see the module docstring)."""
+    lam, r, flip = _quotient(masks)
+    if not flip:
+        top, _, bottom = _scan(lam, coeff, r)
+        return top, bottom
+    # the points y < 2^(r-1), whose top bit is clear
+    top, _, bottom = _scan(lam, coeff, r - 1)
+    top = np.maximum(top, -bottom)
+    return top, -top
+
+
 def brute_force_val(inst, b, limit: int = EXHAUSTIVE_LIMIT):
     """Exact max of the instance polynomial over all +-1 assignments.
 
@@ -356,21 +411,30 @@ def brute_force_val(inst, b, limit: int = EXHAUSTIVE_LIMIT):
     return best_val, x, y
 
 
-def val_for_all_signs(inst, limit: int = EXHAUSTIVE_LIMIT) -> np.ndarray:
-    """val(Phi_b) for every b in {-1,+1}^k (bit i of the row index = b_i is -1).
+def val_for_all_signs(inst, limit: int = EXHAUSTIVE_LIMIT, signs=None) -> np.ndarray:
+    """val(Phi_b) for every b in {-1,+1}^k (bit i of the row index = b_i is
+    -1), or for each row b of ``signs`` when given.
 
-    Scans only the 2^(k-1) rows with b_k = +1: Phi_{-b} = -Phi_b, so
+    Both forms are one values-only scan over the quotient.  The full form
+    scans only the 2^(k-1) rows with b_k = +1: Phi_{-b} = -Phi_b, so
     val(Phi_{-b}) = -min_a Phi_b(a) comes from the same scan.  This holds
-    for every instance, even q and bipartite pieces included.
+    for every instance, even q and bipartite pieces included.  Both limits
+    are checked before any row is built; ``signs`` is not held to
+    EXHAUSTIVE_B_LIMIT.
     """
     nv = _oracle_vars(inst, limit)
+    owner, masks = _constraint_masks(inst)
+    if signs is not None:
+        rows = np.asarray(signs, dtype=np.int64).reshape(len(signs), inst.k)
+        if not np.isin(rows, (-1, 1)).all():
+            raise DimensionMismatch("signs must be +-1 vectors of length k")
+        return _values(masks, rows[:, owner])[0]
     if inst.k > EXHAUSTIVE_B_LIMIT:
         raise OracleLimitExceeded(f"k={inst.k} too large to enumerate signs")
-    owner, masks = _constraint_masks(inst)
     full = 1 << inst.k
     half = (full + 1) // 2  # k = 0: the one empty sign vector
     bits = (np.arange(half)[:, None] >> np.arange(inst.k)[None, :]) & 1
-    top, _, bottom = _scan(masks, (1 - 2 * bits).astype(np.int8)[:, owner], nv)
+    top, bottom = _values(masks, (1 - 2 * bits).astype(np.int8)[:, owner])
     # row full-1-j holds -b_j; rows half..full-1 are j = half-1..0
     return np.concatenate([top, -bottom[::-1]])[:full]
 
@@ -387,14 +451,12 @@ def expected_val(inst, trials: int = 200, seed: int = 0, limit: int = EXHAUSTIVE
         return float(vals.mean()), 0.0
     if trials < 2:
         raise ValueError(f"trials must be >= 2 to sample signs, got {trials}")
-    nv = _oracle_vars(inst, limit)
     rng = np.random.default_rng(seed)
     b = np.array(
         [1 - 2 * rng.integers(0, 2, size=inst.k) for _ in range(trials)],
         dtype=np.int8,
     )
-    owner, masks = _constraint_masks(inst)
-    arr = _scan(masks, b[:, owner], nv)[0].astype(float)
+    arr = val_for_all_signs(inst, limit=limit, signs=b).astype(float)
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(trials))
 
 

@@ -65,7 +65,7 @@ from .graphs import (
 from .instances import (
     BipartiteXorInstance,
     XorInstance,
-    brute_force_val,
+    brute_force_val,  # noqa: F401  perfbench's tracer wraps refute.brute_force_val
     load_json_object,
     val_for_all_signs,
 )
@@ -551,14 +551,20 @@ class FullRefutation:
         checked, each by one ``bounds`` call over all the rows; each holds
         unconditionally per fixed b, and checking the uncapped chain keeps
         the norm and D' bookkeeping on the hook even where the trivial bound
-        happens to be smaller."""
+        happens to be smaller.
+
+        The values val(Phi_b) come from one values-only oracle call over all
+        the rows (``val_for_all_signs``), which scans the GF(2) quotient of
+        the assignment space and, for odd q, only half of it (see
+        ``kikuchi.instances``).  That call checks the variable and sign
+        limits before any sign row is built."""
         inst = self.instance
         if signs_list is None:
-            rows = sign_rows(inst.k)
             vals = val_for_all_signs(inst).tolist()
+            rows = sign_rows(inst.k)
         else:
             rows = np.asarray(signs_list).reshape(len(signs_list), inst.k)
-            vals = [brute_force_val(inst, b)[0] for b in signs_list]
+            vals = val_for_all_signs(inst, signs=rows).tolist()
         log = []
         for b, val, bound, spectral in zip(rows.tolist(), vals,
                                            self.bounds(rows).tolist(),

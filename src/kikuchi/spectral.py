@@ -378,17 +378,21 @@ def _top_eig_bound(S) -> float:
 def _gram(mats, transpose: bool):
     """(S, margin): S = sum X X^T (sum X^T X with ``transpose``) over
     nonnegative CSR matrices X, and the factor 1 + steps * eps that lifts a
-    Collatz-Wielandt bound computed on S over its rounding.
+    Collatz-Wielandt bound computed on S over its rounding.  The sum is one
+    sparse product on the matrices stacked side by side (on top of each
+    other with ``transpose``).
 
     The margin covers the rounding of the Gram sums (at most ``terms``
     products per entry), of S w and of the final division.
     """
     if transpose:
-        S = sum(m.T @ m for m in mats)
-        terms = sum(np.bincount(m.indices, minlength=m.shape[1]) for m in mats)
+        X = sp.vstack(mats, format="csr")
+        S = X.T @ X
+        terms = np.bincount(X.indices, minlength=X.shape[1])
     else:
-        S = sum(m @ m.T for m in mats)
-        terms = sum(np.diff(m.indptr) for m in mats)
+        X = sp.hstack(mats, format="csr")
+        S = X @ X.T
+        terms = np.diff(X.indptr)
     S = sp.csr_matrix(S)
     S.eliminate_zeros()
     steps = int(terms.max(initial=0)) + int(np.diff(S.indptr).max(initial=0)) + 2

@@ -3,6 +3,9 @@
 ``small_blocks`` shrinks the oracle's low character table to 3 bits and its
 GEMM blocks to 64 values, so that instances of a dozen variables already
 run through several high-bit blocks and several batches of sign rows.
+The values-only calls scan the GF(2) quotient of the assignment space;
+``QUOTIENT_CASES`` pins which of its two paths (with or without the
+parity flip) each instance takes.
 """
 
 import time
@@ -24,6 +27,7 @@ from kikuchi.instances import (
     generate_random_matching_instance,
     val_for_all_signs,
 )
+from kikuchi.instances import _constraint_masks, _gf2_rank, _quotient
 
 
 @pytest.fixture
@@ -50,6 +54,44 @@ def _cases():
 
 
 CASES = _cases()
+
+# variables 9..15 are in no constraint
+UNUSED_VARS = XorInstance(
+    n=16, k=3, q=3, delta=0.125,
+    hypergraphs=[[[0, 1, 2], [3, 4, 5]], [[0, 3, 6], [1, 4, 7]],
+                 [[2, 5, 8], [1, 6, 7]]])
+
+
+def _quotient_cases():
+    """name -> (instance, whether the quotient has a parity flip)."""
+    planted, _ = generate_planted_linear_instance(12, 3, 4, 0.25, seed=1)
+    return {
+        # 12 masks of rank 9 on 12 variables
+        "planted_dependent": (planted, True),
+        "unused_vars": (UNUSED_VARS, True),
+        "q2_odd_cycles": (CASES["q2"], False),
+        # the three 4-sets XOR to zero: an odd dependency, so no flip
+        "q4_odd_dependency": (XorInstance(
+            n=9, k=3, q=4, delta=0.25,
+            hypergraphs=[[[0, 1, 2, 3], [4, 5, 6, 7]], [[0, 1, 4, 5]],
+                         [[2, 3, 4, 5]]]), False),
+        # an 8-cycle plus a chord between its two sides: q=2 and bipartite,
+        # so flipping the even vertices flips every parity; that flip leaves
+        # the top variables 7..9 alone, and 8 and 9 are in no constraint
+        "q2_bipartite": (XorInstance(
+            n=10, k=3, q=2, delta=0.4,
+            hypergraphs=[[[0, 1], [2, 3], [4, 5], [6, 7]],
+                         [[1, 2], [3, 4], [5, 6], [0, 7]], [[0, 3]]]), True),
+        # every constraint holds exactly one label variable y_p, so flipping
+        # all labels flips every parity
+        "bipartite_s2": (CASES["bipartite_s2"], True),
+        "no_constraints": (XorInstance(n=5, k=2, q=3, delta=0.0,
+                                       hypergraphs=[[], []]), False),
+        "k0": (XorInstance(n=4, k=0, q=3, delta=0.0, hypergraphs=[]), False),
+    }
+
+
+QUOTIENT_CASES = _quotient_cases()
 
 
 def _sign_rows(k):
@@ -114,10 +156,7 @@ def test_argmax_is_lowest_maximiser_at_default_blocks():
     # variables 9..15 are in no constraint, so every maximiser has 2^7
     # copies, spread over all four high-bit blocks; the lowest one leaves
     # those variables at +1
-    inst = XorInstance(
-        n=16, k=3, q=3, delta=0.125,
-        hypergraphs=[[[0, 1, 2], [3, 4, 5]], [[0, 3, 6], [1, 4, 7]],
-                     [[2, 5, 8], [1, 6, 7]]])
+    inst = UNUSED_VARS
     signs = _sign_rows(inst.k)
     ref = _reference_values(inst, signs)
     for row, b in enumerate(signs.tolist()):
@@ -170,3 +209,70 @@ def test_all_signs_memory_and_time_guard():
     rows = [0, 1, 12345, (1 << inst.k) - 1]
     ref = _reference_values(inst, _sign_rows(inst.k)[rows])
     assert np.array_equal(vals[rows], ref.max(axis=0))
+
+
+def _parity(x):
+    return x.bit_count() & 1
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_CASES))
+def test_quotient_rewrites_every_parity(name):
+    # basis mask j is the first mask with lam = e_j; for every assignment a,
+    # <lam_C, y> = <mask_C, a> with y_j = <beta_j, a>
+    inst, flip = QUOTIENT_CASES[name]
+    _, masks = _constraint_masks(inst)
+    lam, r, has_flip = _quotient(masks)
+    assert (r, has_flip) == (_gf2_rank(list(masks)), flip)
+    basis = [masks[lam.index(1 << j)] for j in range(r)]
+    n_vars = inst.n + getattr(inst, "p_size", 0)
+    for a in range(1 << n_vars):
+        y = sum(_parity(beta & a) << j for j, beta in enumerate(basis))
+        assert [_parity(c & y) for c in lam] == [_parity(m & a) for m in masks]
+    if flip:
+        assert all(_parity(c) for c in lam)
+
+
+@pytest.mark.parametrize("blocks", ["default", "small"])
+@pytest.mark.parametrize("name", sorted(QUOTIENT_CASES))
+def test_quotient_values_match_reference(name, blocks, request, monkeypatch):
+    if blocks == "small":
+        request.getfixturevalue("small_blocks")
+    inst, _ = QUOTIENT_CASES[name]
+    ref = _reference_values(inst, _sign_rows(inst.k)).max(axis=0)
+    assert np.array_equal(val_for_all_signs(inst), ref)
+    assert expected_val(inst) == (float(ref.mean()), 0.0)
+    rng = np.random.default_rng(5)
+    rows = np.array([1 - 2 * rng.integers(0, 2, size=inst.k) for _ in range(12)],
+                    dtype=np.int8)
+    sampled = _reference_values(inst, rows).max(axis=0)
+    assert np.array_equal(val_for_all_signs(inst, signs=rows), sampled)
+    arr = sampled.astype(float)
+    monkeypatch.setattr(instances, "EXHAUSTIVE_B_LIMIT", -1)
+    assert expected_val(inst, trials=12, seed=5) == (
+        float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(12)))
+
+
+def test_scan_runs_over_quotient_of_benchmark_instances(monkeypatch):
+    # the random and planted n=20, k=6 instances of the verify-exhaustive
+    # benchmark: ranks 20 and 16, both with a flip, so 2^19 and 2^15 points
+    widths = []
+    scan = instances._scan
+
+    def recording(masks, coeff, nv):
+        widths.append(nv)
+        return scan(masks, coeff, nv)
+
+    monkeypatch.setattr(instances, "_scan", recording)
+    planted, _ = generate_planted_linear_instance(20, 3, 6, 0.16, seed=1)
+    for inst in (generate_random_matching_instance(20, 3, 6, 0.25, seed=1), planted):
+        val_for_all_signs(inst)
+    assert widths == [19, 15]
+
+
+def test_signs_must_be_plus_minus_one_rows():
+    inst = CASES["q3"]
+    with pytest.raises(ValueError):
+        val_for_all_signs(inst, signs=[[1, 1, 1]])
+    with pytest.raises(ValueError):
+        val_for_all_signs(inst, signs=[[1, 0, 1, -1]])
+    assert val_for_all_signs(inst, signs=np.zeros((0, inst.k))).shape == (0,)

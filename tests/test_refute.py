@@ -10,7 +10,9 @@ from kikuchi.decompose import Thresholds, compute_thresholds
 from kikuchi.graphs import assemble_regular_cs, cs_pair_labels, pair_partition, \
     quadratic_form
 from kikuchi.instances import (
+    EXHAUSTIVE_B_LIMIT,
     BipartiteXorInstance,
+    OracleLimitExceeded,
     XorInstance,
     brute_force_val,
     generate_planted_linear_instance,
@@ -405,6 +407,54 @@ def test_soundness_check_guard_and_log():
         assert e["spectral_bound"] + 1e-6 >= e["val"]
     sub = run.soundness_check(signs_list=[[1, 1, 1], [-1, 1, -1]])
     assert len(sub) == 2 and all(e["ok"] for e in sub)
+
+
+@pytest.mark.parametrize("n, k", [(12, EXHAUSTIVE_B_LIMIT + 2), (26, 3)])
+def test_soundness_check_refuses_before_building_sign_rows(n, k, monkeypatch):
+    # k = 18 would need 2^18 sign rows, n = 26 exceeds the variable limit;
+    # both are refused before any row exists
+    inst = generate_random_matching_instance(n, 3, k, 0.25, seed=1)
+    run = refute_full(inst, ell=1, trials=20, seed=7)
+    built = []
+    monkeypatch.setattr(refute, "sign_rows", lambda *a, **kw: built.append(a))
+    with pytest.raises(OracleLimitExceeded):
+        run.soundness_check()
+    assert built == []
+
+
+def test_soundness_check_makes_one_oracle_call_for_all_rows(monkeypatch):
+    # sampled rows above EXHAUSTIVE_B_LIMIT: one values-only call, no
+    # per-row brute_force_val, and every val equal to the per-row one
+    inst = generate_random_matching_instance(12, 3, EXHAUSTIVE_B_LIMIT + 2, 0.25,
+                                             seed=1)
+    run = refute_full(inst, ell=1, trials=20, seed=7)
+    rows = (1 - 2 * np.random.default_rng(4).integers(0, 2, size=(24, inst.k))).tolist()
+    calls = []
+    all_signs = refute.val_for_all_signs
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return all_signs(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-row oracle call")
+
+    monkeypatch.setattr(refute, "val_for_all_signs", counting)
+    monkeypatch.setattr(refute, "brute_force_val", forbidden)
+    log = run.soundness_check(rows)
+    assert len(calls) == 1
+    assert [e["b"] for e in log] == rows
+    assert [e["val"] for e in log] == [brute_force_val(inst, b)[0] for b in rows]
+    assert all(type(e["val"]) is int and e["ok"] for e in log)
+
+
+def test_sampled_and_exhaustive_soundness_logs_agree():
+    inst = generate_random_matching_instance(10, 3, 4, 0.2, seed=5)
+    run = refute_full(inst, ell=1, n_partitions=2)
+    full = run.soundness_check()
+    picks = [3, 0, 15, 3, 9]
+    rows = [full[i]["b"] for i in picks]
+    assert run.soundness_check(rows) == [full[i] for i in picks]
 
 
 def _pieces_failing_with(monkeypatch, exc):
