@@ -21,7 +21,6 @@ from .graphs import (
     build_regular_cs,
     lift_assignment,
     matvec,
-    pair_partition,
     quadratic_form,
 )
 from .instances import (
@@ -38,9 +37,7 @@ from .instances import (
 from .prune import PruningError, conditional_degree_moment, prune, target_degrees
 from .refute import (
     FullRefutation,
-    Partition,
     RegularityError,
-    eval_f,
     refute_bipartite,
     refute_full,
     refute_regular,

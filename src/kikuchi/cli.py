@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -27,6 +28,7 @@ from .instances import (
     XorInstance,
     brute_force_val,
     dump_instance,
+    dump_json,
     expected_val,
     generate_planted_linear_instance,
     generate_random_matching_instance,
@@ -99,9 +101,7 @@ def cmd_gen(args) -> int:
     dump_instance(inst, args.out, extra=extra)
     if code is not None:
         sidecar = os.path.splitext(args.out)[0] + ".generator.json"
-        with open(sidecar, "w") as fh:
-            json.dump(code.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        dump_json(code.to_dict(), sidecar)
         print(f"generator sidecar: {sidecar}")
     sizes = inst.edge_counts
     print(
@@ -445,10 +445,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:

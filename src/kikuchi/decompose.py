@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instances import BipartiteXorInstance, XorInstance, eval_phi, eval_psi_bipartite
+from .instances import BipartiteXorInstance, XorInstance, dump_json, eval_phi, \
+    eval_psi_bipartite
 from .setops import integer_root, mask_of, subsets_of_mask, verts_of
 
 
@@ -368,9 +369,7 @@ def dump_decomposition(dec: DecomposedInstance, path, extra: dict | None = None)
     d = dec.to_dict()
     if extra:
         d.update(extra)
-    with open(path, "w") as fh:
-        json.dump(d, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    dump_json(d, path)
 
 
 def load_decomposition(path) -> DecomposedInstance:

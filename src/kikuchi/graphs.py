@@ -14,6 +14,9 @@ combined row-major.  Four variants are built:
 size D, which is what turns quadratic forms into D times the instance
 polynomial.
 
+Every builder returns its entries as an (m, 2) int64 array of (left, right)
+ranks, enumerated by ``_one_sided_edges`` per subset component.
+
 ``KikuchiGraph`` is the one representation of a signed edge family: the
 only code that turns its edge triples into CSR (``to_csr``), per-label
 signs (``signs_for``) and per-group counting matrices (``group_matrices``).
@@ -22,14 +25,14 @@ A pruned graph is a ``KikuchiGraph`` too, over the kept edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
 import numpy as np
 import scipy.sparse as sp
 
-from .instances import BipartiteXorInstance, XorInstance
+from .instances import BipartiteXorInstance, XorInstance, dump_json
 from .setops import subset_rank
 
 DENSE_ENTRY_LIMIT = 10**8  # explicit dense matrices allowed below this
@@ -106,10 +109,10 @@ class VertexSpace:
 class KikuchiGraph:
     """Edge list with labels; every label owns exactly D edges (entries).
 
-    ``labels[j]`` describes constraint j; ``label_group[j]`` is the
-    Rademacher group index (position in ``group_ids``) and
-    ``label_sign_factors[j]`` lists the b-indices whose product signs the
-    label's entries.  Symmetric variants store both (u,v) and (v,u) entries,
+    ``labels[j]`` describes constraint j and ``label_sign_factors[j]``
+    lists the b-indices whose product signs the label's entries; the first
+    of them is the label's Rademacher group ``label_group[j]``, one of
+    0..n_groups-1.  Symmetric variants store both (u,v) and (v,u) entries,
     matching the matrix-entry count D.
     """
 
@@ -120,13 +123,13 @@ class KikuchiGraph:
     right: np.ndarray
     edge_label: np.ndarray  # int32 index into labels
     labels: list
-    label_group: np.ndarray  # int32 index into group_ids
-    group_ids: list
+    n_groups: int
     label_sign_factors: list  # per label, tuple of indices into b
     D: int | None
     symmetric: bool
     _csr_cache: tuple | None = field(default=None, init=False, repr=False)
     _sign_index: np.ndarray = field(init=False, repr=False)
+    label_group: np.ndarray = field(init=False, repr=False)
 
     @property
     def n_edges(self) -> int:
@@ -148,6 +151,7 @@ class KikuchiGraph:
         for j, factors in enumerate(self.label_sign_factors):
             self._sign_index[j, :len(factors)] = np.add(factors, 1)
         self._sign_used = np.unique(self._sign_index)
+        self.label_group = self._sign_index[:, 0] - 1
 
     def signs_for(self, b) -> np.ndarray:
         """Per-label sign: the product of the referenced b entries.
@@ -212,7 +216,7 @@ class KikuchiGraph:
     def group_matrices(self) -> list:
         """One matrix per group; an entry counts the group's edges there."""
         out = []
-        for g in range(len(self.group_ids)):
+        for g in range(self.n_groups):
             m = self.to_csr(self.label_group == g)
             # one stored entry per position: khintchine_sigma's rounding
             # margin counts stored entries per row
@@ -247,10 +251,11 @@ class ParityObstruction(ValueError):
     even builder and vice versa)."""
 
 
-def build_basic_even(c_set, n: int, ell: int):
+def build_basic_even(c_set, n: int, ell: int) -> np.ndarray:
     """Edge entries {(S, T): |S|=|T|=l, S+T=C} for an even-size C.
 
-    Yields (left_rank, right_rank) pairs; count C(|C|, |C|/2) C(n-|C|, l-|C|/2).
+    An (m, 2) array of (left_rank, right_rank) rows; m is
+    C(|C|, |C|/2) C(n-|C|, l-|C|/2).
     """
     c = tuple(sorted(c_set))
     qc = len(c)
@@ -259,7 +264,7 @@ def build_basic_even(c_set, n: int, ell: int):
     return _one_sided_edges(c, n, ell, qc // 2, ell)
 
 
-def build_naive_odd(c_set, n: int, ell: int):
+def build_naive_odd(c_set, n: int, ell: int) -> np.ndarray:
     """Edge entries {(S, T): |S|=l, |T|=l+1, S+T=C} for an odd-size C."""
     c = tuple(sorted(c_set))
     qc = len(c)
@@ -268,13 +273,15 @@ def build_naive_odd(c_set, n: int, ell: int):
     return _one_sided_edges(c, n, ell, (qc - 1) // 2, ell + 1)
 
 
-def _one_sided_edges(c, n, ell, s_take, t_size):
-    """All (S, T) with S = C_half u W, T = (C - C_half) u W."""
+def _one_sided_edges(c, n, ell, s_take, t_size) -> np.ndarray:
+    """All (S, T) with S = C_half u W, T = (C - C_half) u W, as an (m, 2)
+    array of ranks: C_half over the s_take-subsets of C, W over the
+    subsets of the rest, both in lexicographic order."""
     cset = set(c)
     rest = [v for v in range(n) if v not in cset]
     w_size = ell - s_take
     if w_size < 0 or len(c) - s_take + w_size != t_size:
-        return []
+        return np.empty((0, 2), dtype=np.int64)
     out = []
     for chalf in combinations(c, s_take):
         other = tuple(sorted(cset - set(chalf)))
@@ -282,7 +289,7 @@ def _one_sided_edges(c, n, ell, s_take, t_size):
             s_v = tuple(sorted(chalf + w))
             t_v = tuple(sorted(other + w))
             out.append((subset_rank(s_v, ell), subset_rank(t_v, t_size)))
-    return out
+    return np.array(out, dtype=np.int64).reshape(-1, 2)
 
 
 def _comb0(n: int, k: int) -> int:
@@ -313,16 +320,6 @@ def closed_form_D(variant: str, n: int, ell: int, q: int, s: int = 0, p_size: in
     raise ValueError(f"unknown variant {variant}")
 
 
-def _edge_array(edges) -> np.ndarray:
-    """(left, right) rank pairs as an (m, 2) int64 array."""
-    return np.array(edges, dtype=np.int64).reshape(-1, 2)
-
-
-def _pairs(edges: np.ndarray) -> list:
-    """An (m, 2) edge array as a list of (left, right) int tuples."""
-    return list(map(tuple, edges.tolist()))
-
-
 def _product_edges(ones, twos, card_l2: int, card_r2: int) -> np.ndarray:
     """Entries ((S1,S2),(T1,T2)) of the product of two per-component (m, 2)
     edge arrays, ranked row-major with second-component cardinalities given;
@@ -332,56 +329,55 @@ def _product_edges(ones, twos, card_l2: int, card_r2: int) -> np.ndarray:
     return np.stack([left.ravel(), right.ravel()], axis=1)
 
 
-def _one_sided_array(memo: dict, c, *args) -> np.ndarray:
-    """``_one_sided_edges(c, *args)`` as an (m, 2) array, built once per
-    argument tuple and kept in ``memo``: the labels of one graph share
-    their sets C."""
+def _memo_one_sided(memo: dict, c, *args) -> np.ndarray:
+    """``_one_sided_edges(c, *args)``, built once per argument tuple and
+    kept in ``memo``: the labels of one graph share their sets C."""
     key = (c, *args)
     if key not in memo:
-        memo[key] = _edge_array(_one_sided_edges(c, *args))
+        memo[key] = _one_sided_edges(c, *args)
     return memo[key]
 
 
 def _regular_cs_edges(c1_set, c2_set, n: int, ell: int, memo: dict) -> np.ndarray:
-    """``build_regular_cs`` as an (m, 2) array."""
+    """``build_regular_cs`` with the one-sided edges kept in ``memo``."""
     if len(c1_set) % 2 or len(c2_set) % 2:
         raise ParityObstruction("regular CS graph needs even |C1|, |C2|")
-    ones = _one_sided_array(memo, tuple(sorted(c1_set)), n, ell, len(c1_set) // 2, ell)
-    twos = _one_sided_array(memo, tuple(sorted(c2_set)), n, ell, len(c2_set) // 2, ell)
+    ones = _memo_one_sided(memo, tuple(sorted(c1_set)), n, ell, len(c1_set) // 2, ell)
+    twos = _memo_one_sided(memo, tuple(sorted(c2_set)), n, ell, len(c2_set) // 2, ell)
     card = comb(n, ell)
     return _product_edges(ones, twos, card, card)
 
 
-def build_regular_cs(c1_set, c2_set, n: int, ell: int):
+def build_regular_cs(c1_set, c2_set, n: int, ell: int) -> np.ndarray:
     """Entries ((S1,S2),(T1,T2)) with S1+T1=C1, S2+T2=C2, all sets size l.
 
     The space is C([n], l)^2 with row-major ranks; C1 and C2 need not be
     disjoint (separate components never interact).
     """
-    return _pairs(_regular_cs_edges(c1_set, c2_set, n, ell, {}))
+    return _regular_cs_edges(c1_set, c2_set, n, ell, {})
 
 
 def _bipartite_edges(c_set, p: int, n: int, ell: int, p_size: int, s: int,
                      memo: dict) -> np.ndarray:
-    """``build_bipartite`` as an (m, 2) array."""
+    """``build_bipartite`` with the one-sided edges kept in ``memo``."""
     c = tuple(sorted(c_set))
     h = (len(c) + s - 1) // 2
-    ones = _one_sided_array(memo, c, n, ell, h, ell + 1 - s)
-    twos = _one_sided_array(memo, (p,), p_size, ell, 0, ell + 1)
+    ones = _memo_one_sided(memo, c, n, ell, h, ell + 1 - s)
+    twos = _memo_one_sided(memo, (p,), p_size, ell, 0, ell + 1)
     return _product_edges(ones, twos, comb(p_size, ell), comb(p_size, ell + 1))
 
 
-def build_bipartite(c_set, p: int, n: int, ell: int, p_size: int, s: int):
+def build_bipartite(c_set, p: int, n: int, ell: int, p_size: int, s: int) -> np.ndarray:
     """Entries ((S1,S2),(T1,T2)): S1+T1=C with |S1 n C|=(q-1)/2, T2=S2 u {p}.
 
     |C| = q - s; right sizes are l+1-s and l+1.  An infeasible size yields
-    an empty list (reported, not an error).
+    no entries (reported, not an error).
     """
-    return _pairs(_bipartite_edges(c_set, p, n, ell, p_size, s, {}))
+    return _bipartite_edges(c_set, p, n, ell, p_size, s, {})
 
 
-def _make_graph(variant, left_space, right_space, per_label, labels, groups,
-                group_of_label, sign_factors, symmetric) -> KikuchiGraph:
+def _make_graph(variant, left_space, right_space, per_label, labels,
+                sign_factors, n_groups, symmetric) -> KikuchiGraph:
     """The graph of the (m, 2) edge arrays in ``per_label``, in order."""
     counts = {len(e) for e in per_label}
     if len(counts) > 1:
@@ -401,8 +397,7 @@ def _make_graph(variant, left_space, right_space, per_label, labels, groups,
         right=right,
         edge_label=lab,
         labels=labels,
-        label_group=np.asarray(group_of_label, dtype=np.int32),
-        group_ids=groups,
+        n_groups=n_groups,
         label_sign_factors=sign_factors,
         D=D,
         symmetric=symmetric,
@@ -410,42 +405,36 @@ def _make_graph(variant, left_space, right_space, per_label, labels, groups,
 
 
 def assemble_basic(inst: XorInstance, ell: int, variant: str | None = None) -> KikuchiGraph:
-    """One label (i, C) per constraint; even split for even q, l vs l+1 else."""
+    """One label (i, C) per constraint, in group i; even split for even q,
+    l vs l+1 else."""
     if variant is None:
         variant = "basic_even" if inst.q % 2 == 0 else "naive_odd"
     n = inst.n
     main_l = VertexSpace((SpaceComponent("main", n, ell),))
     if variant == "basic_even":
         right = VertexSpace((SpaceComponent("main", n, ell),))
-        build = lambda c: build_basic_even(c, n, ell)
+        build = build_basic_even
         symmetric = True
     else:
         right = VertexSpace((SpaceComponent("main", n, ell + 1),))
-        build = lambda c: build_naive_odd(c, n, ell)
+        build = build_naive_odd
         symmetric = False
-    labels, per_label, group_of_label, sign_factors = [], [], [], []
-    groups = list(range(inst.k))
-    for i, h in enumerate(inst.hypergraphs):
-        for e in h:
-            labels.append((i, e))
-            per_label.append(_edge_array(build(e)))
-            group_of_label.append(i)
-            sign_factors.append((i,))
-    return _make_graph(variant, main_l, right, per_label, labels, groups,
-                       group_of_label, sign_factors, symmetric)
+    labels = [(i, e) for i, h in enumerate(inst.hypergraphs) for e in h]
+    return _make_graph(variant, main_l, right, [build(e, n, ell) for _, e in labels],
+                       labels, [(i,) for i, _ in labels], inst.k, symmetric)
 
 
-def cs_pair_labels(inst: XorInstance, left_idx, right_idx):
-    """Labels (i, j, u, C1, C2) over i in L, j in R, shared vertex u, and the
-    ordered decompositions C = {u} u C1 in H_i, C' = {u} u C2 in H_j."""
+def cs_pair_labels(inst: XorInstance):
+    """Labels (i, j, u, C1, C2) over ordered i != j, shared vertex u, and the
+    decompositions C = {u} u C1 in H_i, C' = {u} u C2 in H_j."""
     out = []
-    for i in left_idx:
-        for j in right_idx:
+    for i, h1 in enumerate(inst.hypergraphs):
+        for j, h2 in enumerate(inst.hypergraphs):
             if i == j:
                 continue
-            for e1 in inst.hypergraphs[i]:
+            for e1 in h1:
                 set1 = set(e1)
-                for e2 in inst.hypergraphs[j]:
+                for e2 in h2:
                     for u in e2:
                         if u in set1:
                             c1 = tuple(v for v in e1 if v != u)
@@ -457,52 +446,22 @@ def cs_pair_labels(inst: XorInstance, left_idx, right_idx):
 def assemble_regular_cs(inst: XorInstance, ell: int) -> KikuchiGraph:
     """Graph of the derived even pairs over all ordered i != j, which is the
     full pair polynomial F_b; group = the left index i of a label.
-    ``pair_partition`` cuts the graph of f_{L,R} out of it.  ValueError,
-    before any edge is built, when the graph would hold more than
-    PAIR_GRAPH_ENTRIES entries."""
-    everything = range(inst.k)
+    ValueError, before any edge is built, when the graph would hold more
+    than PAIR_GRAPH_ENTRIES entries."""
     n = inst.n
     space = VertexSpace(
         (SpaceComponent("main", n, ell), SpaceComponent("main", n, ell))
     )
-    pairs = cs_pair_labels(inst, everything, everything)
-    entries = len(pairs) * closed_form_D("regular_cs", n, ell, inst.q)
+    labels = cs_pair_labels(inst)
+    entries = len(labels) * closed_form_D("regular_cs", n, ell, inst.q)
     if entries > PAIR_GRAPH_ENTRIES:
         raise ValueError(
             f"the regular pair graph at ell={ell} would hold {entries:,} entries, "
             f"above the budget of {PAIR_GRAPH_ENTRIES:,}; pass a smaller --ell")
-    labels, per_label, group_of_label, sign_factors = [], [], [], []
     memo = {}
-    for (i, j, u, c1, c2) in pairs:
-        labels.append((i, j, u, c1, c2))
-        per_label.append(_regular_cs_edges(c1, c2, n, ell, memo))
-        group_of_label.append(i)
-        sign_factors.append((i, j))
+    per_label = [_regular_cs_edges(c1, c2, n, ell, memo) for _, _, _, c1, c2 in labels]
     return _make_graph("regular_cs", space, space, per_label, labels,
-                       list(everything), group_of_label, sign_factors,
-                       symmetric=True)
-
-
-def pair_partition(full: KikuchiGraph, left_idx, right_idx) -> KikuchiGraph:
-    """The graph of f_{L,R}: the labels (i, j, ...) of the full pair graph
-    with i in L and j in R, and their edges, all in their existing order.
-    Groups are renumbered over sorted(L); D is None when no label is left."""
-    L, R = set(left_idx), set(right_idx)
-    kept = np.array([lab[0] in L and lab[1] in R for lab in full.labels], dtype=bool)
-    edges = kept[full.edge_label]
-    labels = [lab for lab, keep in zip(full.labels, kept) if keep]
-    groups = sorted(L)
-    return replace(
-        full,
-        left=full.left[edges],
-        right=full.right[edges],
-        edge_label=(np.cumsum(kept, dtype=np.int32) - 1)[full.edge_label[edges]],
-        labels=labels,
-        label_group=np.searchsorted(groups, [lab[0] for lab in labels]).astype(np.int32),
-        group_ids=groups,
-        label_sign_factors=[f for f, keep in zip(full.label_sign_factors, kept) if keep],
-        D=full.D if labels else None,
-    )
+                       [(i, j) for i, j, *_ in labels], inst.k, symmetric=True)
 
 
 def assemble_bipartite(piece: BipartiteXorInstance, ell: int) -> KikuchiGraph:
@@ -517,17 +476,11 @@ def assemble_bipartite(piece: BipartiteXorInstance, ell: int) -> KikuchiGraph:
             SpaceComponent("labels", ps, ell + 1),
         )
     )
-    labels, per_label, group_of_label, sign_factors = [], [], [], []
-    groups = list(range(piece.k))
+    labels = [(i, c, p) for i, h in enumerate(piece.hypergraphs) for c, p in h]
     memo = {}
-    for i, h in enumerate(piece.hypergraphs):
-        for c, p in h:
-            labels.append((i, c, p))
-            per_label.append(_bipartite_edges(c, p, n, ell, ps, s, memo))
-            group_of_label.append(i)
-            sign_factors.append((i,))
+    per_label = [_bipartite_edges(c, p, n, ell, ps, s, memo) for _, c, p in labels]
     return _make_graph("bipartite", left_space, right_space, per_label, labels,
-                       groups, group_of_label, sign_factors, symmetric=False)
+                       [(i,) for i, *_ in labels], piece.k, symmetric=False)
 
 
 def lift_assignment(space: VertexSpace, subsets, x, y=None) -> int:
@@ -601,9 +554,7 @@ def reverify_edges(graph: KikuchiGraph) -> bool:
 
 
 def dump_graph(graph: KikuchiGraph, path):
-    import json
-
-    d = {
+    dump_json({
         "variant": graph.variant,
         "left_space": [[c.kind, c.ground, c.size] for c in graph.left_space.components],
         "right_space": [[c.kind, c.ground, c.size] for c in graph.right_space.components],
@@ -613,7 +564,4 @@ def dump_graph(graph: KikuchiGraph, path):
             [int(l), int(r), int(j)]
             for l, r, j in zip(graph.left, graph.right, graph.edge_label)
         ],
-    }
-    with open(path, "w") as fh:
-        json.dump(d, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    }, path)

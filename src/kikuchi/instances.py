@@ -615,6 +615,15 @@ def load_json_object(path, what: str) -> dict:
     return d
 
 
+def dump_json(obj: dict, path, default=None):
+    """Write ``obj`` to ``path`` as JSON with sorted keys, one-space indents
+    and a final newline: the layout of every file the tool writes.
+    ``default`` converts values json cannot encode, as in ``json.dump``."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True, default=default)
+        fh.write("\n")
+
+
 def load_instance(path):
     """The instance in a JSON file; ValueError names a key it lacks or one
     of the wrong type."""
@@ -633,6 +642,4 @@ def dump_instance(inst, path, extra: dict | None = None):
     d = inst.to_dict()
     if extra:
         d.update(extra)
-    with open(path, "w") as fh:
-        json.dump(d, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    dump_json(d, path)

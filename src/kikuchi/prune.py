@@ -30,18 +30,10 @@ class DegreeProfile:
     right: list
     group_edge_counts: list
 
-    def summary(self) -> dict:
-        def side_stats(maps):
-            mx = max((max(m.values()) for m in maps if m), default=0)
-            tot = sum(sum(m.values()) for m in maps)
-            return {"max": int(mx), "incidences": int(tot)}
-
-        return {"left": side_stats(self.left), "right": side_stats(self.right)}
-
 
 def degree_profile(graph: KikuchiGraph) -> DegreeProfile:
     lefts, rights, counts = [], [], []
-    for g in range(len(graph.group_ids)):
+    for g in range(graph.n_groups):
         mask = graph.group_edge_mask(g)
         lv, lc = np.unique(graph.left[mask], return_counts=True)
         rv, rc = np.unique(graph.right[mask], return_counts=True)
@@ -134,7 +126,7 @@ def prune(graph: KikuchiGraph, gamma, d_left: Fraction, d_right: Fraction) -> Pr
     limit_r = math.floor(Fraction(gamma) * d_right)
     # one pass over (group, endpoint) keys: an endpoint is heavy in a group
     # when more of the group's edges hold it than the limit
-    n_groups = len(graph.group_ids)
+    n_groups = graph.n_groups
     group = graph.label_group[graph.edge_label].astype(np.int64)
     keys, at, degree = np.unique(group * graph.shape[0] + graph.left,
                                  return_inverse=True, return_counts=True)
@@ -153,8 +145,8 @@ def prune(graph: KikuchiGraph, gamma, d_left: Fraction, d_right: Fraction) -> Pr
         heavy_right = np.bincount(keys[heavy] // graph.shape[1], minlength=n_groups)
     heavy_l_total = int(heavy_left.sum())
     heavy_r_total = int(heavy_right.sum())
-    per_group = [{"group": gid, "heavy_left": int(hl), "heavy_right": int(hr)}
-                 for gid, hl, hr in zip(graph.group_ids, heavy_left, heavy_right)]
+    per_group = [{"group": g, "heavy_left": int(hl), "heavy_right": int(hr)}
+                 for g, (hl, hr) in enumerate(zip(heavy_left, heavy_right))]
 
     surviving = np.flatnonzero(keep_mask)
     counts = np.bincount(graph.edge_label[surviving], minlength=graph.n_labels)
@@ -219,7 +211,7 @@ def verify_pruned(pruned: PrunedGraph) -> dict:
         violations.append("labels not equalized to D'")
     cap_l = Fraction(pruned.gamma) * pruned.d_left
     cap_r = Fraction(pruned.gamma) * pruned.d_right
-    for g in range(len(graph.group_ids)):
+    for g in range(graph.n_groups):
         m = graph.label_group[pruned.edge_label] == g
         if not m.any():
             continue

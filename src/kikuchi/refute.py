@@ -41,7 +41,6 @@ or thread count.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,6 +65,7 @@ from .instances import (
     BipartiteXorInstance,
     XorInstance,
     brute_force_val,  # noqa: F401  perfbench's tracer wraps refute.brute_force_val
+    dump_json,
     load_json_object,
     val_for_all_signs,
 )
@@ -98,30 +98,16 @@ class RegularityError(RuntimeError):
     """The instance still has heavy sets; decompose before refuting."""
 
 
-@dataclass(frozen=True)
-class Partition:
-    left: tuple
-    right: tuple
-    seed: int
-
-
-def eval_f(inst: XorInstance, partition: Partition, b, x) -> int:
-    """Direct evaluation of the pair polynomial f_{L,R}(x)."""
+def eval_full_pairs(inst: XorInstance, b, x) -> int:
+    """F_b(x): the pair polynomial over all ordered i != j, evaluated
+    label by label from ``cs_pair_labels``."""
     total = 0
-    for (i, j, u, c1, c2) in cs_pair_labels(inst, partition.left, partition.right):
+    for (i, j, u, c1, c2) in cs_pair_labels(inst):
         mono = int(b[i]) * int(b[j])
-        for v in c1:
-            mono *= int(x[v])
-        for v in c2:
+        for v in c1 + c2:
             mono *= int(x[v])
         total += mono
     return total
-
-
-def eval_full_pairs(inst: XorInstance, b, x) -> int:
-    """F_b(x): the pair polynomial over all ordered i != j."""
-    everything = tuple(range(inst.k))
-    return eval_f(inst, Partition(everything, everything, seed=0), b, x)
 
 
 class SignedFamily:
@@ -678,9 +664,7 @@ def dump_certificate(cert: dict, path, extra_meta: dict | None = None):
     out = dict(cert)
     if extra_meta:
         out["meta"] = extra_meta
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=1, sort_keys=True, default=float)
-        fh.write("\n")
+    dump_json(out, path, default=float)
 
 
 def load_certificate(path) -> dict:

@@ -24,7 +24,6 @@ from kikuchi.graphs import (
     build_naive_odd,
     build_regular_cs,
     closed_form_D,
-    pair_partition,
     quadratic_form,
 )
 from kikuchi.instances import (
@@ -38,7 +37,7 @@ from kikuchi.instances import (
 )
 from kikuchi.prune import analytic_degree_shapes, conditional_degree_moment, \
     verify_pruned
-from kikuchi.refute import Partition, eval_f, eval_full_pairs, refute_full
+from kikuchi.refute import eval_full_pairs, refute_full
 from kikuchi.spectral import (
     estimate_expected_norm,
     khintchine_bound,
@@ -162,18 +161,15 @@ def test_criterion_2_quadratic_forms():
     graphs = []
 
     inst3 = generate_random_matching_instance(10, 3, 4, 0.25, seed=3)
-    part = Partition(left=(0, 1), right=(2, 3), seed=0)
-    g = pair_partition(assemble_regular_cs(inst3, 1), part.left, part.right)
-    graphs.append(("regular_cs", g, lambda b, x, y: eval_f(inst3, part, b, x), 4))
-
     gfull = assemble_regular_cs(inst3, 1)
     graphs.append(("regular_full", gfull,
                    lambda b, x, y: eval_full_pairs(inst3, b, x), 4))
 
     inst5 = generate_random_matching_instance(12, 5, 3, 0.15, seed=4)
-    part5 = Partition(left=(0, 2), right=(1,), seed=0)
-    g5 = pair_partition(assemble_regular_cs(inst5, 2), part5.left, part5.right)
-    graphs.append(("regular_cs_q5", g5, lambda b, x, y: eval_f(inst5, part5, b, x), 3))
+    g5 = assemble_regular_cs(inst5, 2)
+    assert gfull.D and g5.D  # both pair graphs have labels and edges
+    graphs.append(("regular_full_q5", g5,
+                   lambda b, x, y: eval_full_pairs(inst5, b, x), 3))
 
     for seed in (5, 6, 7):
         piece = generate_random_bipartite_instance(

@@ -18,7 +18,6 @@ from kikuchi.graphs import (
     assemble_basic,
     assemble_bipartite,
     assemble_regular_cs,
-    pair_partition,
 )
 from kikuchi.instances import (
     XorInstance,
@@ -26,7 +25,7 @@ from kikuchi.instances import (
     generate_random_matching_instance,
 )
 from kikuchi.prune import prune, target_degrees
-from kikuchi.refute import Partition, SignedFamily
+from kikuchi.refute import SignedFamily
 from kikuchi.spectral import NormEstimate, sign_rows
 
 
@@ -49,15 +48,19 @@ def _variants():
                        hypergraphs=[[[0, 1, 2, 3]], [[2, 3, 4, 5]]])
     odd = generate_random_matching_instance(9, 3, 2, 0.2, seed=9)
     cs = generate_random_matching_instance(10, 3, 4, 0.2, seed=3)
-    part = Partition(left=(0, 2), right=(1, 3), seed=0)
+    cs5 = assemble_regular_cs(generate_random_matching_instance(8, 5, 3, 0.15, seed=1), 2)
+    tg5 = target_degrees(cs5, 1, 3)
     piece = generate_random_bipartite_instance(8, 3, 2, 3, edges_per=2,
                                                p_size=5, seed=5)
     return {
         "basic_even": _pruned(assemble_basic(even, 2), 1, 2),
         "naive_odd": _pruned(assemble_basic(odd, 2), 2, 2),
         "regular_cs_full": _pruned(assemble_regular_cs(cs, 1), 2, 4),
-        "regular_cs_partition": _pruned(
-            pair_partition(assemble_regular_cs(cs, 1), part.left, part.right), 2, 4),
+        # the q=5 full pair graph; its key keeps these tests' ids from when
+        # it held a partition slice.  Pruning at gamma=8 empties a label of
+        # it, as on the q=5 pair graphs of desk size, so its cap is one no
+        # degree reaches
+        "regular_cs_partition": prune(cs5, 1e9, tg5["d_left"], tg5["d_right"]),
         "bipartite": _pruned(assemble_bipartite(piece, 2), 2, 3),
         "many_signs_duplicates": _many_signs_pruned(),
     }
@@ -274,7 +277,7 @@ def test_regular_l2_exhaustive_rows_solve_once_per_class(monkeypatch):
 def test_group_matrices_match_coo_reference(name):
     pg = VARIANTS[name]
     mats = pg.group_matrices()
-    assert len(mats) == len(pg.group_ids)
+    assert len(mats) == pg.n_groups
     for g, m in enumerate(mats):
         sel = pg.label_group[pg.edge_label] == g
         ref = sp.csr_matrix(
@@ -456,8 +459,8 @@ def _three_components():
     return KikuchiGraph(
         variant="basic_even", left_space=space, right_space=space,
         left=left, right=right, edge_label=label.astype(np.int32),
-        labels=list(range(5)), label_group=np.arange(5, dtype=np.int32),
-        group_ids=list(range(5)), label_sign_factors=[(j,) for j in range(5)],
+        labels=list(range(5)), n_groups=5,
+        label_sign_factors=[(j,) for j in range(5)],
         D=None, symmetric=False)
 
 
@@ -601,8 +604,8 @@ def test_tied_components_are_solved_first(monkeypatch):
     g = KikuchiGraph(
         variant="basic_even", left_space=space, right_space=space,
         left=left, right=right, edge_label=label.astype(np.int32),
-        labels=list(range(3)), label_group=np.arange(3, dtype=np.int32),
-        group_ids=list(range(3)), label_sign_factors=[(j,) for j in range(3)],
+        labels=list(range(3)), n_groups=3,
+        label_sign_factors=[(j,) for j in range(3)],
         D=None, symmetric=False)
     fam = SignedFamily(g)
     assert fam.first == 2 and fam.bounds[0] == fam.bounds[1] > fam.bounds[2]

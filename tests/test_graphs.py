@@ -3,6 +3,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import count_edges_by_scan
 import kikuchi.graphs as graphs
@@ -21,7 +23,6 @@ from kikuchi.graphs import (
     cs_pair_labels,
     lift_assignment,
     matvec,
-    pair_partition,
     quadratic_form,
     reverify_edges,
 )
@@ -39,7 +40,8 @@ from kikuchi.setops import subset_rank
 
 def test_basic_even_examples():
     edges = build_basic_even((0, 1), 4, 1)
-    assert sorted(edges) == [(0, 1), (1, 0)]
+    assert edges.dtype == np.int64 and edges.shape == (2, 2)
+    assert sorted(edges.tolist()) == [[0, 1], [1, 0]]
     assert len(edges) == closed_form_D("basic_even", 4, 1, 2) == 2
     assert len(build_basic_even((0, 1, 2, 3), 8, 2)) == 6
     with pytest.raises(ParityObstruction):
@@ -66,7 +68,7 @@ def test_naive_odd_intersection_sizes():
 def test_regular_cs_example_and_symmetry():
     edges = build_regular_cs((0, 1), (2, 3), 6, 2)
     assert len(edges) == 64 == closed_form_D("regular_cs", 6, 2, 3)
-    es = set(edges)
+    es = set(map(tuple, edges.tolist()))
     assert {(r, l) for l, r in es} == es  # closed under endpoint swap
     assert all(l != r for l, r in es)  # no self-loops
 
@@ -88,9 +90,10 @@ def test_bipartite_label_side_is_the_one_sided_enumerator(p_size):
     for ell in range(5):
         for p in range(p_size):
             others = [u for u in range(p_size) if u != p]
-            want = [(subset_rank(s2, ell), subset_rank(tuple(sorted(s2 + (p,))), ell + 1))
+            want = [[subset_rank(s2, ell), subset_rank(tuple(sorted(s2 + (p,))), ell + 1)]
                     for s2 in combinations(others, ell)]
-            assert graphs._one_sided_edges((p,), p_size, ell, 0, ell + 1) == want
+            edges = graphs._one_sided_edges((p,), p_size, ell, 0, ell + 1)
+            assert edges.shape == (len(want), 2) and edges.tolist() == want
 
 
 def test_bipartite_label_membership():
@@ -158,7 +161,7 @@ def test_counts_against_independent_scan(trial, rng):
         c = sorted(rng.choice(n, size=q - s, replace=False).tolist())
         edges = build_bipartite(c, p, n, ell, ps, s)
         if ell + 1 - s < 0:
-            assert edges == []
+            assert edges.shape == (0, 2)
             return
         cnt1 = count_edges_by_scan(n, ell, c, ell + 1 - s)
         cnt2 = sum(
@@ -196,37 +199,25 @@ def test_pair_graph_budget_is_the_exact_entry_count(monkeypatch):
     monkeypatch.setattr(graphs, "PAIR_GRAPH_ENTRIES", g.n_edges)
     assert assemble_regular_cs(inst, 2).n_edges == g.n_edges
     monkeypatch.setattr(graphs, "PAIR_GRAPH_ENTRIES", g.n_edges - 1)
-    monkeypatch.setattr(graphs, "build_regular_cs", None)  # never reached
+    monkeypatch.setattr(graphs, "_regular_cs_edges", None)  # never reached
     with pytest.raises(ValueError, match=f"{g.n_edges:,} entries.*--ell"):
         assemble_regular_cs(inst, 2)
 
 
-@pytest.mark.parametrize("left_idx,right_idx", [
-    ((0, 2), (1, 3)), ((1,), (0, 2, 3)), ((0, 1, 2, 3), (0, 1, 2, 3)),
-    ((), (0, 1, 2, 3)), ((0, 1, 2, 3), ()),
-])
-def test_pair_partition_slices_the_full_graph(left_idx, right_idx):
-    """The slice holds, in order, exactly the labels of f_{L,R}, each with
-    its D edges from the full graph, grouped by left index over sorted(L)."""
-    inst = generate_random_matching_instance(10, 3, 4, 0.25, seed=3)
-    full = assemble_regular_cs(inst, 1)
-    g = pair_partition(full, left_idx, right_idx)
-    want = cs_pair_labels(inst, left_idx, right_idx)
-    assert g.labels == want
-    assert g.group_ids == sorted(left_idx)
-    assert [g.group_ids[t] for t in g.label_group] == [i for i, *_ in want]
-    assert g.label_sign_factors == [(i, j) for i, j, *_ in want]
-    if left_idx and right_idx:
-        assert want and g.D == full.D and g.verify_label_counts()
-        assert reverify_edges(g)
-    else:
-        assert g.D is None and g.n_edges == 0 and g.n_labels == 0
-    old_index = [full.labels.index(lab) for lab in want]
-    kept = np.isin(full.edge_label, old_index)
-    assert (g.left == full.left[kept]).all()
-    assert (g.right == full.right[kept]).all()
-    assert (np.asarray(old_index, dtype=np.int64)[g.edge_label]
-            == full.edge_label[kept]).all()
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5]), st.integers(8, 20), st.integers(0, 24),
+       st.floats(0.05, 0.35), st.integers(0, 2**32 - 1))
+def test_pair_label_count_is_the_sum_over_vertex_degrees(q, n, k, delta, seed):
+    """One label per ordered pair of distinct constraints through a vertex u:
+    sum_u d_u (d_u - 1), d_u the number of constraints holding u."""
+    inst = generate_random_matching_instance(n, q, k, min(delta, 1 / q), seed)
+    degree = np.zeros(n, dtype=np.int64)
+    for h in inst.hypergraphs:
+        for e in h:
+            degree[list(e)] += 1
+    labels = cs_pair_labels(inst)
+    assert len(labels) == int((degree * (degree - 1)).sum())
+    assert len(set(labels)) == len(labels)
 
 
 def test_naive_odd_assemble_quadratic_form(rng):
@@ -354,7 +345,7 @@ def test_space_cardinality_matches_enumeration():
 
 def _nested_product(ones, twos, card_l2, card_r2):
     """The product of two per-component edge lists, by nested loops."""
-    return [(s1 * card_l2 + s2, t1 * card_r2 + t2)
+    return [[s1 * card_l2 + s2, t1 * card_r2 + t2]
             for s1, t1 in ones for s2, t2 in twos]
 
 
@@ -395,11 +386,11 @@ def test_regular_cs_arrays_match_nested_enumeration(ell):
     for n, inst in _regular_cases():
         card = comb(n, ell)
         per_label = []
-        for (_, _, _, c1, c2) in cs_pair_labels(inst, range(inst.k), range(inst.k)):
-            ones = graphs._one_sided_edges(c1, n, ell, len(c1) // 2, ell)
-            twos = graphs._one_sided_edges(c2, n, ell, len(c2) // 2, ell)
+        for (_, _, _, c1, c2) in cs_pair_labels(inst):
+            ones = graphs._one_sided_edges(c1, n, ell, len(c1) // 2, ell).tolist()
+            twos = graphs._one_sided_edges(c2, n, ell, len(c2) // 2, ell).tolist()
             per_label.append(_nested_product(ones, twos, card, card))
-            assert build_regular_cs(c1, c2, n, ell) == per_label[-1]
+            assert build_regular_cs(c1, c2, n, ell).tolist() == per_label[-1]
         g = assemble_regular_cs(inst, ell)
         _assert_same_graph(g, per_label)
         seen_d.add(g.D)
@@ -425,11 +416,13 @@ def test_bipartite_arrays_match_nested_enumeration(ell):
                     for h in piece.hypergraphs:
                         for c, p in h:
                             ones = graphs._one_sided_edges(
-                                c, n, ell, (len(c) + s - 1) // 2, ell + 1 - s)
-                            twos = graphs._one_sided_edges((p,), p_size, ell, 0, ell + 1)
+                                c, n, ell, (len(c) + s - 1) // 2, ell + 1 - s).tolist()
+                            twos = graphs._one_sided_edges(
+                                (p,), p_size, ell, 0, ell + 1).tolist()
                             per_label.append(_nested_product(
                                 ones, twos, comb(p_size, ell), comb(p_size, ell + 1)))
-                            assert build_bipartite(c, p, n, ell, p_size, s) == per_label[-1]
+                            assert (build_bipartite(c, p, n, ell, p_size, s).tolist()
+                                    == per_label[-1])
                     g = assemble_bipartite(piece, ell)
                     _assert_same_graph(g, per_label)
                     seen_d.add(g.D)

@@ -119,8 +119,8 @@ def _non_dyadic_graph():
         variant="naive_odd", left_space=space, right_space=space,
         left=np.array(left, dtype=np.int64), right=np.array(right, dtype=np.int64),
         edge_label=np.repeat(np.arange(13, dtype=np.int32), 2),
-        labels=list(range(13)), label_group=np.zeros(13, dtype=np.int32),
-        group_ids=[0], label_sign_factors=[(0,)] * 13, D=2, symmetric=False,
+        labels=list(range(13)), n_groups=1,
+        label_sign_factors=[(0,)] * 13, D=2, symmetric=False,
     )
 
 
@@ -257,7 +257,7 @@ def _per_group_reference(graph, gamma, d_left, d_right):
     limit_r = math.floor(Fraction(gamma) * d_right)
     keep_mask = np.ones(graph.n_edges, dtype=bool)
     per_group = []
-    for g in range(len(graph.group_ids)):
+    for g in range(graph.n_groups):
         gmask = graph.group_edge_mask(g)
         lv, lc = np.unique(graph.left[gmask], return_counts=True)
         heavy_left = lv[lc > limit_l]
@@ -266,7 +266,7 @@ def _per_group_reference(graph, gamma, d_left, d_right):
         else:
             rv, rc = np.unique(graph.right[gmask], return_counts=True)
             heavy_right = rv[rc > limit_r]
-        per_group.append({"group": graph.group_ids[g], "heavy_left": len(heavy_left),
+        per_group.append({"group": g, "heavy_left": len(heavy_left),
                           "heavy_right": len(heavy_right)})
         keep_mask[gmask & np.isin(graph.left, heavy_left)] = False
         keep_mask[gmask & np.isin(graph.right, heavy_right)] = False

@@ -7,8 +7,7 @@ import pytest
 
 import kikuchi.refute as refute
 from kikuchi.decompose import Thresholds, compute_thresholds
-from kikuchi.graphs import assemble_regular_cs, cs_pair_labels, pair_partition, \
-    quadratic_form
+from kikuchi.graphs import assemble_regular_cs, cs_pair_labels, quadratic_form
 from kikuchi.instances import (
     EXHAUSTIVE_B_LIMIT,
     BipartiteXorInstance,
@@ -21,9 +20,8 @@ from kikuchi.instances import (
 )
 from kikuchi.refute import (
     FullRefutation,
-    Partition,
     RegularityError,
-    eval_f,
+    eval_full_pairs,
     refute_bipartite,
     refute_full,
     refute_regular,
@@ -39,50 +37,53 @@ def two_edge_instance():
 
 
 def test_cs_pair_labels_shared_vertex():
-    inst = two_edge_instance()
-    labels = cs_pair_labels(inst, [0], [1])
-    assert labels == [(0, 1, 0, (1, 2), (3, 4))]
-
-
-def test_cs_pair_labels_disjoint_and_no_self():
-    inst = XorInstance(n=8, k=2, q=3, delta=1 / 8,
-                       hypergraphs=[[[0, 1, 2]], [[3, 4, 5]]])
-    assert cs_pair_labels(inst, [0], [1]) == []
-    assert cs_pair_labels(two_edge_instance(), [0, 1], [0, 1]) == [
+    # both orders of the one pair (i, j), in the order i = 0, 1
+    assert cs_pair_labels(two_edge_instance()) == [
         (0, 1, 0, (1, 2), (3, 4)),
         (1, 0, 0, (3, 4), (1, 2)),
     ]
 
 
+def test_cs_pair_labels_disjoint_and_no_self():
+    inst = XorInstance(n=8, k=2, q=3, delta=1 / 8,
+                       hypergraphs=[[[0, 1, 2]], [[3, 4, 5]]])
+    assert cs_pair_labels(inst) == []
+    # a constraint never pairs with itself: i == j is skipped
+    one = XorInstance(n=6, k=1, q=3, delta=1 / 6, hypergraphs=[[[0, 1, 2]]])
+    assert cs_pair_labels(one) == []
+
+
 def test_eval_f_hand_example():
+    """F_b of two constraints sharing vertex 0: both orders of the pair give
+    the monomial b_0 b_1 x_1 x_2 x_3 x_4."""
     inst = two_edge_instance()
-    part = Partition(left=(0,), right=(1,), seed=0)
     x = [1, -1, 1, 1, 1, 1]  # x_1 x_2 x_3 x_4 = -1 (0-based 1,2,3,4)
-    assert eval_f(inst, part, [1, 1], x) == -1
-    assert eval_f(inst, part, [1, 1], [1] * 6) == 1
+    assert eval_full_pairs(inst, [1, 1], x) == -2
+    assert eval_full_pairs(inst, [1, -1], x) == 2
+    assert eval_full_pairs(inst, [1, 1], [1] * 6) == 2
 
 
 def test_eval_f_all_ones_is_signed_label_count(rng):
+    """F_b at x = 1 is the sum of b_i b_j over the pair labels."""
     inst = generate_random_matching_instance(10, 3, 4, 0.2, seed=1)
-    part = Partition(left=(0, 1), right=(2, 3), seed=0)
-    labels = cs_pair_labels(inst, part.left, part.right)
+    labels = cs_pair_labels(inst)
+    assert labels
     for _ in range(5):
         b = (1 - 2 * rng.integers(0, 2, size=4)).tolist()
         expect = sum(b[i] * b[j] for (i, j, _, _, _) in labels)
-        assert eval_f(inst, part, b, [1] * 10) == expect
+        assert eval_full_pairs(inst, b, [1] * 10) == expect
 
 
-def test_quadratic_form_matches_eval_f(rng):
+def test_quadratic_form_matches_eval_full_pairs(rng):
+    """z^T A w on the full pair graph is D F_b(x)."""
     inst = generate_random_matching_instance(9, 3, 4, 0.2, seed=3)
-    part = Partition(left=(0, 2), right=(1, 3), seed=0)
-    g = pair_partition(assemble_regular_cs(inst, 1), part.left, part.right)
-    if g.n_labels == 0:
-        pytest.skip("no shared pairs in this draw")
+    g = assemble_regular_cs(inst, 1)
+    assert g.n_labels and g.D
     for _ in range(20):
         b = (1 - 2 * rng.integers(0, 2, size=4)).tolist()
         x = (1 - 2 * rng.integers(0, 2, size=9)).tolist()
         total, _ = quadratic_form(g, b, x)
-        assert total == g.D * eval_f(inst, part, b, x)
+        assert total == g.D * eval_full_pairs(inst, b, x)
 
 
 def test_regular_degenerate_no_shared_pairs():
