@@ -19,8 +19,6 @@ from .graphs import (
     build_bipartite,
     build_naive_odd,
     build_regular_cs,
-    lift_assignment,
-    matvec,
     quadratic_form,
 )
 from .instances import (
@@ -42,7 +40,7 @@ from .refute import (
     refute_full,
     refute_regular,
 )
-from .setops import degree, symmetric_difference
+from .setops import degree
 from .spectral import (
     NormEstimate,
     block_spectral_norms,

@@ -19,7 +19,7 @@ import sys
 import time
 
 from ._version import __version__
-from .decompose import compute_thresholds, decompose, dump_decomposition, \
+from .decompose import decompose, dump_decomposition, instance_thresholds, \
     recombination_check, verify_decomposition
 from .graphs import quadratic_form
 from .instances import (
@@ -115,10 +115,7 @@ def cmd_decompose(args) -> int:
     inst = load_instance(args.inp)
     if not isinstance(inst, XorInstance):
         raise ConfigError("decompose expects a q-uniform instance file")
-    thr = compute_thresholds(
-        inst.n, inst.k, inst.q, inst.measured_delta(), ell_override=args.ell
-    )
-    dec = decompose(inst, thr)
+    dec = decompose(inst, instance_thresholds(inst, args.ell))
     report = verify_decomposition(dec)
     if not report["ok"]:
         for v in report["violations"]:
@@ -185,12 +182,10 @@ def cmd_build(args) -> int:
         g = assemble_bipartite(inst, args.ell)
     elif args.variant == "regular_cs":
         g = assemble_regular_cs(inst, args.ell)
-    elif args.variant in ("basic_even", "naive_odd"):
-        g = assemble_basic(inst, args.ell, variant=args.variant)
     elif args.variant == "auto":
         g = assemble_basic(inst, args.ell)
     else:
-        raise ConfigError(f"unknown variant {args.variant}")
+        g = assemble_basic(inst, args.ell, variant=args.variant)
     dump_graph(g, args.out)
     print(
         f"wrote {args.out}: variant={g.variant} labels={g.n_labels} "
@@ -461,9 +456,6 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

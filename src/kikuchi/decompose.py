@@ -12,7 +12,6 @@ heaviness comparisons are done exactly via d_t^2 = k^2 l^(2t-3) / n^(2t-3)
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,19 +67,6 @@ class Thresholds:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Thresholds":
-        d_sq = {int(t): Fraction(num, den) for t, (num, den) in d["d_sq"].items()}
-        return cls(
-            ell=d["ell"],
-            n=d["n"],
-            k=d["k"],
-            q=d["q"],
-            d_sq=d_sq,
-            k_ge_4ell=d["k_ge_4ell"],
-            d_min_ge_1=d["d_min_ge_1"],
-        )
-
-    @classmethod
     def exact(cls, ell: int, n: int, k: int, q: int, d_values: dict) -> "Thresholds":
         """Thresholds from explicitly given rational d_t values (tests, overrides)."""
         d_sq = {t: Fraction(v) ** 2 for t, v in d_values.items()}
@@ -134,6 +120,13 @@ def compute_thresholds(
     )
 
 
+def instance_thresholds(inst: XorInstance, ell: int | None = None) -> Thresholds:
+    """``compute_thresholds`` at the instance's measured delta, max_i |H_i| / n,
+    or at 1/n when it has no edge, since the formula needs delta > 0."""
+    delta = inst.measured_delta() if inst.total_edges else Fraction(1, inst.n)
+    return compute_thresholds(inst.n, inst.k, inst.q, delta, ell_override=ell)
+
+
 @dataclass(frozen=True)
 class DecomposedInstance:
     """Leftover matchings plus one bipartite piece per promoted set size."""
@@ -141,11 +134,8 @@ class DecomposedInstance:
     original: XorInstance
     leftover: XorInstance
     pieces: dict  # s -> BipartiteXorInstance (only s with a nonempty registry)
-    provenance: tuple  # per (i, pos): ("leftover",) or ("piece", s, label index)
+    provenance: tuple  # sorted ((i, pos), ("leftover",) or ("piece", s, label index))
     thresholds: Thresholds
-
-    def registries(self) -> dict:
-        return {s: piece.registry for s, piece in self.pieces.items()}
 
     def to_dict(self) -> dict:
         return {
@@ -156,21 +146,9 @@ class DecomposedInstance:
                 str(s): [[v + 1 for v in p] for p in piece.registry]
                 for s, piece in self.pieces.items()
             },
-            "provenance": [
-                [i, pos, list(dest)]
-                for (i, pos), dest in sorted(
-                    (key, dest)
-                    for key, dest in self.provenance_map().items()
-                )
-            ],
+            "provenance": [[i, pos, list(dest)] for (i, pos), dest in self.provenance],
             "thresholds": self.thresholds.to_dict(),
         }
-
-    def provenance_map(self) -> dict:
-        out = {}
-        for (i, pos), dest in self.provenance:
-            out[(i, pos)] = dest
-        return out
 
 
 def decompose(inst: XorInstance, thr: Thresholds) -> DecomposedInstance:
@@ -370,19 +348,3 @@ def dump_decomposition(dec: DecomposedInstance, path, extra: dict | None = None)
     if extra:
         d.update(extra)
     dump_json(d, path)
-
-
-def load_decomposition(path) -> DecomposedInstance:
-    with open(path) as fh:
-        d = json.load(fh)
-    original = XorInstance.from_dict(d["instance"])
-    leftover = XorInstance.from_dict(d["leftover"])
-    pieces = {int(s): BipartiteXorInstance.from_dict(p) for s, p in d["pieces"].items()}
-    thr = Thresholds.from_dict(d["thresholds"])
-    prov = tuple(
-        ((i, pos), tuple(dest)) for i, pos, dest in d["provenance"]
-    )
-    return DecomposedInstance(
-        original=original, leftover=leftover, pieces=pieces,
-        provenance=prov, thresholds=thr,
-    )

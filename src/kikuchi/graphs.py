@@ -67,12 +67,6 @@ class VertexSpace:
             n *= c.cardinality
         return n
 
-    def rank(self, subsets) -> int:
-        r = 0
-        for c, s in zip(self.components, subsets):
-            r = r * c.cardinality + subset_rank(tuple(sorted(s)), c.size)
-        return r
-
     def unrank(self, rank: int):
         from .setops import subset_unrank
 
@@ -446,18 +440,26 @@ def cs_pair_labels(inst: XorInstance):
 def assemble_regular_cs(inst: XorInstance, ell: int) -> KikuchiGraph:
     """Graph of the derived even pairs over all ordered i != j, which is the
     full pair polynomial F_b; group = the left index i of a label.
-    ValueError, before any edge is built, when the graph would hold more
-    than PAIR_GRAPH_ENTRIES entries."""
+
+    ValueError, before any label is built, when the graph would hold more
+    than PAIR_GRAPH_ENTRIES entries.  Every H_i is a matching, so the labels
+    number sum_u d_u (d_u - 1), d_u the count of constraints holding u, and
+    each label owns ``closed_form_D`` entries."""
     n = inst.n
+    degree = np.bincount([u for h in inst.hypergraphs for e in h for u in e],
+                         minlength=n)
+    n_labels = int((degree * (degree - 1)).sum())
+    entries = n_labels * closed_form_D("regular_cs", n, ell, inst.q)
+    if entries > PAIR_GRAPH_ENTRIES:
+        advice = ("pass a smaller --ell" if ell > (inst.q - 1) // 2 else
+                  "the explicit regular route cannot hold this instance")
+        raise ValueError(
+            f"the regular pair graph at ell={ell} would hold {entries:,} entries, "
+            f"above the budget of {PAIR_GRAPH_ENTRIES:,}; {advice}")
     space = VertexSpace(
         (SpaceComponent("main", n, ell), SpaceComponent("main", n, ell))
     )
     labels = cs_pair_labels(inst)
-    entries = len(labels) * closed_form_D("regular_cs", n, ell, inst.q)
-    if entries > PAIR_GRAPH_ENTRIES:
-        raise ValueError(
-            f"the regular pair graph at ell={ell} would hold {entries:,} entries, "
-            f"above the budget of {PAIR_GRAPH_ENTRIES:,}; pass a smaller --ell")
     memo = {}
     per_label = [_regular_cs_edges(c1, c2, n, ell, memo) for _, _, _, c1, c2 in labels]
     return _make_graph("regular_cs", space, space, per_label, labels,
@@ -483,16 +485,6 @@ def assemble_bipartite(piece: BipartiteXorInstance, ell: int) -> KikuchiGraph:
                        [(i,) for i, *_ in labels], piece.k, symmetric=False)
 
 
-def lift_assignment(space: VertexSpace, subsets, x, y=None) -> int:
-    """Product of assignment entries over one vertex's subsets."""
-    v = 1
-    for comp, sub in zip(space.components, subsets):
-        vals = x if comp.kind == "main" else y
-        for u in sub:
-            v *= int(vals[u])
-    return v
-
-
 def quadratic_form(graph: KikuchiGraph, b, x, y=None):
     """z^T A w as an exact integer, plus the per-label breakdown.
 
@@ -506,20 +498,6 @@ def quadratic_form(graph: KikuchiGraph, b, x, y=None):
     per_label = np.zeros(graph.n_labels, dtype=np.int64)
     np.add.at(per_label, graph.edge_label, contrib)
     return int(per_label.sum()), per_label
-
-
-def matvec(graph: KikuchiGraph, label_signs, vec, side: str = "right"):
-    """A @ v for a right-space vector, or A^T @ v for a left-space one."""
-    nl, nr = graph.shape
-    vec = np.asarray(vec, dtype=np.float64)
-    A = graph.to_csr(label_signs)
-    if side == "right":
-        if len(vec) != nr:
-            raise ValueError("vector length must match the right space")
-        return A @ vec
-    if len(vec) != nl:
-        raise ValueError("vector length must match the left space")
-    return A.T @ vec
 
 
 def reverify_edges(graph: KikuchiGraph) -> bool:

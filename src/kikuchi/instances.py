@@ -205,9 +205,6 @@ class BipartiteXorInstance:
     def total_edges(self) -> int:
         return sum(self.edge_counts)
 
-    def measured_delta(self) -> Fraction:
-        return Fraction(max(self.edge_counts, default=0), self.n)
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -305,14 +302,14 @@ def _oracle_vars(inst, limit: int) -> int:
 
 
 def _chi(a, b) -> np.ndarray:
-    """(-1)^{popcount(a_i & b_j)} as a float64 (len(a), len(b)) table."""
+    """(-1)^(bit count of a_i & b_j) as a float64 (len(a), len(b)) table."""
     return 1.0 - 2.0 * (np.bitwise_count(a[:, None] & b[None, :]) & 1)
 
 
 def _scan(masks, coeff, nv: int):
     """Max, first argmax and min of ``coeff[r] . chi(a)`` over a in [0, 2^nv).
 
-    ``chi(a)[c] = (-1)^popcount(a & masks[c])``, so mask bits at or above
+    ``chi(a)[c] = (-1)^(bit count of a & masks[c])``, so mask bits at or above
     nv play no part.  With a = (hi << t) | lo,
     every character factors as chi_C(a) = chi_{C_hi}(hi) chi_{C_lo}(lo), so
     the values of a block of (hi, row) pairs are one float64 GEMM,
@@ -541,11 +538,6 @@ class PlantedCode:
             "k": self.k,
             "columns": [[i + 1 for i in range(self.k) if (c >> i) & 1] for c in self.columns],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlantedCode":
-        cols = tuple(sum(1 << (i - 1) for i in col) for col in d["columns"])
-        return cls(n=d["n"], k=d["k"], columns=cols)
 
 
 def generate_planted_linear_instance(

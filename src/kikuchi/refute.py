@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -51,9 +50,9 @@ from ._version import __version__ as _version
 from .decompose import (
     DecomposedInstance,
     Thresholds,
-    compute_thresholds,
     decompose,
     heavy_sets,
+    instance_thresholds,
 )
 from .graphs import (
     KikuchiGraph,
@@ -360,10 +359,7 @@ def refute_regular(
         raise ValueError("regular refutation requires odd q >= 3")
     _check_trials(trials)
     if thresholds is None:
-        thresholds = compute_thresholds(
-            n, k, q, inst.measured_delta() if inst.total_edges else Fraction(1, n),
-            ell_override=ell,
-        )
+        thresholds = instance_thresholds(inst, ell)
     ell = thresholds.ell if ell is None else ell
     check_regularity(inst, thresholds)
 
@@ -596,8 +592,7 @@ def refute_full(
     _check_positive("epsilon", epsilon)
     _check_positive("gamma", gamma)
     _check_trials(trials)
-    delta_meas = inst.measured_delta() if inst.total_edges else Fraction(1, inst.n)
-    thr = compute_thresholds(inst.n, inst.k, inst.q, delta_meas, ell_override=ell)
+    thr = instance_thresholds(inst, ell)
     dec = decompose(inst, thr)
     regular = refute_regular(
         dec.leftover, thr.ell, gamma=gamma, trials=trials, seed=seed,

@@ -35,15 +35,6 @@ def verts_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
-def symmetric_difference(s, t) -> tuple[int, ...]:
-    """Elements in exactly one of the two vertex sets, sorted."""
-    return verts_of(mask_of(s) ^ mask_of(t))
-
-
 def degree(edges, q_set) -> int:
     """Number of hyperedges (with multiplicity) containing the given set."""
     qm = mask_of(q_set)

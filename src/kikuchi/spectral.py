@@ -36,9 +36,12 @@ whose first-step bound could.
 The Matrix-Khintchine variance sigma^2 needs no iteration over signs: the
 group matrices are sign-free, so both Gram matrices are built explicitly,
 split into connected components, and bounded per component by
-Collatz-Wielandt at the Perron vector (batched dense eigh for small
-components, power iteration for large ones).  That value is a rigorous
-upper bound and equal to the exact one up to rounding.
+Collatz-Wielandt.  Components up to DENSE_COMPONENT_MAX vertices start at
+the Perron vector of a batched dense eigh; larger ones run together from
+the all-ones vector through ``_cw_from_ones``, the runner that the norm
+screen's ``refine`` uses, which works row by row, so a component gets the
+same bits alone or in a batch.  That value is a rigorous upper bound and
+equal to the exact one up to rounding.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ EXHAUSTIVE_SIGN_LIMIT = 12  # enumerate all 2^k sign vectors up to here
 _LANCZOS_MAX_STEPS = 300
 _RITZ_EVERY = 4  # Lanczos steps between eigensolves of T
 _BREAKDOWN = 1e-12  # beta below this share of |G q| ends the recurrence
-DENSE_COMPONENT_MAX = 32  # larger Gram components use power iteration
+DENSE_COMPONENT_MAX = 32  # larger Gram components run power steps from ones
 _DENSE_BATCH_ENTRIES = 1 << 16  # float64 entries per batched eigh call
 _CW_TOL = 1e-13  # relative gap between Collatz-Wielandt and Rayleigh to stop
 _SCREEN_TOL = 1e-3  # that gap for the norm screen: its bounds only pick what is solved
@@ -319,12 +322,30 @@ def _perron_dense(blocks) -> np.ndarray:
     return np.minimum(cw, blocks.sum(axis=2).max(axis=1))
 
 
-def _perron_power(B) -> float:
-    """Collatz-Wielandt bound of one sparse nonnegative symmetric block
-    with a positive diagonal, by power iteration from the all-ones vector;
-    the iterates of such a matrix stay strictly positive."""
-    n = B.shape[0]
-    return float(_collatz_wielandt(lambda live, w: B @ w, np.ones(n), [n])[0])
+def _cw_from_ones(S, verts, sizes, tol: float) -> np.ndarray:
+    """Collatz-Wielandt bound of each diagonal block of S on the vertices
+    ``verts``, grouped by block with ``sizes`` vertices each, by
+    ``_collatz_wielandt`` power steps from the all-ones vector on those Gram
+    rows alone.  S is nonnegative and symmetric, and every vertex in
+    ``verts`` has a positive diagonal entry, so the iterates stay strictly
+    positive.  A settled block enters each product as zero entries; a live
+    row sums only its own block's entries, in S's order, so a block's bound
+    has the same bits whichever blocks run beside it."""
+    rows = S[verts]
+    local = np.full(S.shape[0], -1, dtype=np.int64)
+    local[verts] = np.arange(len(verts))
+    R = sp.csr_matrix((rows.data, local[rows.indices], rows.indptr),
+                      shape=(len(verts), len(verts)))
+
+    def mul(live, w):
+        at = np.zeros(len(sizes), dtype=bool)
+        at[live] = True
+        at = np.repeat(at, sizes)
+        full = np.zeros(len(verts))
+        full[at] = w
+        return (R @ full)[at]
+
+    return _collatz_wielandt(mul, np.ones(len(verts)), sizes, tol=tol)
 
 
 def _top_eig_bound(S) -> float:
@@ -335,7 +356,8 @@ def _top_eig_bound(S) -> float:
 
     Maximum over connected components: a single vertex gives its diagonal
     entry, components up to DENSE_COMPONENT_MAX vertices are batched by
-    size into dense eigh calls, larger ones run ``_perron_power``.
+    size into dense eigh calls, larger ones all go to one ``_cw_from_ones``
+    run.
     """
     # a row holding only its diagonal entry is a component of its own
     alone = np.diff(S.indptr) <= 1
@@ -352,18 +374,15 @@ def _top_eig_bound(S) -> float:
     by_size = size_of[order]
     run_comp = comp[order]
     first = np.flatnonzero(np.r_[True, run_comp[1:] != run_comp[:-1]])
+    big = int(np.searchsorted(by_size, DENSE_COMPONENT_MAX + 1))
+    if big < len(order):
+        cw = _cw_from_ones(S, order[big:], by_size[first[first >= big]], _CW_TOL)
+        best = max(best, float(cw.max()))
     pos = np.empty_like(order)
     pos[order] = np.arange(len(order)) - np.repeat(first, by_size[first])
     P = S[order]
-    for s in np.unique(by_size).tolist():
+    for s in np.unique(by_size[:big]).tolist():
         lo, hi = np.searchsorted(by_size, [s, s + 1])
-        if s > DENSE_COMPONENT_MAX:
-            for a in range(lo, hi, s):
-                blk = P[a:a + s]
-                B = sp.csr_matrix((blk.data, pos[blk.indices], blk.indptr),
-                                  shape=(s, s))
-                best = max(best, _perron_power(B))
-            continue
         step = s * max(1, _DENSE_BATCH_ENTRIES // (s * s))
         for a in range(lo, hi, step):
             b = min(a + step, hi)
@@ -421,11 +440,11 @@ class ComponentBounds:
     row sum (the first Collatz-Wielandt step), and ``lower``, the square
     root of |y|^2 / 1^T y over the component (the Rayleigh quotient of S at
     S^(1/2) 1), is a lower bound on its norm.  ``refine(mask)`` runs the
-    power steps from the all-ones vector on the Gram rows of the masked
-    components alone, until each bound meets its Rayleigh quotient to
-    _SCREEN_TOL.  A refined bound is never above the first-step bound, and
-    the steps are row-wise, so a component's refined bound has the same bits
-    whichever components are refined beside it.  A lone component, whose
+    power steps from the all-ones vector (``_cw_from_ones``) on the Gram
+    rows of the masked components alone, until each bound meets its Rayleigh
+    quotient to _SCREEN_TOL.  A refined bound is never above the first-step
+    bound, and the steps are row-wise, so a component's refined bound has the
+    same bits whichever components are refined beside it.  A lone component, whose
     bound could never skip anything, gets +inf, counts as refined, and no
     Gram matrix is formed.
 
@@ -470,24 +489,8 @@ class ComponentBounds:
         todo = mask & ~self.refined
         if not todo.any():
             return 0
-        sizes = self._sizes[todo]
         verts = self._order[np.repeat(todo, self._sizes)]
-        # their Gram rows, entries in order, on columns renumbered to verts
-        rows = self._S[verts]
-        local = np.full(self._S.shape[0], -1, dtype=np.int64)
-        local[verts] = np.arange(len(verts))
-        R = sp.csr_matrix((rows.data, local[rows.indices], rows.indptr),
-                          shape=(len(verts), len(verts)))
-
-        def mul(live, w):
-            at = np.zeros(len(sizes), dtype=bool)
-            at[live] = True
-            at = np.repeat(at, sizes)
-            full = np.zeros(len(verts))  # settled components: zero entries
-            full[at] = w
-            return (R @ full)[at]
-
-        cw = _collatz_wielandt(mul, np.ones(len(verts)), sizes, tol=_SCREEN_TOL)
+        cw = _cw_from_ones(self._S, verts, self._sizes[todo], _SCREEN_TOL)
         self.bounds[todo] = np.sqrt(cw * self._margin)
         self.refined[todo] = True
         return int(todo.sum())

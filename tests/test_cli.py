@@ -73,6 +73,20 @@ def test_decompose_roundtrip(tmp_path):
     assert "leftover" in d and "registries" in d and "provenance" in d
 
 
+def test_decompose_edgeless_instance_matches_refute_thresholds(tmp_path):
+    """An instance with no edge has measured delta 0; decompose, like
+    refute, then takes delta = 1/n and writes the certificate's thresholds."""
+    inst = tmp_path / "inst.json"
+    dec = tmp_path / "dec.json"
+    cert = tmp_path / "cert.json"
+    run_cli("gen", "--n", "12", "--q", "3", "--k", "2", "--delta", "0.01",
+            "--out", str(inst))
+    assert read_json(inst)["hypergraphs"] == [[], []]
+    assert run_cli("decompose", "--in", str(inst), "--out", str(dec)) == 0
+    assert run_cli("refute", "--in", str(inst), "--out", str(cert)) == 0
+    assert read_json(dec)["thresholds"] == read_json(cert)["thresholds"]
+
+
 def test_refute_and_verify(tmp_path):
     inst = tmp_path / "inst.json"
     cert = tmp_path / "cert.json"

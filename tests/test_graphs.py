@@ -21,8 +21,6 @@ from kikuchi.graphs import (
     build_regular_cs,
     closed_form_D,
     cs_pair_labels,
-    lift_assignment,
-    matvec,
     quadratic_form,
     reverify_edges,
 )
@@ -199,9 +197,29 @@ def test_pair_graph_budget_is_the_exact_entry_count(monkeypatch):
     monkeypatch.setattr(graphs, "PAIR_GRAPH_ENTRIES", g.n_edges)
     assert assemble_regular_cs(inst, 2).n_edges == g.n_edges
     monkeypatch.setattr(graphs, "PAIR_GRAPH_ENTRIES", g.n_edges - 1)
-    monkeypatch.setattr(graphs, "_regular_cs_edges", None)  # never reached
+    # never reached: the count comes from the vertex degrees
+    monkeypatch.setattr(graphs, "cs_pair_labels", None)
+    monkeypatch.setattr(graphs, "_regular_cs_edges", None)
     with pytest.raises(ValueError, match=f"{g.n_edges:,} entries.*--ell"):
         assemble_regular_cs(inst, 2)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_pair_graph_refusal_asks_for_a_smaller_ell_only_above_the_smallest(
+        monkeypatch, q):
+    """Above ell = (q-1)/2 the refusal asks for a smaller --ell; at that ell,
+    the smallest the route accepts, it says the route cannot hold the
+    instance."""
+    inst = generate_random_matching_instance(12, q, 6, 0.15, seed=5)
+    monkeypatch.setattr(graphs, "PAIR_GRAPH_ENTRIES", 0)
+    smallest = (q - 1) // 2
+    with pytest.raises(ValueError, match="pass a smaller --ell$"):
+        assemble_regular_cs(inst, smallest + 1)
+    with pytest.raises(ValueError) as info:
+        assemble_regular_cs(inst, smallest)
+    assert str(info.value).endswith(
+        "the explicit regular route cannot hold this instance")
+    assert "--ell" not in str(info.value)
 
 
 @settings(max_examples=60, deadline=None)
@@ -275,16 +293,6 @@ def test_bipartite_quadratic_form(rng):
         assert total == g.D * eval_psi_bipartite(piece, b, x, y)
 
 
-def test_lift_assignment():
-    space = VertexSpace(
-        (SpaceComponent("main", 4, 1), SpaceComponent("main", 4, 1))
-    )
-    assert lift_assignment(space, ((0,), (1,)), [-1, -1, 1, 1]) == 1
-    assert lift_assignment(space, ((0,), (2,)), [-1, -1, 1, 1]) == -1
-    x = [1] * 4
-    assert lift_assignment(space, ((2,), (3,)), x) == 1
-
-
 def test_lift_vector_square_is_one(rng):
     space = VertexSpace(
         (SpaceComponent("main", 6, 2), SpaceComponent("labels", 4, 1))
@@ -294,34 +302,6 @@ def test_lift_vector_square_is_one(rng):
     lv = space.lift_vector(x, y)
     assert len(lv) == comb(6, 2) * 4
     assert (lv.astype(int) ** 2 == 1).all()
-
-
-def test_matvec_against_dense(rng):
-    inst = generate_random_matching_instance(8, 3, 2, 0.25, seed=9)
-    g = assemble_regular_cs(inst, 1)
-    signs = g.signs_for([1, -1])
-    dense = g.to_dense(signs)
-    v = rng.standard_normal(g.shape[1])
-    assert np.allclose(matvec(g, signs, v, side="right"), dense @ v)
-    u = rng.standard_normal(g.shape[0])
-    assert np.allclose(matvec(g, signs, u, side="left"), dense.T @ u)
-    # linearity
-    w = rng.standard_normal(g.shape[1])
-    assert np.allclose(
-        matvec(g, signs, v + w, side="right"),
-        matvec(g, signs, v, side="right") + matvec(g, signs, w, side="right"),
-    )
-
-
-def test_matvec_indicator_recovers_column(rng):
-    inst = generate_random_matching_instance(8, 3, 2, 0.25, seed=10)
-    g = assemble_regular_cs(inst, 1)
-    signs = g.signs_for([1, 1])
-    dense = g.to_dense(signs)
-    j = int(rng.integers(0, g.shape[1]))
-    e = np.zeros(g.shape[1])
-    e[j] = 1.0
-    assert np.allclose(matvec(g, signs, e, side="right"), dense[:, j])
 
 
 def test_to_csr_matches_dense():
@@ -336,11 +316,11 @@ def test_space_cardinality_matches_enumeration():
         (SpaceComponent("main", 9, 3), SpaceComponent("labels", 5, 2))
     )
     assert space.cardinality == comb(9, 3) * comb(5, 2)
-    seen = set()
-    for s1 in combinations(range(9), 3):
-        for s2 in combinations(range(5), 2):
-            seen.add(space.rank((s1, s2)))
-    assert seen == set(range(space.cardinality))
+    # unrank is a bijection from the ranks onto the product of subsets
+    seen = [space.unrank(r) for r in range(space.cardinality)]
+    assert set(seen) == {(s1, s2) for s1 in combinations(range(9), 3)
+                         for s2 in combinations(range(5), 2)}
+    assert len(set(seen)) == space.cardinality
 
 
 def _nested_product(ones, twos, card_l2, card_r2):

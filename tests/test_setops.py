@@ -9,24 +9,10 @@ from kikuchi.setops import (
     mask_of,
     subset_rank,
     subset_unrank,
-    symmetric_difference,
     verts_of,
 )
 
 sets = st.sets(st.integers(0, 30), max_size=8)
-
-
-def test_symmetric_difference_examples():
-    assert symmetric_difference([0, 1], [1, 2]) == (0, 2)
-    assert symmetric_difference([0, 1], [0, 1]) == ()
-    assert symmetric_difference([0, 1, 2], []) == (0, 1, 2)
-
-
-@given(sets, sets)
-def test_symdiff_size_identity(s, t):
-    sd = symmetric_difference(s, t)
-    assert len(sd) == len(s) + len(t) - 2 * len(s & t)
-    assert set(sd) == s ^ t
 
 
 def test_degree_counts_with_multiplicity():

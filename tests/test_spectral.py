@@ -354,9 +354,11 @@ def test_collatz_wielandt_is_upper_bound_at_every_stop(rng):
 def test_sigma_large_component_power_fallback(rng, monkeypatch):
     # a connected Gram block well above the dense cap runs power iteration
     calls = []
-    power = spectral._perron_power
-    monkeypatch.setattr(spectral, "_perron_power",
-                        lambda B: calls.append(B.shape) or power(B))
+    runner = spectral._cw_from_ones
+    monkeypatch.setattr(spectral, "_cw_from_ones",
+                        lambda S, verts, sizes, tol:
+                        calls.extend(np.asarray(sizes).tolist())
+                        or runner(S, verts, sizes, tol))
     m, n = DENSE_COMPONENT_MAX + 64, DENSE_COMPONENT_MAX + 40
     chain = sp.csr_matrix(
         (np.ones(2 * m - 1),
@@ -371,7 +373,36 @@ def test_sigma_large_component_power_fallback(rng, monkeypatch):
     assert sig["col_norm"] >= want_cols
     assert sig["row_norm"] <= want_rows * (1 + 1e-12)
     assert sig["col_norm"] <= want_cols * (1 + 1e-12)
-    assert calls and all(size > DENSE_COMPONENT_MAX for size, _ in calls)
+    assert calls and all(size > DENSE_COMPONENT_MAX for size in calls)
+
+
+def test_top_eig_bound_of_large_components_matches_each_alone(rng):
+    """Components above the dense cap run together in one Collatz-Wielandt
+    batch, row by row, so the union's bound is, bit for bit, the largest of
+    the bounds each block gets alone.  Scaling one block by 2^20, which is
+    exact and scales its bound exactly, makes each block the largest in
+    turn."""
+    for _ in range(6):
+        blocks = []
+        for _ in range(int(rng.integers(2, 5))):
+            m = int(rng.integers(DENSE_COMPONENT_MAX + 1, 3 * DENSE_COMPONENT_MAX))
+            n = int(rng.integers(DENSE_COMPONENT_MAX + 1, 3 * DENSE_COMPONENT_MAX))
+            # a path through every row keeps the Gram block connected
+            path = sp.csr_matrix((np.ones(2 * m - 1),
+                                  (np.r_[np.arange(m), np.arange(1, m)],
+                                   np.r_[np.arange(m), np.arange(m - 1)] % n)),
+                                 shape=(m, n))
+            X = path + _random_counting(rng, m, n, int(rng.integers(m, 4 * m)))
+            S = sp.csr_matrix(X @ X.T)
+            S.sort_indices()
+            blocks.append(S)
+        alone = [spectral._top_eig_bound(S) for S in blocks]
+        for top in [None, *range(len(blocks))]:
+            scale = [2.0**20 if t == top else 1.0 for t in range(len(blocks))]
+            union = sp.block_diag([c * S for c, S in zip(scale, blocks)], format="csr")
+            union.sort_indices()
+            assert spectral._top_eig_bound(union) == max(
+                c * a for c, a in zip(scale, alone))
 
 
 def test_khintchine_bound_values():
