@@ -47,7 +47,8 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 THREADS_HELP = ("worker threads (>= 1) that split the blocks of sign columns "
-                "of each norm average; default KIKUCHI_THREADS or 1")
+                "of each norm average and of the per-b soundness bounds; "
+                "default KIKUCHI_THREADS or 1")
 
 
 class ConfigError(ValueError):
@@ -215,11 +216,9 @@ def cmd_oracle(args) -> int:
     except OracleLimitExceeded as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    text = json.dumps(out, indent=1, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+        dump_json(out, args.out)
+    print(json.dumps(out, indent=1, sort_keys=True))
     return EXIT_OK
 
 

@@ -30,12 +30,19 @@ class Thresholds:
     k: int
     q: int
     d_sq: dict  # t -> Fraction, the exact square of d_t
-    k_ge_4ell: bool
-    d_min_ge_1: bool
 
     @property
     def t_range(self):
         return range(2, (self.q + 1) // 2 + 1)
+
+    @property
+    def k_ge_4ell(self) -> bool:
+        return self.k >= 4 * self.ell
+
+    @property
+    def d_min_ge_1(self) -> bool:
+        """d_t >= 1 at the largest t, (q+1)/2 (true when d_sq leaves it out)."""
+        return self.d_sq.get((self.q + 1) // 2, Fraction(1)) >= 1
 
     def d_float(self, t: int) -> float:
         return math.sqrt(float(self.d_sq[t]))
@@ -70,16 +77,7 @@ class Thresholds:
     def exact(cls, ell: int, n: int, k: int, q: int, d_values: dict) -> "Thresholds":
         """Thresholds from explicitly given rational d_t values (tests, overrides)."""
         d_sq = {t: Fraction(v) ** 2 for t, v in d_values.items()}
-        tmax = (q + 1) // 2
-        return cls(
-            ell=ell,
-            n=n,
-            k=k,
-            q=q,
-            d_sq=d_sq,
-            k_ge_4ell=k >= 4 * ell,
-            d_min_ge_1=d_sq.get(tmax, Fraction(1)) >= 1,
-        )
+        return cls(ell=ell, n=n, k=k, q=q, d_sq=d_sq)
 
 
 def compute_thresholds(
@@ -108,16 +106,7 @@ def compute_thresholds(
         t: Fraction(k * k * ell ** (2 * t - 3), n ** (2 * t - 3))
         for t in range(2, (q + 1) // 2 + 1)
     }
-    tmax = (q + 1) // 2
-    return Thresholds(
-        ell=ell,
-        n=n,
-        k=k,
-        q=q,
-        d_sq=d_sq,
-        k_ge_4ell=k >= 4 * ell,
-        d_min_ge_1=d_sq[tmax] >= 1,
-    )
+    return Thresholds(ell=ell, n=n, k=k, q=q, d_sq=d_sq)
 
 
 def instance_thresholds(inst: XorInstance, ell: int | None = None) -> Thresholds:

@@ -45,6 +45,7 @@ import numpy as np
 from .setops import mask_of
 
 EXHAUSTIVE_LIMIT = 24  # max total +-1 variables for the exact oracle
+INDEX_BITS = 63  # variables an int64 assignment index can hold
 EXHAUSTIVE_B_LIMIT = 16  # expected_val enumerates all 2^k signs up to here
 LOW_BITS = 14  # assignment bits in the oracle's low character table
 BLOCK_ENTRIES = 1 << 20  # float64 values per oracle GEMM block
@@ -394,10 +395,11 @@ def brute_force_val(inst, b, limit: int = EXHAUSTIVE_LIMIT):
 
     Returns (value, argmax x, argmax y or None).  Bit v of the assignment
     index set means variable v is -1; the argmax is the lowest maximising
-    index.  Refuses when the joint variable count exceeds ``limit``.
+    index.  Refuses when the joint variable count exceeds ``limit`` or
+    INDEX_BITS, whichever is smaller.
     """
     b = _check_signs(b, inst.k)
-    nv = _oracle_vars(inst, limit)
+    nv = _oracle_vars(inst, min(limit, INDEX_BITS))
     owner, masks = _constraint_masks(inst)
     top, arg, _ = _scan(masks, np.asarray(b, dtype=np.int8)[None, owner], nv)
     best_val, best_idx = int(top[0]), int(arg[0])

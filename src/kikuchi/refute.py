@@ -33,7 +33,8 @@ label-sign class on the support component of largest norm bound first and
 then only on the components whose bound lies above the norm found, in
 blocks of sign columns handed to one batched Lanczos recurrence each.
 Per-b bounds are asked the same way: each refutation's ``bounds(rows)``
-takes a (c, k) array of sign rows and makes one ``norms`` call per family.
+takes a (c, k) array of sign rows and makes one ``norms`` call per family,
+at the seed and thread count the family was built with.
 
 Everything is deterministic under the master seed, whatever the block size
 or thread count.
@@ -144,9 +145,11 @@ class SignedFamily:
     never does.  So certificates are those of refining every P_C up front.
     """
 
-    def __init__(self, graph: PrunedGraph):
-        self.graph = graph
-        self.nnz = graph.n_edges
+    def __init__(self, graph: PrunedGraph, seed: int = 0, threads: int = 1):
+        self.graph, self.seed, self.threads = graph, seed, threads
+        nl, nr = graph.shape
+        # sqrt(N_L N_R) / D', None on a graph without a label degree
+        self.ratio = math.sqrt(float(nl) * float(nr)) / graph.D if graph.D else None
         # built once here, not racing in worker threads
         _, indices, indptr = graph._structure()
         self._row_entries = np.diff(indptr)
@@ -166,13 +169,13 @@ class SignedFamily:
         self.first = int(np.count_nonzero(self.bounds == self.bounds[:1]))
         self._norm_cache: dict[bytes, float] = {}
 
-    def norms(self, rows, seed: int = 0, threads: int = 1) -> np.ndarray:
+    def norms(self, rows) -> np.ndarray:
         """Certificate-side norms for a (c, k) array of sign rows: each
         Lanczos estimate, a Ritz value from below, inflated by its residual
         (a relative error bound on the squared norm), so an unconverged
         solve loosens bounds instead of undercutting them."""
         signs = self.graph.signs_for(rows)
-        if self.nnz == 0:
+        if self.graph.n_edges == 0:
             return np.zeros(len(signs))
         # one key per +- class, the labels whose sign differs from the first
         # label's packed to bits; the first row of a class is the one solved
@@ -183,7 +186,7 @@ class SignedFamily:
                 todo.setdefault(key, i)
         if todo:
             signs = signs[list(todo.values())]  # rebinding frees the full array
-            lower, value = self._phase(signs, 0, self.first, seed, threads)
+            lower, value = self._phase(signs, 0, self.first)
             # only a component whose bound lies above some Ritz value is solved
             if self.screen.refine(self.screen.bounds > lower.min()):
                 self._rank_components()
@@ -191,14 +194,14 @@ class SignedFamily:
             reach = np.searchsorted(-self.bounds, -lower)
             for n in np.unique(reach[reach > self.first]).tolist():
                 cols = np.flatnonzero(reach == n)
-                rest = self._phase(signs[cols], self.first, n, seed, threads)[1]
+                rest = self._phase(signs[cols], self.first, n)[1]
                 value[cols] = np.maximum(value[cols], rest)
             self._norm_cache.update(zip(todo, value.tolist()))
         return np.array([self._norm_cache[key] for key in keys])
 
-    def norm(self, b, seed: int = 0) -> float:
+    def norm(self, b) -> float:
         """``norms`` of the one sign vector b."""
-        return float(self.norms(np.asarray(b)[None], seed=seed)[0])
+        return float(self.norms(np.asarray(b)[None])[0])
 
     def _rank_components(self):
         """Components by decreasing bound: ``bounds`` in that order, and
@@ -212,21 +215,22 @@ class SignedFamily:
         place[-1] = len(order)  # an empty row's component index is -1
         self.rank = place[self.screen.row_comp]
 
-    def _phase(self, signs, lo, hi, seed, threads):
+    def _phase(self, signs, lo, hi):
         """(Ritz values, residual-inflated values) of the signed submatrices
         on the components of rank lo <= r < hi, in blocks of BLOCK_ENTRIES //
-        (their entries) columns, each one ``block_spectral_norms`` run, mapped
-        over ``threads``; a column's value does not depend on its block."""
+        (their entries) columns, each one ``block_spectral_norms`` run at the
+        family's seed, mapped over its threads; a column's value does not
+        depend on its block."""
         rows = (self.rank >= lo) & (self.rank < hi)
         size = max(1, BLOCK_ENTRIES // int(self._row_entries[rows].sum()))
 
         def solve(a):
             part = signs[a:a + size]
             ests = block_spectral_norms(self.graph.to_csr(part, rows), len(part),
-                                        seed=seed, upper=self.upper)
+                                        seed=self.seed, upper=self.upper)
             return np.array([(est.value, est.value * (1.0 + est.residual)) for est in ests])
 
-        return np.vstack(thread_map(solve, range(0, len(signs), size), threads)).T
+        return np.vstack(thread_map(solve, range(0, len(signs), size), self.threads)).T
 
 
 @dataclass
@@ -237,17 +241,20 @@ class Refutation:
 
     certificate: dict
     family: SignedFamily | None  # the pruned graph's family, None without one
-    ratio: float | None  # sqrt(N_L N_R) / D'
     trivial: int  # bounds, for every b, what ratio |B(b)| bounds
     graph: KikuchiGraph | None = None
-    pruned: PrunedGraph | None = None  # the graph actually used, if any
+
+    @property
+    def pruned(self) -> PrunedGraph | None:
+        """The graph actually used, if any: the family's."""
+        return self.family.graph if self.family is not None else None
 
     def spectral(self, rows) -> np.ndarray:
         """ratio |B(b)| at each sign row of the (c, k) array ``rows``, or
         the trivial bound when there is no family."""
         if self.family is None:
             return np.full(len(rows), float(self.trivial))
-        return self.ratio * self.family.norms(rows)
+        return self.family.ratio * self.family.norms(rows)
 
     @property
     def cap(self) -> float:
@@ -286,38 +293,33 @@ class RegularRefutation(Refutation):
         return np.sqrt(q * n * self.instance.total_edges + n * f) / q
 
 
-def _ratio(pruned: PrunedGraph) -> float:
-    nl, nr = pruned.shape
-    return math.sqrt(float(nl) * float(nr)) / pruned.D_prime
-
-
 def _spectral_route(graph, gamma, d_left, d_right, k, trials, seed, threads,
                     cert, flags):
     """Prune ``graph`` to the target degrees and average its family's norms
-    over b: (pruned graph, family, norm summary, ratio), all None with a
-    ``pruning_failed:`` flag when pruning empties a label."""
+    over b: (family, norm summary), both None with a ``pruning_failed:``
+    flag when pruning empties a label.  The family keeps ``seed`` and
+    ``threads`` for every later per-b bound."""
     try:
         pruned = prune(graph, gamma, d_left, d_right)
     except PruningError as exc:
         flags.append(f"pruning_failed: {exc}")
-        return None, None, None, None
+        return None, None
     cert["pruned"] = pruned.report
-    family = SignedFamily(pruned)
+    family = SignedFamily(pruned, seed, threads)
     mean, stderr, exhaustive, draws = average_over_signs(
-        lambda rows: family.norms(rows, seed=seed, threads=threads), k,
-        trials, np.random.default_rng((seed, 7103)),
-    )
+        family.norms, k, trials, np.random.default_rng((seed, 7103)))
     norm = {"mean": mean, "stderr": stderr, "exhaustive": exhaustive, "draws": draws}
-    return pruned, family, norm, _ratio(pruned)
+    return family, norm
 
 
-def _khintchine(pruned: PrunedGraph) -> tuple[dict, float]:
-    """The sigma^2 fields of the pruned graph's sign-free groups and its
+def _khintchine(family: SignedFamily) -> tuple[dict, float]:
+    """The sigma^2 fields of the family's sign-free groups and its
     Matrix-Khintchine bound ratio * sqrt(2 sigma^2 ln(N_L + N_R))."""
+    pruned = family.graph
     sig = khintchine_sigma(pruned.group_matrices())
     fields = {"sigma_sq": sig["sigma_sq"], "sigma_sq_guarantee": sig["guarantee"],
               "sigma_proxy": sig["proxy"]}
-    return fields, _ratio(pruned) * khintchine_bound(sig["sigma_sq"], *pruned.shape)
+    return fields, family.ratio * khintchine_bound(sig["sigma_sq"], *pruned.shape)
 
 
 def _check_trials(trials: int):
@@ -377,17 +379,17 @@ def refute_regular(
     }
     if m_total == 0:
         cert.update({"bound": 0.0, "bound_empirical": 0.0, "flags": ["empty"]})
-        return RegularRefutation(cert, None, None, 0, instance=inst)
+        return RegularRefutation(cert, None, 0, instance=inst)
 
     flags = []
     full = assemble_regular_cs(inst, ell) if ell >= (q - 1) // 2 and n >= q - 1 else None
-    pruned = family = norm = ratio = d = None
+    family = norm = d = None
     if full is None:
         flags.append("ell_too_small")
     elif full.D:
         # the target degree d = delta*n*k*D / N
         d = target_degrees(full, delta_n, k)["d"]
-        pruned, family, norm, ratio = _spectral_route(
+        family, norm = _spectral_route(
             full, gamma, d, d, k, trials, seed, threads, cert, flags)
     else:
         flags.append("degenerate_D_zero" if full.n_labels else "no_shared_pairs")
@@ -408,8 +410,8 @@ def refute_regular(
 
     # the full pair graph's norms averaged over signs; bound_empirical is
     # the chain before the cap, as on a piece
-    ref = RegularRefutation(cert, family, ratio, trivial, full, pruned, instance=inst)
-    f_mean = ratio * norm["mean"] if family is not None else float(trivial)
+    ref = RegularRefutation(cert, family, trivial, full, instance=inst)
+    f_mean = family.ratio * norm["mean"] if family is not None else float(trivial)
     cert.update({"full_graph_norm": norm, "bound_empirical": float(ref._chain(f_mean)),
                  "bound": float(ref.bound_of(f_mean)), "flags": flags})
     return ref
@@ -459,14 +461,14 @@ def refute_bipartite(
     if m_total == 0:
         cert.update({"bound": 0.0, "bound_empirical": 0.0,
                      "bound_khintchine": 0.0, "flags": ["empty"]})
-        return Refutation(cert, None, None, 0)
+        return Refutation(cert, None, 0)
 
     flags = []
     graph = assemble_bipartite(piece, ell)
     tg = target_degrees(graph, delta_n, k)
-    pruned = family = norm = ratio = None
+    family = norm = None
     if graph.D:
-        pruned, family, norm, ratio = _spectral_route(
+        family, norm = _spectral_route(
             graph, gamma, tg["d_left"], tg["d_right"], k, trials, seed, threads,
             cert, flags)
     else:
@@ -494,12 +496,12 @@ def refute_bipartite(
     bound_khin = bound_emp = float(m_total)
     if family is not None:
         # sigma^2 on the actual sign-free pruned groups
-        fields, bound_khin = _khintchine(pruned)
-        bound_emp = ratio * norm["mean"]
+        fields, bound_khin = _khintchine(family)
+        bound_emp = family.ratio * norm["mean"]
         # every label keeps D' >= 1 edges, so a group is nonempty iff it has a label
-        nonempty = len(np.unique(pruned.label_group))
+        nonempty = len(np.unique(family.graph.label_group))
         cert.update({**fields, "norm_mc": {**norm, "nonempty_groups": nonempty}})
-    ref = Refutation(cert, family, ratio, m_total, graph, pruned)
+    ref = Refutation(cert, family, m_total, graph)
     cert.update({"bound_khintchine": bound_khin, "bound_empirical": bound_emp,
                  "bound": float(ref.bound_of(min(bound_khin, bound_emp))),
                  "flags": flags})
@@ -525,7 +527,7 @@ class FullRefutation:
             total = total + self.pieces[s].bounds(rows, capped=capped)
         return total
 
-    def soundness_check(self, signs_list=None, guard: float = SOUNDNESS_GUARD):
+    def soundness_check(self, signs_list=None):
         """Per fixed b: realized certified bound >= brute-force val(Phi_b).
 
         ``signs_list=None`` enumerates all 2^k sign vectors.  Both the
@@ -552,8 +554,8 @@ class FullRefutation:
                                            self.bounds(rows).tolist(),
                                            self.bounds(rows, capped=False).tolist()):
             ok = (
-                bound + guard * max(1.0, abs(bound)) >= val
-                and spectral + guard * max(1.0, abs(spectral)) >= val
+                bound + SOUNDNESS_GUARD * max(1.0, abs(bound)) >= val
+                and spectral + SOUNDNESS_GUARD * max(1.0, abs(spectral)) >= val
             )
             log.append({
                 "b": b,
@@ -612,7 +614,7 @@ def refute_full(
             cert = _piece_header(piece, thr.ell, gamma, trials, seed * 131 + s)
             cert.update({"bound": cert["trivial_bound"],
                          "flags": [f"refutation_failed: {exc}"]})
-            pieces[s] = Refutation(cert, None, None, piece.total_edges)
+            pieces[s] = Refutation(cert, None, piece.total_edges)
 
     combined = regular.certificate["bound"]
     for s in sorted(pieces):

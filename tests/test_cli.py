@@ -541,6 +541,29 @@ def test_oracle_above_limit_is_config_error(tmp_path, capsys):
         assert err.count("\n") == 1 and "exceeds exhaustive limit 10" in err
 
 
+def test_oracle_signs_above_index_bits_is_config_error(tmp_path, capsys):
+    # 70 variables overflow an int64 assignment index whatever --limit says;
+    # the expectation scans only the quotient's rank and still runs
+    inst = tmp_path / "inst.json"
+    run_cli("gen", "--n", "70", "--q", "3", "--k", "2", "--delta", "0.05",
+            "--seed", "1", "--out", str(inst))
+    capsys.readouterr()
+    rc = run_cli("oracle", "--in", str(inst), "--limit", "80", "--signs", "1,1")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "70 variables exceeds exhaustive limit 63" in err
+    assert run_cli("oracle", "--in", str(inst), "--limit", "80") == 0
+
+
+def test_oracle_out_file_holds_the_printed_json(tmp_path, capsys):
+    inst, out = tmp_path / "inst.json", tmp_path / "val.json"
+    run_cli("gen", "--n", "9", "--q", "3", "--k", "2", "--delta", "0.2",
+            "--seed", "6", "--out", str(inst))
+    capsys.readouterr()
+    assert run_cli("oracle", "--in", str(inst), "--signs", "1,-1", "--out", str(out)) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
 def test_oracle_limit_default_is_exhaustive_limit():
     args = build_parser().parse_args(["oracle", "--in", "inst.json"])
     assert args.limit == EXHAUSTIVE_LIMIT

@@ -124,9 +124,9 @@ def _phases(monkeypatch, fam, solved):
     phase, solve = fam._phase, refute.block_spectral_norms
     first = []
 
-    def record(signs, lo, hi, seed, threads):
+    def record(signs, lo, hi):
         first.append(lo == 0 and hi == fam.first)
-        return phase(signs, lo, hi, seed, threads)
+        return phase(signs, lo, hi)
 
     def count(A, c, **kw):
         solved.append((first[-1], c))
@@ -204,7 +204,7 @@ def test_batched_norms_equal_fresh_single_solves(name, monkeypatch):
     for per_block in (1, 3, len(rows)):
         monkeypatch.setattr(refute, "BLOCK_ENTRIES", per_block * pg.n_edges)
         for threads in (1, 2):
-            got = SignedFamily(pg).norms(rows, threads=threads)
+            got = SignedFamily(pg, threads=threads).norms(rows)
             assert got.tolist() == fresh  # bitwise
     assert n_classes < len(rows)
 
@@ -496,8 +496,8 @@ def test_second_phase_runs_once_per_reach(monkeypatch):
     phases, solved = [], []
     _phases(monkeypatch, fam, solved)
     phase = fam._phase
-    monkeypatch.setattr(fam, "_phase", lambda signs, lo, hi, *args: phases.append(
-        (lo, hi, len(signs))) or phase(signs, lo, hi, *args))
+    monkeypatch.setattr(fam, "_phase", lambda signs, lo, hi: phases.append(
+        (lo, hi, len(signs))) or phase(signs, lo, hi))
     rows = sign_rows(5, fix_first=True)
     got = fam.norms(rows)
     want = [np.linalg.norm(g.to_dense(s), 2) for s in g.signs_for(rows)]

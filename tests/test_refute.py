@@ -21,6 +21,7 @@ from kikuchi.instances import (
 from kikuchi.refute import (
     FullRefutation,
     RegularityError,
+    SignedFamily,
     eval_full_pairs,
     refute_bipartite,
     refute_full,
@@ -196,7 +197,7 @@ def test_negative_control_corrupt_D_prime():
     ]
     assert all(ok_before)
     assert ref.family is not None
-    ref.ratio *= 0.5  # simulate D' inflated by 2
+    ref.family.ratio *= 0.5  # simulate D' inflated by 2
     ref.family._norm_cache.clear()
     ok_after = [
         bound + 1e-6 >= vals[i]
@@ -212,12 +213,12 @@ def test_negative_control_through_pipeline():
     run = refute_full(inst, epsilon=0.1, ell=1, n_partitions=2)
     assert all(e["ok"] for e in run.soundness_check())
     if run.regular.family is not None:
-        run.regular.ratio *= 0.25
+        run.regular.family.ratio *= 0.25
         run.regular.family._norm_cache.clear()
     run.regular.trivial = 0
     for ref in run.pieces.values():
         if ref.family is not None:
-            ref.ratio *= 0.25
+            ref.family.ratio *= 0.25
             ref.family._norm_cache.clear()
         ref.trivial = 0
     assert not all(e["ok"] for e in run.soundness_check())
@@ -315,13 +316,13 @@ def test_soundness_check_solves_sign_rows_in_blocks(monkeypatch):
     run, twin = refute_full(inst, **kw), refute_full(inst, **kw)
     rows = 1 - 2 * np.random.default_rng(3).integers(0, 2, size=(40, inst.k))
     families = [r.family for r in [run.regular, *run.pieces.values()]
-                if r.family is not None and r.family.nnz]
+                if r.family is not None and r.family.graph.n_edges]
     assert families
     allowed = 0
     for fam in families:
         classes = {(s * s[0]).tobytes() for s in fam.graph.signs_for(rows)}
         missing = len(classes - set(fam._norm_cache))
-        allowed += math.ceil(missing / max(1, refute.BLOCK_ENTRIES // fam.nnz))
+        allowed += math.ceil(missing / max(1, refute.BLOCK_ENTRIES // fam.graph.n_edges))
     assert allowed < len(rows)
     solves = []
     solve = refute.block_spectral_norms
@@ -337,6 +338,33 @@ def test_soundness_check_solves_sign_rows_in_blocks(monkeypatch):
         [FullRefutation.bounds(twin, row[None], capped) for row in rows]))
     assert twin.soundness_check(rows.tolist()) == log
     assert all(e["ok"] for e in log) and len(log) == 40
+
+
+def test_per_b_bounds_use_the_certificate_seed():
+    """Sign rows the certificate never drew are solved at the seed it was
+    made with: their bounds equal a fresh family's at that seed, bit for
+    bit, and a family at the default seed gives other bits."""
+    inst = generate_random_matching_instance(12, 3, 14, 0.25, seed=1)
+    run = refute_full(inst, ell=1, seed=7, trials=20)
+    ref = run.regular
+    rows = 1 - 2 * np.random.default_rng(11).integers(0, 2, size=(64, inst.k))
+    classes = {(s * s[0]).tobytes() for s in ref.pruned.signs_for(rows)}
+    cached = len(ref.family._norm_cache)
+    got, bare = ref.bounds(rows), ref.bounds(rows, capped=False)
+    assert len(ref.family._norm_cache) == cached + len(classes)  # none was drawn
+    fresh = SignedFamily(ref.pruned, seed=7)
+    f = fresh.ratio * fresh.norms(rows)
+    assert got.tolist() == ref.bound_of(f).tolist()
+    assert bare.tolist() == ref._chain(f).tolist()
+    assert SignedFamily(ref.pruned).norms(rows).tolist() != fresh.norms(rows).tolist()
+
+
+def test_soundness_check_is_the_same_at_any_thread_count():
+    inst = generate_random_matching_instance(12, 3, 14, 0.25, seed=1)
+    logs = [refute_full(inst, ell=1, seed=7, trials=20, threads=threads).soundness_check()
+            for threads in (1, 2)]
+    assert logs[0] == logs[1]
+    assert len(logs[0]) == 1 << inst.k and all(e["ok"] for e in logs[0])
 
 
 @pytest.mark.parametrize("refuter", [refute_full])
@@ -509,7 +537,7 @@ def test_spectral_is_ratio_times_norms():
     assert any(r.family is not None for r in routes)
     for ref in routes:
         if ref.family is not None:
-            want = ref.ratio * ref.family.norms(rows)
+            want = ref.family.ratio * ref.family.norms(rows)
             assert np.array_equal(ref.spectral(rows), want)
         ref.family = None
         assert ref.spectral(rows).tolist() == [float(ref.trivial)] * len(rows)
