@@ -14,8 +14,12 @@ The exact oracle (``brute_force_val``, ``val_for_all_signs``,
 ``expected_val``) runs one enumerator, ``_scan``.  It splits an assignment
 index a into its low t = min(nv, 14) bits and the rest, so every character
 factors as chi_C(a) = chi_{C_hi}(a >> t) chi_{C_lo}(a mod 2^t); a block of
-(high bits, sign row) pairs is then one float64 GEMM against a low-bit
-character table built once.  ``val_for_all_signs`` scans only the sign
+(high bits, sign row) pairs is then one float32 GEMM against a low-bit
+character table built once.  Every entry of that GEMM is +-1 and every
+partial sum an integer of magnitude at most m, the constraint count, so the
+float32 GEMM is exact whatever the BLAS summation order while m <= 2^24
+(``EXACT_SUM_LIMIT``); the scan refuses larger m before it builds a table.
+``val_for_all_signs`` scans only the sign
 vectors with b_k = +1 and reads val(Phi_-b) = -min Phi_b off the same rows.
 
 Callers that need only values (``val_for_all_signs``, ``expected_val`` and
@@ -48,7 +52,8 @@ EXHAUSTIVE_LIMIT = 24  # max total +-1 variables for the exact oracle
 INDEX_BITS = 63  # variables an int64 assignment index can hold
 EXHAUSTIVE_B_LIMIT = 16  # expected_val enumerates all 2^k signs up to here
 LOW_BITS = 14  # assignment bits in the oracle's low character table
-BLOCK_ENTRIES = 1 << 20  # float64 values per oracle GEMM block
+BLOCK_ENTRIES = 1 << 20  # float32 values (4 MB) per oracle GEMM block
+EXACT_SUM_LIMIT = 1 << 24  # float32 holds every integer up to here exactly
 
 
 class DimensionMismatch(ValueError):
@@ -235,10 +240,12 @@ class BipartiteXorInstance:
 
 
 def _check_signs(b, k):
-    b = tuple(int(s) for s in b)
+    """``b`` as a tuple of ints; every entry must equal +-1 exactly, so 1.9
+    is refused rather than truncated to 1."""
+    b = tuple(b)
     if len(b) != k or any(s not in (-1, 1) for s in b):
         raise DimensionMismatch("signs must be a +-1 vector of length k")
-    return b
+    return tuple(int(s) for s in b)
 
 
 def eval_phi(inst: XorInstance, b, x) -> int:
@@ -303,8 +310,9 @@ def _oracle_vars(inst, limit: int) -> int:
 
 
 def _chi(a, b) -> np.ndarray:
-    """(-1)^(bit count of a_i & b_j) as a float64 (len(a), len(b)) table."""
-    return 1.0 - 2.0 * (np.bitwise_count(a[:, None] & b[None, :]) & 1)
+    """(-1)^(bit count of a_i & b_j) as a float32 (len(a), len(b)) table."""
+    return np.subtract(1, 2 * (np.bitwise_count(a[:, None] & b[None, :]) & 1),
+                       dtype=np.float32)
 
 
 def _scan(masks, coeff, nv: int):
@@ -313,12 +321,17 @@ def _scan(masks, coeff, nv: int):
     ``chi(a)[c] = (-1)^(bit count of a & masks[c])``, so mask bits at or above
     nv play no part.  With a = (hi << t) | lo,
     every character factors as chi_C(a) = chi_{C_hi}(hi) chi_{C_lo}(lo), so
-    the values of a block of (hi, row) pairs are one float64 GEMM,
+    the values of a block of (hi, row) pairs are one float32 GEMM,
     ``(high[hi] * coeff[row]) @ low``, against the (m, 2^t) low-bit table.
-    The entries are small integers, so the sums are exact.  The argmax is
-    the lowest maximising assignment index.  Returns three int64 arrays.
+    Every product is +-1 and every partial sum an integer with |s| <= m, so
+    the sums are exact for m <= EXACT_SUM_LIMIT; a larger m is refused
+    before any table is built.  The argmax is the lowest maximising
+    assignment index.  Returns three int64 arrays.
     """
     rows, m = coeff.shape
+    if m > EXACT_SUM_LIMIT:
+        raise OracleLimitExceeded(
+            f"{m} constraints exceeds the exact float32 sum limit {EXACT_SUM_LIMIT}")
     t = min(nv, LOW_BITS)
     masks = np.asarray(masks, dtype=np.uint64)
     lo_masks = (masks & np.uint64((1 << t) - 1)).astype(np.uint16)  # t <= 16
@@ -332,7 +345,7 @@ def _scan(masks, coeff, nv: int):
     rb = max(1, min(rows, pairs))
     hb = max(1, pairs // rb)
     for r0 in range(0, rows, rb):
-        c = coeff[r0 : r0 + rb].astype(np.float64)
+        c = coeff[r0 : r0 + rb].astype(np.float32)
         sel = np.arange(len(c))
         for h0 in range(0, len(high), hb):
             w = high[h0 : h0 + hb, None, :] * c[None, :, :]  # (hi, row, m)
@@ -424,9 +437,10 @@ def val_for_all_signs(inst, limit: int = EXHAUSTIVE_LIMIT, signs=None) -> np.nda
     nv = _oracle_vars(inst, limit)
     owner, masks = _constraint_masks(inst)
     if signs is not None:
-        rows = np.asarray(signs, dtype=np.int64).reshape(len(signs), inst.k)
-        if not np.isin(rows, (-1, 1)).all():
+        rows = np.asarray(signs)
+        if not np.isin(rows, (-1, 1)).all():  # checked before any cast truncates
             raise DimensionMismatch("signs must be +-1 vectors of length k")
+        rows = rows.astype(np.int8).reshape(len(signs), inst.k)
         return _values(masks, rows[:, owner])[0]
     if inst.k > EXHAUSTIVE_B_LIMIT:
         raise OracleLimitExceeded(f"k={inst.k} too large to enumerate signs")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kikuchi.cli as cli
+import kikuchi.instances as instances
 from kikuchi.cli import build_parser, main
 from kikuchi.instances import EXHAUSTIVE_LIMIT
 
@@ -539,6 +540,22 @@ def test_oracle_above_limit_is_config_error(tmp_path, capsys):
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "exceeds exhaustive limit 10" in err
+
+
+def test_oracle_above_exact_sum_limit_is_config_error(tmp_path, capsys, monkeypatch):
+    # more constraints than float32 sums hold exactly: exit 2 with one line,
+    # for one sign vector and for the expectation alike
+    inst = tmp_path / "inst.json"
+    run_cli("gen", "--n", "9", "--q", "3", "--k", "2", "--delta", "0.2",
+            "--seed", "6", "--out", str(inst))
+    capsys.readouterr()
+    monkeypatch.setattr(instances, "EXACT_SUM_LIMIT", 1)
+    for extra in (["--signs", "1,-1"], []):
+        assert run_cli("oracle", "--in", str(inst), *extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "exceeds the exact float32 sum limit 1" in captured.err
 
 
 def test_oracle_signs_above_index_bits_is_config_error(tmp_path, capsys):

@@ -5,7 +5,8 @@ GEMM blocks to 64 values, so that instances of a dozen variables already
 run through several high-bit blocks and several batches of sign rows.
 The values-only calls scan the GF(2) quotient of the assignment space;
 ``QUOTIENT_CASES`` pins which of its two paths (with or without the
-parity flip) each instance takes.
+parity flip) each instance takes.  ``CASES`` also holds random instances
+and bipartite pieces, so the float32 GEMM is checked on both of those paths.
 """
 
 import time
@@ -19,6 +20,8 @@ import kikuchi.instances as instances
 from kikuchi.instances import (
     EXHAUSTIVE_B_LIMIT,
     BipartiteXorInstance,
+    DimensionMismatch,
+    OracleLimitExceeded,
     XorInstance,
     brute_force_val,
     expected_val,
@@ -27,7 +30,7 @@ from kikuchi.instances import (
     generate_random_matching_instance,
     val_for_all_signs,
 )
-from kikuchi.instances import _constraint_masks, _gf2_rank, _quotient
+from kikuchi.instances import _chi, _constraint_masks, _gf2_rank, _quotient
 
 
 @pytest.fixture
@@ -36,9 +39,23 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(instances, "BLOCK_ENTRIES", 64)
 
 
+def _random_cases():
+    """Random XOR instances of q = 2, 3 and 4 and random bipartite pieces of
+    q = 5, s = 2 and 3, at three generation seeds."""
+    cases = {}
+    for seed in range(3):
+        for q, n, k, delta in ((2, 8, 4, 0.5), (3, 10, 3, 0.3), (4, 10, 3, 0.2)):
+            cases[f"random_q{q}_seed{seed}"] = generate_random_matching_instance(
+                n, q, k, delta, seed=seed)
+        for s, p_size in ((2, 4), (3, 3)):
+            cases[f"random_piece_s{s}_seed{seed}"] = generate_random_bipartite_instance(
+                7, 5, s, 3, edges_per=2, p_size=p_size, seed=seed)
+    return cases
+
+
 def _cases():
     planted, _ = generate_planted_linear_instance(12, 3, 4, 0.16, seed=2)
-    return {
+    return _random_cases() | {
         # 18 edges on 7 vertices: odd cycles, so val(Phi_-b) != val(Phi_b)
         "q2": generate_random_matching_instance(7, 2, 6, 0.43, seed=1),
         "q3": generate_random_matching_instance(10, 3, 4, 0.2, seed=2),
@@ -194,7 +211,7 @@ def test_sampled_expected_val_matches_per_trial_loop(name, monkeypatch):
 
 def test_all_signs_memory_and_time_guard():
     # 2^15 sign rows over 2^12 assignments: a single unbatched block would
-    # hold 2^27 values (1 GiB)
+    # hold 2^27 float32 values (512 MiB)
     inst = generate_random_matching_instance(12, 3, EXHAUSTIVE_B_LIMIT, 0.25, seed=1)
     tracemalloc.start()
     try:
@@ -276,3 +293,57 @@ def test_signs_must_be_plus_minus_one_rows():
     with pytest.raises(ValueError):
         val_for_all_signs(inst, signs=[[1, 0, 1, -1]])
     assert val_for_all_signs(inst, signs=np.zeros((0, inst.k))).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [1.9, -0.5])
+def test_sign_entries_must_equal_plus_minus_one(bad):
+    # a cast to int would read 1.9 as +1 and -0.5 as 0 before any check
+    inst = generate_random_matching_instance(12, 3, 4, 0.25, seed=1)
+    row = [bad, -1, 1, 1]
+    with pytest.raises(DimensionMismatch):
+        val_for_all_signs(inst, signs=[row])
+    with pytest.raises(DimensionMismatch):
+        brute_force_val(inst, row)
+    # exact +-1 floats are still accepted
+    exact = [1.0, -1.0, 1.0, 1.0]
+    assert val_for_all_signs(inst, signs=[exact])[0] == brute_force_val(inst, exact)[0]
+
+
+def test_chi_is_a_float32_sign_table():
+    a = np.arange(1 << 5, dtype=np.uint16)
+    b = np.array([0, 1, 6, 31], dtype=np.uint16)
+    table = _chi(a, b)
+    assert table.dtype == np.float32 and table.shape == (32, 4)
+    want = [[1 - 2 * _parity(int(x) & int(y)) for y in b] for x in a]
+    assert np.array_equal(table, np.array(want, dtype=np.float32))
+
+
+def test_scan_refuses_sums_past_the_exact_float32_limit(monkeypatch):
+    # the float32 GEMM is exact only while every sum is an integer of at most
+    # EXACT_SUM_LIMIT in magnitude; a larger constraint count is refused
+    # before any character table is built
+    inst = CASES["q3"]
+    want = val_for_all_signs(inst)
+    monkeypatch.setattr(instances, "EXACT_SUM_LIMIT", inst.total_edges - 1)
+
+    def no_table(a, b):
+        raise AssertionError("character table built past the exact-sum limit")
+
+    monkeypatch.setattr(instances, "_chi", no_table)
+    for call in (lambda: brute_force_val(inst, [1] * inst.k),
+                 lambda: val_for_all_signs(inst),
+                 lambda: val_for_all_signs(inst, signs=[[1] * inst.k]),
+                 lambda: expected_val(inst)):
+        with pytest.raises(OracleLimitExceeded, match="exact float32 sum limit"):
+            call()
+    monkeypatch.setattr(instances, "_chi", _chi)
+    monkeypatch.setattr(instances, "EXACT_SUM_LIMIT", inst.total_edges)
+    assert np.array_equal(val_for_all_signs(inst), want)
+
+
+def test_random_cases_take_both_quotient_paths():
+    # so the float32 scan is checked on random instances with and without a
+    # parity flip in their quotient, not only on hand-made ones
+    flips = {_quotient(_constraint_masks(inst)[1])[2]
+             for name, inst in CASES.items() if name.startswith("random")}
+    assert flips == {True, False}

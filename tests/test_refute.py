@@ -320,7 +320,9 @@ def test_soundness_check_solves_sign_rows_in_blocks(monkeypatch):
     assert families
     allowed = 0
     for fam in families:
-        classes = {(s * s[0]).tobytes() for s in fam.graph.signs_for(rows)}
+        # the family's cache key: which labels differ in sign from the first
+        signs = fam.graph.signs_for(rows)
+        classes = {key.tobytes() for key in np.packbits(signs != signs[:, :1], axis=1)}
         missing = len(classes - set(fam._norm_cache))
         allowed += math.ceil(missing / max(1, refute.BLOCK_ENTRIES // fam.graph.n_edges))
     assert allowed < len(rows)
