@@ -164,36 +164,39 @@ class KikuchiGraph:
             out *= padded[..., col]
         return out
 
-    def _structure(self):
-        """(label per entry, column indices, indptr) in row-major entry order."""
+    def _structure(self, rows=None):
+        """(label per entry, column indices, indptr, shape) of the CSR matrix
+        in the entry order of ``np.lexsort((right, left))``, cached.  A boolean
+        mask ``rows`` keeps only those rows and the columns their entries
+        hold, each in its original order, and the kept entries in theirs."""
         if self._csr_cache is None:
             nl, nr = self.shape
-            if nl >= 2**62 or nr >= 2**62:
+            # a row's first entry position stands in for its rank: every key
+            # is below n_edges * N_R, never N_L * N_R
+            if nl >= 2**62 or self.n_edges * nr >= 2**63:
                 raise OverflowError("vertex space exceeds index range")
-            order = np.lexsort((self.right, self.left))
-            rows = self.left[order]
-            indptr = np.searchsorted(rows, np.arange(nl + 1))
+            indptr = np.zeros(nl + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.left, minlength=nl), out=indptr[1:])
+            order = np.argsort(indptr[self.left] * nr + self.right, kind="stable")
             self._csr_cache = (self.edge_label[order],
-                               self.right[order].astype(np.int64), indptr)
-        return self._csr_cache
+                               self.right[order].astype(np.int64), indptr, (nl, nr))
+        if rows is None:
+            return self._csr_cache
+        label_seq, indices, indptr, _ = self._csr_cache
+        kept = np.repeat(rows, np.diff(indptr))
+        cols, indices = np.unique(indices[kept], return_inverse=True)
+        indptr = np.append(0, np.cumsum(np.diff(indptr)[rows]))
+        return label_seq[kept], indices, indptr, (len(indptr) - 1, len(cols))
 
-    def to_csr(self, label_signs=None, rows=None) -> sp.csr_matrix:
+    def to_csr(self, label_signs=None, structure=None) -> sp.csr_matrix:
         """Sparse matrix with entry = sign of its label (duplicates add).
 
         A (c, n_labels) array of label signs gives the block-diagonal matrix
         of the c signed copies, in row order; each copy keeps the entry order
-        of the single matrix, which is the case c = 1.  A boolean mask
-        ``rows`` keeps only those rows and the columns their entries hold,
-        each in its original order, and the kept entries in theirs."""
-        label_seq, indices, indptr = self._structure()
-        nl, nr = self.shape
-        if rows is not None:
-            kept = np.repeat(rows, np.diff(indptr))
-            label_seq, indices = label_seq[kept], indices[kept]
-            cols = np.unique(indices)
-            indices = np.searchsorted(cols, indices)
-            indptr = np.append(0, np.cumsum(np.diff(indptr)[rows]))
-            nl, nr = len(indptr) - 1, len(cols)
+        of the single matrix, which is the case c = 1.  ``structure``, from
+        ``_structure(rows)``, builds the matrix on those rows alone."""
+        label_seq, indices, indptr, (nl, nr) = (
+            self._structure() if structure is None else structure)
         if label_signs is None:
             label_signs = np.ones(self.n_labels)
         signs = np.atleast_2d(np.asarray(label_signs, dtype=np.float64))

@@ -118,9 +118,7 @@ class XorInstance:
             if not ok:
                 raise ValueError(f"not a matching: edges {pair} collide")
         if self.signs is not None:
-            object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
-            if len(self.signs) != self.k or any(s not in (-1, 1) for s in self.signs):
-                raise ValueError("signs must be a +-1 vector of length k")
+            object.__setattr__(self, "signs", _check_signs(self.signs, self.k))
 
     @property
     def edge_counts(self) -> tuple[int, ...]:
@@ -198,6 +196,8 @@ class BipartiteXorInstance:
                     raise ValueError("not a bipartite matching")
                 seen_left |= m
                 seen_p.add(p)
+        if self.signs is not None:
+            object.__setattr__(self, "signs", _check_signs(self.signs, self.k))
 
     @property
     def p_size(self) -> int:
@@ -239,23 +239,20 @@ class BipartiteXorInstance:
         )
 
 
-def _check_signs(b, k):
-    """``b`` as a tuple of ints; every entry must equal +-1 exactly, so 1.9
-    is refused rather than truncated to 1."""
-    b = tuple(b)
-    if len(b) != k or any(s not in (-1, 1) for s in b):
-        raise DimensionMismatch("signs must be a +-1 vector of length k")
-    return tuple(int(s) for s in b)
+def _check_signs(values, length: int, name: str = "signs") -> tuple:
+    """``values`` as a tuple of ints; it must hold ``length`` entries that
+    each equal +-1 exactly, checked before any cast, so 1.9 is refused
+    rather than truncated to 1 (DimensionMismatch)."""
+    values = tuple(values)
+    if len(values) != length or any(v not in (-1, 1) for v in values):
+        raise DimensionMismatch(f"{name} must be a +-1 vector of length {length}")
+    return tuple(int(v) for v in values)
 
 
 def eval_phi(inst: XorInstance, b, x) -> int:
     """Exact integer value of Phi_b(x)."""
     b = _check_signs(b, inst.k)
-    if len(x) != inst.n:
-        raise DimensionMismatch("x has wrong length")
-    x = [int(v) for v in x]
-    if any(v not in (-1, 1) for v in x):
-        raise ValueError("x must be +-1")
+    x = _check_signs(x, inst.n, "x")
     total = 0
     for bi, h in zip(b, inst.hypergraphs):
         for e in h:
@@ -269,16 +266,14 @@ def eval_phi(inst: XorInstance, b, x) -> int:
 def eval_psi_bipartite(inst: BipartiteXorInstance, b, x, y) -> int:
     """Exact integer value of Psi^(s)_b(x, y)."""
     b = _check_signs(b, inst.k)
-    if len(x) != inst.n:
-        raise DimensionMismatch("x has wrong length")
-    if len(y) != inst.p_size:
-        raise DimensionMismatch("y must be indexed by the registry")
+    x = _check_signs(x, inst.n, "x")
+    y = _check_signs(y, inst.p_size, "y (indexed by the registry)")
     total = 0
     for bi, h in zip(b, inst.hypergraphs):
         for c, p in h:
-            mono = int(y[p])
+            mono = y[p]
             for v in c:
-                mono *= int(x[v])
+                mono *= x[v]
             total += bi * mono
     return total
 

@@ -151,7 +151,7 @@ class SignedFamily:
         # sqrt(N_L N_R) / D', None on a graph without a label degree
         self.ratio = math.sqrt(float(nl) * float(nr)) / graph.D if graph.D else None
         # built once here, not racing in worker threads
-        _, indices, indptr = graph._structure()
+        _, indices, indptr, _ = graph._structure()
         self._row_entries = np.diff(indptr)
         self.upper = math.sqrt(float(self._row_entries.max(initial=0))
                                * float(np.bincount(indices).max(initial=0)))
@@ -220,14 +220,16 @@ class SignedFamily:
         on the components of rank lo <= r < hi, in blocks of BLOCK_ENTRIES //
         (their entries) columns, each one ``block_spectral_norms`` run at the
         family's seed, mapped over its threads; a column's value does not
-        depend on its block."""
-        rows = (self.rank >= lo) & (self.rank < hi)
-        size = max(1, BLOCK_ENTRIES // int(self._row_entries[rows].sum()))
+        depend on its block.  The masked structure does not depend on the
+        signs: it is built once here, before any worker starts, and each
+        block only gathers its signs onto it."""
+        structure = self.graph._structure((self.rank >= lo) & (self.rank < hi))
+        size = max(1, BLOCK_ENTRIES // len(structure[0]))
 
         def solve(a):
             part = signs[a:a + size]
-            ests = block_spectral_norms(self.graph.to_csr(part, rows), len(part),
-                                        seed=self.seed, upper=self.upper)
+            ests = block_spectral_norms(self.graph.to_csr(part, structure),
+                                        len(part), seed=self.seed, upper=self.upper)
             return np.array([(est.value, est.value * (1.0 + est.residual)) for est in ests])
 
         return np.vstack(thread_map(solve, range(0, len(signs), size), self.threads)).T

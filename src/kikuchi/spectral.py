@@ -328,22 +328,36 @@ def _cw_from_ones(S, verts, sizes, tol: float) -> np.ndarray:
     ``_collatz_wielandt`` power steps from the all-ones vector on those Gram
     rows alone.  S is nonnegative and symmetric, and every vertex in
     ``verts`` has a positive diagonal entry, so the iterates stay strictly
-    positive.  A settled block enters each product as zero entries; a live
-    row sums only its own block's entries, in S's order, so a block's bound
-    has the same bits whichever blocks run beside it."""
+    positive.  A settled block's rows are masked out of each product by a
+    per-row block index until the live rows fall below half of the matrix;
+    then it is cut to them by indptr arithmetic.  A live row sums only its
+    own block's entries, in S's order, so a block's bound has the same bits
+    whichever blocks run beside it."""
     rows = S[verts]
     local = np.full(S.shape[0], -1, dtype=np.int64)
     local[verts] = np.arange(len(verts))
     R = sp.csr_matrix((rows.data, local[rows.indices], rows.indptr),
                       shape=(len(verts), len(verts)))
+    block = np.repeat(np.arange(len(sizes)), sizes)  # R's row -> its block
 
     def mul(live, w):
-        at = np.zeros(len(sizes), dtype=bool)
-        at[live] = True
-        at = np.repeat(at, sizes)
-        full = np.zeros(len(verts))
-        full[at] = w
-        return (R @ full)[at]
+        nonlocal R, block
+        if len(w) < len(block):
+            on = np.zeros(len(sizes), dtype=bool)
+            on[live] = True
+            at = on[block]
+            if 2 * len(w) >= len(block):
+                full = np.zeros(len(block))
+                full[at] = w
+                return (R @ full)[at]
+            # a live block's entries lie in its own rows and columns
+            entries = np.repeat(at, np.diff(R.indptr))
+            R = sp.csr_matrix(
+                (R.data[entries], (np.cumsum(at) - 1)[R.indices[entries]],
+                 np.append(0, np.cumsum(np.diff(R.indptr)[at]))),
+                shape=(len(w), len(w)))
+            block = block[at]
+        return R @ w
 
     return _collatz_wielandt(mul, np.ones(len(verts)), sizes, tol=tol)
 
@@ -394,26 +408,32 @@ def _top_eig_bound(S) -> float:
     return best
 
 
-def _gram(mats, transpose: bool):
+def _gram(mats, transpose: bool, symmetric: bool = False):
     """(S, margin): S = sum X X^T (sum X^T X with ``transpose``) over
     nonnegative CSR matrices X, and the factor 1 + steps * eps that lifts a
     Collatz-Wielandt bound computed on S over its rounding.  The sum is one
     sparse product on the matrices stacked side by side (on top of each
-    other with ``transpose``).
+    other with ``transpose``), or on a lone X as is: X X when ``symmetric``
+    says X = X^T and its indices are sorted, which saves transposing X.
+    With ``transpose`` S is the transpose of that product, which sorts its
+    indices in one linear pass; S is symmetric, so its entry (i, j) is the
+    sum of X_ki X_kj over rows k in increasing k, as X^T X has it.  A
+    product stores no zero sums.
 
     The margin covers the rounding of the Gram sums (at most ``terms``
     products per entry), of S w and of the final division.
     """
+    if len(mats) == 1:
+        X = mats[0]
+    else:
+        X = (sp.vstack if transpose else sp.hstack)(mats, format="csr")
     if transpose:
-        X = sp.vstack(mats, format="csr")
-        S = X.T @ X
+        XT = X if symmetric and X.has_sorted_indices else X.T.tocsr()
+        S = (XT @ X).T.tocsr()
         terms = np.bincount(X.indices, minlength=X.shape[1])
     else:
-        X = sp.hstack(mats, format="csr")
         S = X @ X.T
         terms = np.diff(X.indptr)
-    S = sp.csr_matrix(S)
-    S.eliminate_zeros()
     steps = int(terms.max(initial=0)) + int(np.diff(S.indptr).max(initial=0)) + 2
     return S, 1.0 + steps * float(np.finfo(float).eps)
 
@@ -463,21 +483,27 @@ class ComponentBounds:
         filled = np.flatnonzero(np.diff(A.indptr))
         # with columns on the Gram side, a row takes its first entry's label
         row_label = label[A.indices[A.indptr[filled]]] if transpose else label[filled]
-        labels = np.unique(row_label)
+        # labels are vertex ids: a component's index is its label's rank
+        # among the labels that hold a row
+        held = np.bincount(row_label, minlength=len(label)) > 0
+        index = np.cumsum(held) - 1
+        n_comp = int(np.count_nonzero(held))
         self.row_comp = np.full(A.shape[0], -1, dtype=np.int64)
-        self.row_comp[filled] = np.searchsorted(labels, row_label)
-        self.refined = np.full(len(labels), len(labels) < 2)
-        if len(labels) < 2:
-            self.bounds = np.full(len(labels), np.inf)
-            self.lower = np.zeros(len(labels))
+        self.row_comp[filled] = index[row_label]
+        self.refined = np.full(n_comp, n_comp < 2)
+        if n_comp < 2:
+            self.bounds = np.full(n_comp, np.inf)
+            self.lower = np.zeros(n_comp)
             return
-        self._S, self._margin = _gram([A], transpose)
+        self._S, self._margin = _gram([A], transpose, symmetric)
         # Gram vertices holding an entry, grouped by component; every one of
         # them has a positive diagonal, so the power iterates stay positive
         used = np.flatnonzero(np.diff(self._S.indptr))
-        _, comp, self._sizes = np.unique(label[used], return_inverse=True,
-                                         return_counts=True)
-        self._order = used[np.argsort(comp, kind="stable")]
+        comp = index[label[used]]
+        self._sizes = np.bincount(comp, minlength=n_comp)
+        # in the narrowest dtype: a stable sort of 16-bit keys is a radix sort
+        self._order = used[np.argsort(comp.astype(np.min_scalar_type(n_comp)),
+                                      kind="stable")]
         y = (self._S @ np.ones(self._S.shape[0]))[self._order]
         starts = np.cumsum(self._sizes) - self._sizes
         self.bounds = np.sqrt(np.maximum.reduceat(y, starts) * self._margin)

@@ -267,7 +267,7 @@ def test_regular_l2_exhaustive_rows_solve_once_per_class(monkeypatch):
     classes = np.unique([s * s[0] for s in pg.signs_for(rows)], axis=0)
     assert len(classes) == 16
     assert mat.nnz == 16 * 1708 == 16 * fam._row_entries[_first(fam)].sum()
-    ref = pg.to_csr(classes, _first(fam))  # same entries, other signs
+    ref = pg.to_csr(classes, pg._structure(_first(fam)))  # same entries, other signs
     assert mat.shape == ref.shape == (16 * 1034 // 2, 16 * 1034 // 2)
     assert np.array_equal(mat.indptr, ref.indptr)
     assert np.array_equal(mat.indices, ref.indices)
@@ -615,3 +615,65 @@ def test_tied_components_are_solved_first(monkeypatch):
     assert fam.norms(rows) == pytest.approx([np.sqrt(2)] * 3, rel=1e-12)
     (mat,) = seen
     assert mat.shape == (3 * 2, 3 * 4)
+
+
+def _shuffled_duplicates():
+    """A 7 x 9 graph whose 60 edges, in random order, repeat (row, column)
+    pairs under different labels."""
+    rng = np.random.default_rng(11)
+    left, right = rng.integers(0, 7, 60), rng.integers(0, 9, 60)
+    left[30:], right[30:] = left[:30], right[:30]
+    perm = rng.permutation(60)
+    return KikuchiGraph(
+        variant="naive_odd",
+        left_space=VertexSpace((SpaceComponent("main", 7, 1),)),
+        right_space=VertexSpace((SpaceComponent("main", 9, 1),)),
+        left=left[perm], right=right[perm],
+        edge_label=(np.arange(60) % 6).astype(np.int32)[perm],
+        labels=list(range(6)), n_groups=6,
+        label_sign_factors=[(j,) for j in range(6)],
+        D=None, symmetric=False)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS) + ["shuffled_duplicates"])
+def test_structure_is_the_lexsort_order(name):
+    g = VARIANTS.get(name) or _shuffled_duplicates()
+    assert name != "shuffled_duplicates" or _duplicate_entries(g) > 0
+    label_seq, indices, indptr, shape = g._structure()
+    order = np.lexsort((g.right, g.left))
+    assert shape == g.shape
+    assert np.array_equal(label_seq, g.edge_label[order])
+    assert indices.dtype == np.int64 and np.array_equal(indices, g.right[order])
+    assert np.array_equal(indptr, np.searchsorted(g.left[order],
+                                                  np.arange(g.shape[0] + 1)))
+
+
+def test_one_masked_structure_per_phase(monkeypatch):
+    # blocks of one column: every phase splits into several blocks, and all
+    # of them share the one masked structure that phase built
+    g = _three_components()
+    fam = SignedFamily(g)
+    monkeypatch.setattr(refute, "BLOCK_ENTRIES", 1)
+    built, blocks, phases = [], [], []
+    structure, to_csr, phase = g._structure, g.to_csr, fam._phase
+    monkeypatch.setattr(g, "_structure", lambda rows=None: (
+        built.append(rows is not None) or structure(rows)))
+    monkeypatch.setattr(g, "to_csr", lambda signs, st: (
+        blocks.append(id(st)) or to_csr(signs, st)))
+    monkeypatch.setattr(fam, "_phase", lambda signs, lo, hi: (
+        phases.append(len(signs)) or phase(signs, lo, hi)))
+    got = fam.norms(sign_rows(5, fix_first=True))
+    want = [np.linalg.norm(g.to_dense(s), 2)
+            for s in g.signs_for(sign_rows(5, fix_first=True))]
+    assert got == pytest.approx(want, rel=1e-12)
+    assert len(phases) == 2 and built == [True, True]
+    assert len(blocks) == sum(phases) == 24 and len(set(blocks)) <= 2
+
+
+def test_certificate_is_the_same_on_two_threads(monkeypatch):
+    # small blocks, so that both threads take several
+    inst = generate_random_matching_instance(20, 3, 6, 0.25, seed=1)
+    monkeypatch.setattr(refute, "BLOCK_ENTRIES", 1 << 10)
+    certs = [refute.refute_full(inst, epsilon=0.1, trials=50, seed=7, ell=1,
+                                threads=threads).certificate for threads in (1, 2)]
+    assert certs[0] == certs[1]

@@ -1,5 +1,6 @@
-"""Golden certificate digests: the benchmark workloads' instances, refuted
-at fixed seeds, must give the same certificate bytes.
+"""Golden certificate digests: the benchmark workloads' instances and the
+ROADMAP grid points that fit tier 1 (small; medium is ``regular-l2``),
+refuted at fixed seeds, must give the same certificate bytes.
 
 Each digest is the sha256 of the certificate as canonical JSON (sorted keys,
 no whitespace, Fractions as floats) without its ``meta`` block, the rule
@@ -27,8 +28,10 @@ from kikuchi.refute import refute_full
 
 REFUTE = {"epsilon": 0.1, "gamma": 8.0, "trials": 50, "seed": 7}
 
-# workload instance: (planted?, n, k, delta, ell), all q=3
+# workload instance or ROADMAP grid point: (planted?, n, k, delta, ell), all
+# q=3; "large" (n=24, k=8, l=2) takes about half a minute, too long for tier 1
 INSTANCES = {
+    "grid-small": (False, 16, 6, 0.25, 1),
     "regular-l2": (False, 20, 6, 0.25, 2),
     "many-signs": (False, 16, 12, 0.25, 1),
     "verify-exhaustive/random": (False, 20, 6, 0.25, 1),
@@ -36,6 +39,8 @@ INSTANCES = {
 }
 
 GOLDEN = {
+    "grid-small":
+        "b9bcc582ba7d8a78ed628268b14c6add15b252d874fb6b1890aeb3c7c57677fb",
     "regular-l2":
         "0de0a2e2542194c84eaeac8871eb79ef1d67ce285a3718fd6c70fa7a862da556",
     "many-signs":

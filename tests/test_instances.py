@@ -238,3 +238,38 @@ def test_bipartite_json_roundtrip(tmp_path):
     dump_instance(inst, p)
     back = load_instance(p)
     assert back == inst
+
+
+@pytest.mark.parametrize("signs", [[1.9, -1], [-0.5, 1], [7, 1], [1], [1, -1, 1]])
+def test_instance_signs_must_equal_plus_minus_one(signs):
+    # refused before any cast could truncate 1.9 to 1
+    with pytest.raises(DimensionMismatch):
+        XorInstance(n=6, k=2, q=3, delta=0.5,
+                    hypergraphs=[[[0, 1, 2]], [[3, 4, 5]]], signs=signs)
+    with pytest.raises(DimensionMismatch):
+        BipartiteXorInstance(n=4, k=2, q=3, s=2, registry=[(0, 1), (2, 3)],
+                             hypergraphs=[[((2,), 0)], [((0,), 1)]], signs=signs)
+
+
+def test_instance_signs_are_stored_as_ints():
+    inst = XorInstance(n=6, k=2, q=3, delta=0.5,
+                       hypergraphs=[[[0, 1, 2]], [[3, 4, 5]]], signs=[1.0, -1.0])
+    piece = BipartiteXorInstance(n=4, k=2, q=3, s=2, registry=[(0, 1), (2, 3)],
+                                 hypergraphs=[[((2,), 0)], [((0,), 1)]],
+                                 signs=np.array([-1, 1]))
+    for signs in (inst.signs, piece.signs):
+        assert signs in ((1, -1), (-1, 1)) and all(type(s) is int for s in signs)
+
+
+@pytest.mark.parametrize("bad", [1.9, -0.5, 0, 2])
+def test_assignments_must_equal_plus_minus_one(bad):
+    inst = toy([[[0, 1, 2]]])
+    with pytest.raises(DimensionMismatch):
+        eval_phi(inst, [1], [bad, 1, 1, 1, 1, 1])
+    piece = bipartite_toy()
+    with pytest.raises(DimensionMismatch):
+        eval_psi_bipartite(piece, [1, 1], [bad, 1, 1, 1], [1, 1])
+    with pytest.raises(DimensionMismatch):
+        eval_psi_bipartite(piece, [1, 1], [1, 1, 1, 1], [1, bad])
+    with pytest.raises(DimensionMismatch):
+        eval_psi_bipartite(piece, [1, 1], [1, 1, 1, 1], [5])

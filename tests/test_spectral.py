@@ -510,3 +510,85 @@ def test_component_bounds_symmetric_keeps_bipartite_component_whole(rng):
     assert (halves == halves[:, :1]).all() and halves[0, 0] != halves[1, 0]
     assert rows[6:].tolist() == [-1, -1, 2, 2, 2]
     assert bounds[0] == bounds[1] >= want
+
+
+def _stacked_gram(mats, transpose):
+    """The Gram matrix by the generic product on the stacked matrices, the
+    way ``_gram`` formed every S before it took a lone matrix as is."""
+    if transpose:
+        X = sp.vstack(mats, format="csr")
+        S = X.T @ X
+    else:
+        X = sp.hstack(mats, format="csr")
+        S = X @ X.T
+    S = sp.csr_matrix(S)
+    S.eliminate_zeros()
+    return S
+
+
+def test_gram_arrays_equal_the_stacked_product(rng):
+    # real-valued entries, so that any change in a sum's order shows in its
+    # bits; symmetric, lone nonsymmetric in both orientations, and several
+    for _ in range(20):
+        m, n = int(rng.integers(2, 40)), int(rng.integers(2, 40))
+        X = abs(random_sparse(rng, m, n, int(rng.integers(1, 3 * (m + n)))))
+        Y = abs(random_sparse(rng, n, n, int(rng.integers(1, 3 * n))))
+        cases = [([X], False, False), ([X], True, False), ([X.T.tocsr()], True, False),
+                 ([Y + Y.T], True, True), ([Y + Y.T], False, True),
+                 ([X, _random_counting(rng, m, n, 2 * m)], False, False),
+                 ([X, _random_counting(rng, m, n, 2 * m)], True, False)]
+        for mats, transpose, symmetric in cases:
+            S, margin = spectral._gram(mats, transpose, symmetric)
+            want = _stacked_gram(mats, transpose)
+            for key in ("data", "indices", "indptr"):
+                got, ref = getattr(S, key), getattr(want, key)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            X_all = sp.vstack(mats) if transpose else sp.hstack(mats, format="csr")
+            terms = (np.bincount(sp.csr_matrix(X_all).indices, minlength=X_all.shape[1])
+                     if transpose else np.diff(X_all.indptr))
+            steps = int(terms.max()) + int(np.diff(S.indptr).max()) + 2
+            assert margin == 1.0 + steps * float(np.finfo(float).eps)
+
+
+def test_cw_runs_equal_each_block_alone_past_a_rebuild(rng, monkeypatch):
+    """Many blocks whose all-ones vector is their Perron vector settle at
+    the first step, and one slow path block runs on, so the live rows fall
+    below half and the runner cuts its matrix to them; every block's bound
+    still has the bits it gets alone."""
+    fast = [np.ones((s, s)) + np.eye(s) for s in rng.integers(1, 6, 40)]
+    length = 40
+    path = np.diag(np.full(length, 2.0)) + np.diag(np.ones(length - 1), 1) \
+        + np.diag(np.ones(length - 1), -1)
+    path[0, 0] = 3.0  # not constant row sums: the ones vector is off
+    blocks = fast[:25] + [path] + fast[25:]
+    S = sp.block_diag(blocks, format="csr")
+    perm = rng.permutation(S.shape[0])  # vertices of a block scattered
+    S = sp.csr_matrix(S[perm][:, perm])
+    S.sort_indices()
+    where = np.argsort(perm)  # block vertex -> row of S
+    sizes = [len(b) for b in blocks]
+    starts = np.cumsum(sizes) - sizes
+    verts = np.concatenate([where[a:a + s] for a, s in zip(starts, sizes)])
+    shapes = []
+    build = sp.csr_matrix
+
+    class _Recording:
+        def __getattr__(self, name):
+            return getattr(sp, name)
+
+        def csr_matrix(self, *args, **kw):
+            shapes.append(kw.get("shape"))
+            return build(*args, **kw)
+
+    for tol in (spectral._SCREEN_TOL, spectral._CW_TOL):
+        alone = [spectral._cw_from_ones(S, where[a:a + s], [s], tol)[0]
+                 for a, s in zip(starts, sizes)]
+        shapes.clear()
+        monkeypatch.setattr(spectral, "sp", _Recording())
+        together = spectral._cw_from_ones(S, verts, sizes, tol)
+        monkeypatch.setattr(spectral, "sp", sp)
+        assert together.tolist() == alone
+        assert shapes[0] == (len(verts), len(verts))
+        assert any(shape[0] <= len(verts) // 2 for shape in shapes[1:])
+        top = np.linalg.eigvalsh(path)[-1]
+        assert top <= together[25] <= top * (1 + 1e-3)
