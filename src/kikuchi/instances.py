@@ -244,9 +244,9 @@ def _check_signs(values, length: int, name: str = "signs") -> tuple:
     each equal +-1 exactly, checked before any cast, so 1.9 is refused
     rather than truncated to 1 (DimensionMismatch)."""
     values = tuple(values)
-    if len(values) != length or any(v not in (-1, 1) for v in values):
+    if len(values) != length or not {*values} <= {-1, 1}:
         raise DimensionMismatch(f"{name} must be a +-1 vector of length {length}")
-    return tuple(int(v) for v in values)
+    return tuple(map(int, values))
 
 
 def eval_phi(inst: XorInstance, b, x) -> int:

@@ -408,17 +408,16 @@ def _top_eig_bound(S) -> float:
     return best
 
 
-def _gram(mats, transpose: bool, symmetric: bool = False):
+def _gram(mats, transpose: bool):
     """(S, margin): S = sum X X^T (sum X^T X with ``transpose``) over
     nonnegative CSR matrices X, and the factor 1 + steps * eps that lifts a
     Collatz-Wielandt bound computed on S over its rounding.  The sum is one
     sparse product on the matrices stacked side by side (on top of each
-    other with ``transpose``), or on a lone X as is: X X when ``symmetric``
-    says X = X^T and its indices are sorted, which saves transposing X.
-    With ``transpose`` S is the transpose of that product, which sorts its
-    indices in one linear pass; S is symmetric, so its entry (i, j) is the
-    sum of X_ki X_kj over rows k in increasing k, as X^T X has it.  A
-    product stores no zero sums.
+    other with ``transpose``), or on a lone X as is.  With ``transpose`` S
+    is the transpose of the product X^T X, which sorts its indices in one
+    linear pass; S is symmetric, so its entry (i, j) is the sum of
+    X_ki X_kj over rows k in increasing k, as X^T X has it.  A product
+    stores no zero sums.
 
     The margin covers the rounding of the Gram sums (at most ``terms``
     products per entry), of S w and of the final division.
@@ -428,8 +427,7 @@ def _gram(mats, transpose: bool, symmetric: bool = False):
     else:
         X = (sp.vstack if transpose else sp.hstack)(mats, format="csr")
     if transpose:
-        XT = X if symmetric and X.has_sorted_indices else X.T.tocsr()
-        S = (XT @ X).T.tocsr()
+        S = (X.T.tocsr() @ X).T.tocsr()
         terms = np.bincount(X.indices, minlength=X.shape[1])
     else:
         S = X @ X.T
@@ -495,7 +493,7 @@ class ComponentBounds:
             self.bounds = np.full(n_comp, np.inf)
             self.lower = np.zeros(n_comp)
             return
-        self._S, self._margin = _gram([A], transpose, symmetric)
+        self._S, self._margin = _gram([A], transpose)
         # Gram vertices holding an entry, grouped by component; every one of
         # them has a positive diagonal, so the power iterates stay positive
         used = np.flatnonzero(np.diff(self._S.indptr))

@@ -533,12 +533,12 @@ def test_gram_arrays_equal_the_stacked_product(rng):
         m, n = int(rng.integers(2, 40)), int(rng.integers(2, 40))
         X = abs(random_sparse(rng, m, n, int(rng.integers(1, 3 * (m + n)))))
         Y = abs(random_sparse(rng, n, n, int(rng.integers(1, 3 * n))))
-        cases = [([X], False, False), ([X], True, False), ([X.T.tocsr()], True, False),
-                 ([Y + Y.T], True, True), ([Y + Y.T], False, True),
-                 ([X, _random_counting(rng, m, n, 2 * m)], False, False),
-                 ([X, _random_counting(rng, m, n, 2 * m)], True, False)]
-        for mats, transpose, symmetric in cases:
-            S, margin = spectral._gram(mats, transpose, symmetric)
+        cases = [([X], False), ([X], True), ([X.T.tocsr()], True),
+                 ([Y + Y.T], True), ([Y + Y.T], False),
+                 ([X, _random_counting(rng, m, n, 2 * m)], False),
+                 ([X, _random_counting(rng, m, n, 2 * m)], True)]
+        for mats, transpose in cases:
+            S, margin = spectral._gram(mats, transpose)
             want = _stacked_gram(mats, transpose)
             for key in ("data", "indices", "indptr"):
                 got, ref = getattr(S, key), getattr(want, key)
