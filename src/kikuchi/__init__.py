@@ -32,7 +32,7 @@ from .instances import (
     generate_random_matching_instance,
     validate_matching,
 )
-from .prune import PruningError, conditional_degree_moment, prune, target_degrees
+from .prune import PruningError, prune, target_degrees
 from .refute import (
     FullRefutation,
     RegularityError,
@@ -44,7 +44,6 @@ from .setops import degree
 from .spectral import (
     NormEstimate,
     block_spectral_norms,
-    estimate_expected_norm,
     khintchine_bound,
     khintchine_sigma,
     spectral_norm,

@@ -63,8 +63,8 @@ def _meta(config: dict, seed) -> dict:
     }
 
 
-def _at_least(name: str, value: int, low: int) -> int:
-    if value < low:
+def _at_least(name: str, value: int | None, low: int) -> int | None:
+    if value is not None and value < low:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
     return value
 
@@ -113,6 +113,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    _at_least("--ell", args.ell, 1)
     inst = load_instance(args.inp)
     if not isinstance(inst, XorInstance):
         raise ConfigError("decompose expects a q-uniform instance file")
@@ -135,6 +136,7 @@ def cmd_decompose(args) -> int:
 def cmd_refute(args) -> int:
     threads = _threads(args)
     _at_least("--trials", args.trials, 2)
+    _at_least("--ell", args.ell, 1)
     _at_least("--partitions", args.partitions, 0)
     inst = load_instance(args.inp)
     if not isinstance(inst, XorInstance):
@@ -225,11 +227,12 @@ def cmd_oracle(args) -> int:
 def cmd_sweep(args) -> int:
     threads = _threads(args)
     _at_least("--trials", args.trials, 2)
+    _at_least("--seeds", args.seeds, 1)
+    _at_least("--ell", args.ell, 1)
     ks = [int(x) for x in args.k_list.split(",")]
-    seeds = list(range(args.seeds))
     rows = []
     for k in ks:
-        for sd in seeds:
+        for sd in range(args.seeds):
             try:
                 if args.planted:
                     inst, _ = generate_planted_linear_instance(

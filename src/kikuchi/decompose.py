@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .instances import BipartiteXorInstance, XorInstance, dump_json, eval_phi, \
-    eval_psi_bipartite
+    eval_psi_bipartite, validate_matching
 from .setops import integer_root, mask_of, subsets_of_mask, verts_of
 
 
@@ -297,8 +297,6 @@ def verify_decomposition(dec: DecomposedInstance) -> dict:
     for q_set, d, t in heavy_sets(dec.leftover, thr):
         violations.append(f"leftover degree of {q_set} is {d} > d_{t}")
 
-    from .instances import validate_matching
-
     for i in range(inst.k):
         ok, pair = validate_matching(dec.leftover.hypergraphs[i])
         if not ok:
@@ -309,11 +307,7 @@ def verify_decomposition(dec: DecomposedInstance) -> dict:
             if not ok or len({p for _, p in h}) != len(h):
                 violations.append(f"piece {s}, H^({s})_{i} not a bipartite matching")
 
-    ratios = {
-        s: (piece.p_size * thr.d_float(s) / inst.total_edges if inst.total_edges else 0.0)
-        for s, piece in dec.pieces.items()
-    }
-    return {"ok": not violations, "violations": violations, "registry_ratios": ratios}
+    return {"ok": not violations, "violations": violations}
 
 
 def recombination_check(dec: DecomposedInstance, b, x) -> bool:

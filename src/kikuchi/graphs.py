@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .instances import BipartiteXorInstance, XorInstance, dump_json
-from .setops import subset_rank
+from .setops import subset_rank, subset_unrank
 
 DENSE_ENTRY_LIMIT = 10**8  # explicit dense matrices allowed below this
 SPACE_ENUM_LIMIT = 5 * 10**7  # lift vectors materialize the whole space
@@ -68,8 +68,6 @@ class VertexSpace:
         return n
 
     def unrank(self, rank: int):
-        from .setops import subset_unrank
-
         parts = []
         for c in reversed(self.components):
             card = c.cardinality

@@ -89,6 +89,13 @@ def _field(d: dict, key: str, convert):
         raise TypeError(f"field {key!r} has the wrong type: {exc}") from None
 
 
+def _int(value):
+    """``value`` when it is an int and not a bool; TypeError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _norm_edges(hypergraphs):
     return tuple(tuple(tuple(sorted(e)) for e in h) for h in hypergraphs)
 
@@ -145,9 +152,9 @@ class XorInstance:
     @classmethod
     def from_dict(cls, d: dict) -> "XorInstance":
         return cls(
-            n=d["n"],
-            k=d["k"],
-            q=d["q"],
+            n=_field(d, "n", _int),
+            k=_field(d, "k", _int),
+            q=_field(d, "q", _int),
             delta=d["delta"],
             hypergraphs=_field(d, "hypergraphs", lambda hs: [
                 [[v - 1 for v in e] for e in h] for h in hs]),
@@ -228,10 +235,10 @@ class BipartiteXorInstance:
     @classmethod
     def from_dict(cls, d: dict) -> "BipartiteXorInstance":
         return cls(
-            n=d["n"],
-            k=d["k"],
-            q=d["q"],
-            s=d["s"],
+            n=_field(d, "n", _int),
+            k=_field(d, "k", _int),
+            q=_field(d, "q", _int),
+            s=_field(d, "s", _int),
             registry=_field(d, "labels", lambda ps: [[v - 1 for v in p] for p in ps]),
             hypergraphs=_field(d, "hypergraphs", lambda hs: [
                 [([v - 1 for v in e["left"]], e["p"]) for e in h] for h in hs]),
@@ -418,6 +425,20 @@ def brute_force_val(inst, b, limit: int = EXHAUSTIVE_LIMIT):
     return best_val, x, y
 
 
+def sign_rows(k: int, fix_first: bool = False) -> np.ndarray:
+    """All +-1 vectors of length k, bit i of the row index set meaning b_i
+    is -1; with ``fix_first`` only those with b_1 = +1 (norms of Rademacher
+    sums are invariant under global flip)."""
+    kk = k - 1 if fix_first else k
+    idx = np.arange(1 << kk, dtype=np.uint64)
+    rows = 1 - 2 * (
+        (idx[:, None] >> np.arange(kk, dtype=np.uint64)[None, :]) & 1
+    ).astype(np.int8)
+    if fix_first:
+        rows = np.hstack([np.ones((len(rows), 1), dtype=np.int8), rows])
+    return rows
+
+
 def val_for_all_signs(inst, limit: int = EXHAUSTIVE_LIMIT, signs=None) -> np.ndarray:
     """val(Phi_b) for every b in {-1,+1}^k (bit i of the row index = b_i is
     -1), or for each row b of ``signs`` when given.
@@ -441,8 +462,7 @@ def val_for_all_signs(inst, limit: int = EXHAUSTIVE_LIMIT, signs=None) -> np.nda
         raise OracleLimitExceeded(f"k={inst.k} too large to enumerate signs")
     full = 1 << inst.k
     half = (full + 1) // 2  # k = 0: the one empty sign vector
-    bits = (np.arange(half)[:, None] >> np.arange(inst.k)[None, :]) & 1
-    top, bottom = _values(masks, (1 - 2 * bits).astype(np.int8)[:, owner])
+    top, bottom = _values(masks, sign_rows(inst.k)[:half, owner])
     # row full-1-j holds -b_j; rows half..full-1 are j = half-1..0
     return np.concatenate([top, -bottom[::-1]])[:full]
 
@@ -460,10 +480,7 @@ def expected_val(inst, trials: int = 200, seed: int = 0, limit: int = EXHAUSTIVE
     if trials < 2:
         raise ValueError(f"trials must be >= 2 to sample signs, got {trials}")
     rng = np.random.default_rng(seed)
-    b = np.array(
-        [1 - 2 * rng.integers(0, 2, size=inst.k) for _ in range(trials)],
-        dtype=np.int8,
-    )
+    b = 1 - 2 * rng.integers(0, 2, size=(trials, inst.k)).astype(np.int8)
     arr = val_for_all_signs(inst, limit=limit, signs=b).astype(float)
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(trials))
 

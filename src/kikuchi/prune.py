@@ -235,31 +235,3 @@ def verify_pruned(pruned: PrunedGraph) -> dict:
                 violations.append(f"label {j}: pruned subgraph not symmetric")
                 break
     return {"ok": not violations, "violations": violations}
-
-
-def conditional_degree_moment(
-    graph: KikuchiGraph, group_idx: int, label_idx: int, side: str,
-    samples: int = 2000, seed: int = 0, exhaustive_limit: int = 10**5,
-):
-    """Mean group-degree of a random endpoint of a uniform label edge.
-
-    Exhaustive over the label's edges when there are at most
-    ``exhaustive_limit``; otherwise a seeded uniform sample.  Returns
-    (mean, stderr) with stderr 0 in the exhaustive case.
-    """
-    emask = graph.edge_label == label_idx
-    if not emask.any():
-        raise ValueError("label owns no edges")
-    gmask = graph.group_edge_mask(group_idx)
-    ends = graph.left if side == "left" else graph.right
-    deg = {}
-    for v in ends[gmask].tolist():
-        deg[v] = deg.get(v, 0) + 1
-    chosen = ends[emask]
-    if len(chosen) <= exhaustive_limit:
-        vals = np.asarray([deg.get(int(v), 0) for v in chosen], dtype=float)
-        return float(vals.mean()), 0.0
-    rng = np.random.default_rng(seed)
-    pick = rng.integers(0, len(chosen), size=samples)
-    vals = np.asarray([deg.get(int(chosen[i]), 0) for i in pick], dtype=float)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))

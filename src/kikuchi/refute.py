@@ -67,6 +67,7 @@ from .instances import (
     brute_force_val,  # noqa: F401  perfbench's tracer wraps refute.brute_force_val
     dump_json,
     load_json_object,
+    sign_rows,
     val_for_all_signs,
 )
 from .prune import (
@@ -82,7 +83,6 @@ from .spectral import (
     block_spectral_norms,
     khintchine_bound,
     khintchine_sigma,
-    sign_rows,
     spectral_norm,  # noqa: F401  perfbench's tracer wraps refute.spectral_norm
     thread_map,
 )
@@ -668,15 +668,20 @@ def dump_certificate(cert: dict, path, extra_meta: dict | None = None):
 
 def load_certificate(path) -> dict:
     """A combined certificate; ValueError names a key ``kikuchi verify``
-    reads that it lacks, or ``params`` when that is not an object."""
+    reads that it lacks or that holds the wrong type, or a non-object ``params``."""
     cert = load_json_object(path, "certificate")
     params = cert.get("params", {})
     if not isinstance(params, dict):
         raise ValueError(f"{path}: certificate field 'params' must be an object, "
                          f"not {type(params).__name__}")
     missing = [key for key in ("params", "combined_bound", "verdict") if key not in cert]
-    missing += [f"params.{key}" for key in ("epsilon", "gamma", "trials", "seed")
-                if key not in params]
+    kinds = {"epsilon": (int, float), "gamma": (int, float), "trials": int, "seed": int}
+    missing += [f"params.{key}" for key in kinds if key not in params]
     if missing:
         raise ValueError(f"{path}: certificate has no key {missing[0]!r}")
+    for key, kind in {**kinds, "ell": (int, type(None))}.items():
+        value = params.get(key)  # an absent ell reads as None, which passes
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{path}: certificate field 'params.{key}' has the wrong "
+                             f"type: {value!r}")
     return cert

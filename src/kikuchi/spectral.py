@@ -17,10 +17,10 @@ an independent oracle.
 
 Expectations over uniform signs go through one loop, ``average_over_signs``:
 exhaustive over b with b_1 = +1 up to EXHAUSTIVE_SIGN_LIMIT groups, Monte
-Carlo above; it hands all rows to one batched callback.  Certificates feed
-it the cached, block-solved norms of a pruned graph
-(``refute.SignedFamily``), ``estimate_expected_norm`` the norms of explicit
-group-matrix sums.
+Carlo above; it hands all rows to one batched callback.  Its one caller,
+``refute``'s spectral route, feeds it the cached, block-solved norms of a
+pruned graph (``refute.SignedFamily``).  The rows come from
+``instances.sign_rows``, the enumerator the exact oracle uses too.
 
 The support of a signed matrix does not depend on the signs, and its norm
 is the largest over the support's connected components, each at most the
@@ -51,6 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from .instances import sign_rows
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAXIT = 10_000
@@ -558,19 +560,6 @@ def khintchine_bound(sigma_sq: float, d1: int, d2: int) -> float:
     return float(np.sqrt(2.0 * sigma_sq * np.log(d1 + d2)))
 
 
-def sign_rows(k: int, fix_first: bool = False) -> np.ndarray:
-    """All +-1 vectors of length k; with ``fix_first`` only those with
-    b_1 = +1 (norms of Rademacher sums are invariant under global flip)."""
-    kk = k - 1 if fix_first else k
-    idx = np.arange(1 << kk, dtype=np.uint64)
-    rows = 1 - 2 * (
-        (idx[:, None] >> np.arange(kk, dtype=np.uint64)[None, :]) & 1
-    ).astype(np.int8)
-    if fix_first:
-        rows = np.hstack([np.ones((len(rows), 1), dtype=np.int8), rows])
-    return rows
-
-
 def thread_map(fn, items, threads: int = 1) -> list:
     """[fn(x) for x in items], on a pool of ``threads`` threads when more
     than one; the order is kept."""
@@ -597,26 +586,3 @@ def average_over_signs(norms_of, k: int, trials: int, rng):
     arr = np.asarray(norms_of(rows), dtype=float)
     stderr = 0.0 if exhaustive else float(arr.std(ddof=1) / np.sqrt(len(arr)))
     return float(arr.mean()), stderr, exhaustive, len(rows)
-
-
-def estimate_expected_norm(
-    group_mats, trials: int = 200, seed: int = 0, tol: float = DEFAULT_TOL,
-):
-    """Mean and stderr of |sum_i b_i X_i| over uniform signs b, by
-    ``average_over_signs`` with the Monte Carlo rows drawn from ``seed``."""
-    mats = [m.tocsr() for m in group_mats]
-    k = len(mats)
-    if k == 0:
-        return 0.0, 0.0
-
-    def norm_for(b):
-        acc = float(b[0]) * mats[0]
-        for i in range(1, k):
-            acc = acc + float(b[i]) * mats[i]
-        return spectral_norm(acc, tol=tol, seed=seed).value
-
-    mean, stderr, _, _ = average_over_signs(
-        lambda rows: [norm_for(b) for b in rows], k, trials,
-        np.random.default_rng(seed),
-    )
-    return mean, stderr

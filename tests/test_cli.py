@@ -233,6 +233,34 @@ def test_trials_below_two_is_config_error(tmp_path, capsys, command, trials):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("sweep", "--seeds", "0"),
+    ("sweep", "--seeds", "-1"),
+    ("sweep", "--ell", "0"),
+    ("refute", "--ell", "0"),
+    ("decompose", "--ell", "0"),
+])
+def test_count_below_one_is_config_error(tmp_path, capsys, command, flag, value):
+    # no seed means no row, and compute_thresholds would run --ell 0 as 1
+    # while the config echo says 0: refuse both before any work
+    inst = tmp_path / "inst.json"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+            "--seed", "4", "--out", str(inst))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {
+        "sweep": ["sweep", "--n", "10", "--q", "3", "--delta", "0.2",
+                  "--k-list", "3", "--out", str(out)],
+        "refute": ["refute", "--in", str(inst), "--out", str(out)],
+        "decompose": ["decompose", "--in", str(inst), "--out", str(out)],
+    }[command]
+    assert run_cli(*argv, flag, value) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert f"{flag} must be >= 1, got {value}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("trials", ["1", "0", "-3"])
 def test_oracle_trials_below_two_is_config_error(tmp_path, capsys, trials):
     # k > EXHAUSTIVE_B_LIMIT: the oracle samples signs, and one draw has no
@@ -331,6 +359,39 @@ def test_nested_field_of_wrong_type_is_config_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error:")
     assert f"{bad}: " in err and f"'{field}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 12.0),
+    ("q", 3.0),
+    ("params.epsilon", "0.1"),
+    ("params.gamma", None),
+    ("params.seed", 1.5),
+    ("params.trials", "10"),
+    ("params.ell", "1"),
+])
+def test_mistyped_number_is_config_error(tmp_path, capsys, field, value):
+    # an instance field goes to refute, a certificate parameter to verify
+    inst, cert, out = tmp_path / "inst.json", tmp_path / "cert.json", tmp_path / "out"
+    run_cli("gen", "--n", "12", "--q", "3", "--k", "4", "--delta", "0.25",
+            "--seed", "1", "--out", str(inst))
+    assert run_cli("refute", "--in", str(inst), "--out", str(cert), "--ell", "1",
+                   "--trials", "10") == 0
+    section, _, key = field.rpartition(".")
+    target = cert if section else inst
+    body = read_json(target)
+    (body[section] if section else body)[key] = value
+    target.write_text(json.dumps(body))
+    capsys.readouterr()
+    if section:
+        argv = ["verify", "--in", str(inst), "--cert", str(cert)]
+    else:
+        argv = ["refute", "--in", str(inst), "--out", str(out)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert f"{target}: " in err and f"'{field}'" in err
     assert not out.exists()
 
 

@@ -23,10 +23,11 @@ from kikuchi.instances import (
     XorInstance,
     generate_random_bipartite_instance,
     generate_random_matching_instance,
+    sign_rows,
 )
 from kikuchi.prune import prune, target_degrees
 from kikuchi.refute import SignedFamily
-from kikuchi.spectral import NormEstimate, sign_rows
+from kikuchi.spectral import NormEstimate
 
 
 def _pruned(graph, delta_n, k):

@@ -18,8 +18,6 @@ from kikuchi.instances import (
 )
 from kikuchi.prune import (
     PruningError,
-    analytic_degree_shapes,
-    conditional_degree_moment,
     degree_profile,
     prune,
     target_degrees,
@@ -175,69 +173,6 @@ def test_prune_all_heavy_raises():
     inst, g = cs_toy()
     with pytest.raises(PruningError):
         prune(g, 1, Fraction(1, 10**6), Fraction(1, 10**6))
-
-
-def test_moment_single_constraint_is_one():
-    piece = BipartiteXorInstance(
-        n=6, k=1, q=3, s=2, registry=[(0, 1), (2, 3), (4, 5)],
-        hypergraphs=[[((2,), 0)]],
-    )
-    g = assemble_bipartite(piece, 1)
-    for side in ("left", "right"):
-        mean, err = conditional_degree_moment(g, 0, 0, side)
-        assert mean == 1.0 and err == 0.0
-
-
-def test_moment_disjoint_supports_is_one():
-    # ell = (q-1)/2 leaves no free slots, so S1 is inside C; disjoint C's
-    # never share a left endpoint and the label sets never collide
-    piece = BipartiteXorInstance(
-        n=6, k=1, q=3, s=2, registry=[(0, 1), (2, 3)],
-        hypergraphs=[[((4,), 0), ((5,), 1)]],
-    )
-    g = assemble_bipartite(piece, 1)
-    for lab in range(2):
-        mean, _ = conditional_degree_moment(g, 0, lab, "left")
-        assert mean == 1.0
-
-
-def test_moment_hand_computed_collision():
-    """One left vertex meets both labels; every other endpoint only its
-    own.  D = 9 edges per label, one of which lands on the degree-2
-    vertex, so the conditional first moment is exactly 10/9."""
-    piece = BipartiteXorInstance(
-        n=4, k=1, q=3, s=2,
-        registry=[(0, 1), (0, 2), (1, 2), (2, 3)],  # labels p0..p3
-        hypergraphs=[[((0,), 0), ((1,), 1)]],
-    )
-    g = assemble_bipartite(piece, 2)
-    # 9 edges per label: S1 in {01,02,03} x 3 choices of S2; only the edge
-    # with S1 = {0,1} and S2 = {p2,p3} has a degree-2 left endpoint
-    assert g.D == 9
-    mean, err = conditional_degree_moment(g, 0, 0, "left")
-    assert err == 0.0
-    assert mean == pytest.approx(10 / 9, abs=1e-12)
-
-
-def test_moment_exhaustive_vs_sampled():
-    piece = generate_random_bipartite_instance(8, 3, 2, 1, edges_per=3,
-                                               p_size=6, seed=4)
-    g = assemble_bipartite(piece, 2)
-    exact, _ = conditional_degree_moment(g, 0, 0, "left")
-    sampled, err = conditional_degree_moment(
-        g, 0, 0, "left", samples=800, seed=1, exhaustive_limit=0
-    )
-    assert err > 0
-    assert abs(sampled - exact) <= 3 * err + 1e-9
-
-
-def test_moment_bounded_by_analytic_shape():
-    piece = generate_random_bipartite_instance(10, 3, 2, 1, edges_per=3,
-                                               p_size=6, seed=5)
-    g = assemble_bipartite(piece, 4)
-    shapes = analytic_degree_shapes("bipartite", 10, 4, 3, 3, 1, s=2, p_size=6)
-    mean, _ = conditional_degree_moment(g, 0, 0, "left")
-    assert mean - 1.0 <= 32 * shapes["d_left"]
 
 
 def test_pruned_group_matrices_are_subsets():

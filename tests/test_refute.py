@@ -16,6 +16,7 @@ from kikuchi.instances import (
     brute_force_val,
     generate_planted_linear_instance,
     generate_random_matching_instance,
+    sign_rows,
     val_for_all_signs,
 )
 from kikuchi.refute import (
@@ -27,7 +28,6 @@ from kikuchi.refute import (
     refute_full,
     refute_regular,
 )
-from kikuchi.spectral import sign_rows
 
 
 def two_edge_instance():
