@@ -185,10 +185,8 @@ def cmd_build(args) -> int:
         g = assemble_bipartite(inst, args.ell)
     elif args.variant == "regular_cs":
         g = assemble_regular_cs(inst, args.ell)
-    elif args.variant == "auto":
-        g = assemble_basic(inst, args.ell)
-    else:
-        g = assemble_basic(inst, args.ell, variant=args.variant)
+    else:  # "auto" leaves the variant to the parity of q
+        g = assemble_basic(inst, args.ell, None if args.variant == "auto" else args.variant)
     dump_graph(g, args.out)
     print(
         f"wrote {args.out}: variant={g.variant} labels={g.n_labels} "

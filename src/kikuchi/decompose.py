@@ -50,13 +50,10 @@ class Thresholds:
     def is_heavy(self, deg: int, t: int) -> bool:
         return deg >= 0 and Fraction(deg * deg) > self.d_sq[t]
 
-    def floor_d(self, t: int) -> int:
-        f = self.d_sq[t]
-        return math.isqrt(f.numerator // f.denominator)
-
     def move_count(self, t: int) -> int:
         """floor(d_t) + 1 hyperedges move per promotion."""
-        return self.floor_d(t) + 1
+        f = self.d_sq[t]
+        return math.isqrt(f.numerator // f.denominator) + 1
 
     def to_dict(self) -> dict:
         return {
@@ -72,12 +69,6 @@ class Thresholds:
             "k_ge_4ell": self.k_ge_4ell,
             "d_min_ge_1": self.d_min_ge_1,
         }
-
-    @classmethod
-    def exact(cls, ell: int, n: int, k: int, q: int, d_values: dict) -> "Thresholds":
-        """Thresholds from explicitly given rational d_t values (tests, overrides)."""
-        d_sq = {t: Fraction(v) ** 2 for t, v in d_values.items()}
-        return cls(ell=ell, n=n, k=k, q=q, d_sq=d_sq)
 
 
 def compute_thresholds(

@@ -233,9 +233,6 @@ class KikuchiGraph:
         np.add.at(out, (self.left, self.right), s[self.edge_label])
         return out
 
-    def group_edge_mask(self, group_idx: int) -> np.ndarray:
-        return self.label_group[self.edge_label] == group_idx
-
     def verify_label_counts(self) -> bool:
         counts = np.bincount(self.edge_label, minlength=self.n_labels)
         return self.n_labels == 0 or (counts == self.D).all()

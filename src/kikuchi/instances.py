@@ -54,6 +54,7 @@ EXHAUSTIVE_B_LIMIT = 16  # expected_val enumerates all 2^k signs up to here
 LOW_BITS = 14  # assignment bits in the oracle's low character table
 BLOCK_ENTRIES = 1 << 20  # float32 values (4 MB) per oracle GEMM block
 EXACT_SUM_LIMIT = 1 << 24  # float32 holds every integer up to here exactly
+PLANTED_ATTEMPTS = 200  # generator draws before a planted instance is refused
 
 
 class DimensionMismatch(ValueError):
@@ -568,9 +569,7 @@ class PlantedCode:
         }
 
 
-def generate_planted_linear_instance(
-    n: int, q: int, k: int, delta: float, seed: int, max_attempts: int = 200
-):
+def generate_planted_linear_instance(n: int, q: int, k: int, delta: float, seed: int):
     """Instance whose constraints are all satisfied by x = C(b) for every b.
 
     Draws a uniformly random full-rank k x n generator over GF(2), then for
@@ -583,7 +582,7 @@ def generate_planted_linear_instance(
     if k > n:
         raise InfeasibleSize("full-rank generator needs k <= n")
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(PLANTED_ATTEMPTS):
         cols = [int(x) for x in rng.integers(0, 1 << k, size=n, dtype=np.uint64)]
         if _gf2_rank(cols[:]) < k:
             continue
@@ -616,7 +615,7 @@ def generate_planted_linear_instance(
             return inst, PlantedCode(n=n, k=k, columns=tuple(cols))
     raise InfeasibleSize(
         f"no planted instance found for n={n} q={q} k={k} delta={delta} "
-        f"after {max_attempts} generator draws"
+        f"after {PLANTED_ATTEMPTS} generator draws"
     )
 
 

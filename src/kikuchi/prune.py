@@ -34,7 +34,7 @@ class DegreeProfile:
 def degree_profile(graph: KikuchiGraph) -> DegreeProfile:
     lefts, rights, counts = [], [], []
     for g in range(graph.n_groups):
-        mask = graph.group_edge_mask(g)
+        mask = graph.label_group[graph.edge_label] == g
         lv, lc = np.unique(graph.left[mask], return_counts=True)
         rv, rc = np.unique(graph.right[mask], return_counts=True)
         lefts.append(dict(zip(lv.tolist(), lc.tolist())))
@@ -96,30 +96,15 @@ class PrunedGraph(KikuchiGraph):
     report: dict
 
 
-def _pruned_graph(graph: KikuchiGraph, keep: np.ndarray, D_prime: int,
-                  **extra) -> PrunedGraph:
-    """The parent's edges at ``keep``, with every other graph field shared."""
-    shared = {f.name: getattr(graph, f.name) for f in fields(KikuchiGraph) if f.init}
-    shared.update(left=graph.left[keep], right=graph.right[keep],
-                  edge_label=graph.edge_label[keep], D=D_prime)
-    return PrunedGraph(**shared, parent=graph, keep=keep, D_prime=D_prime, **extra)
-
-
 def prune(graph: KikuchiGraph, gamma, d_left: Fraction, d_right: Fraction) -> PrunedGraph:
     """Drop group-heavy endpoints, then equalize every label to D' edges.
 
     Heavy means degree strictly above gamma * d (exact rational compare);
     symmetric variants drop in endpoint-swapped pairs so every per-label
     subgraph remains symmetric.  Trimming removes the lexicographically
-    largest surviving entries.
+    largest surviving entries.  ``PruningError`` when no edge survives in
+    some label, or when the graph has no label at all.
     """
-    if graph.n_labels == 0:
-        return _pruned_graph(
-            graph, np.empty(0, dtype=np.int64), 0,
-            gamma=float(gamma), d_left=d_left, d_right=d_right,
-            report={"D": 0, "D_prime": 0, "ratio": None,
-                    "heavy_left": 0, "heavy_right": 0, "per_group": []},
-        )
     # an integer degree exceeds the exact rational cap gamma * d iff it
     # exceeds the cap's floor
     limit_l = math.floor(Fraction(gamma) * d_left)
@@ -154,7 +139,7 @@ def prune(graph: KikuchiGraph, gamma, d_left: Fraction, d_right: Fraction) -> Pr
     if D_prime == 0:
         raise PruningError(
             f"pruning at gamma={gamma} left an empty label "
-            f"(survivor counts {counts.min()}..{counts.max()})"
+            f"(survivor counts {counts.min(initial=0)}..{counts.max(initial=0)})"
         )
 
     # equalize: sort the survivors of labels above D' by (label, edge key)
@@ -180,18 +165,20 @@ def prune(graph: KikuchiGraph, gamma, d_left: Fraction, d_right: Fraction) -> Pr
         "gamma": float(gamma),
         "D": graph.D,
         "D_prime": D_prime,
-        "ratio": D_prime / graph.D if graph.D else None,
+        "ratio": D_prime / graph.D,
         "d_left": float(d_left),
         "d_right": float(d_right),
         "heavy_left": heavy_l_total,
         "heavy_right": heavy_r_total,
-        "meets_half_D": bool(graph.D and 2 * D_prime >= graph.D),
+        "meets_half_D": 2 * D_prime >= graph.D,
         "per_group": per_group,
     }
-    return _pruned_graph(
-        graph, keep, D_prime, gamma=float(gamma),
-        d_left=d_left, d_right=d_right, report=report,
-    )
+    # the parent's edges at ``keep``, with every other graph field shared
+    shared = {f.name: getattr(graph, f.name) for f in fields(KikuchiGraph) if f.init}
+    shared.update(left=graph.left[keep], right=graph.right[keep],
+                  edge_label=graph.edge_label[keep], D=D_prime)
+    return PrunedGraph(**shared, parent=graph, keep=keep, D_prime=D_prime,
+                       gamma=float(gamma), d_left=d_left, d_right=d_right, report=report)
 
 
 def verify_pruned(pruned: PrunedGraph) -> dict:

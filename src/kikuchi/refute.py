@@ -175,8 +175,6 @@ class SignedFamily:
         (a relative error bound on the squared norm), so an unconverged
         solve loosens bounds instead of undercutting them."""
         signs = self.graph.signs_for(rows)
-        if self.graph.n_edges == 0:
-            return np.zeros(len(signs))
         # one key per +- class, the labels whose sign differs from the first
         # label's packed to bits; the first row of a class is the one solved
         keys = [key.tobytes() for key in np.packbits(signs != signs[:, :1], axis=1)]
@@ -245,11 +243,6 @@ class Refutation:
     family: SignedFamily | None  # the pruned graph's family, None without one
     trivial: int  # bounds, for every b, what ratio |B(b)| bounds
     graph: KikuchiGraph | None = None
-
-    @property
-    def pruned(self) -> PrunedGraph | None:
-        """The graph actually used, if any: the family's."""
-        return self.family.graph if self.family is not None else None
 
     def spectral(self, rows) -> np.ndarray:
         """ratio |B(b)| at each sign row of the (c, k) array ``rows``, or
@@ -344,14 +337,14 @@ def check_regularity(inst: XorInstance, thr: Thresholds):
 
 def refute_regular(
     inst: XorInstance,
-    ell: int | None = None,
+    thresholds: Thresholds,
     gamma: float = 8.0,
     trials: int = 200,
     seed: int = 0,
-    thresholds: Thresholds | None = None,
     threads: int = 1,
 ) -> RegularRefutation:
-    """Certify an upper bound on E_b[val(Psi_b)] for a regular instance.
+    """Certify an upper bound on E_b[val(Psi_b)] for a regular instance,
+    at the scale ell = ``thresholds.ell``.
 
     ``bound`` is the empirical variant: the full pair graph with realized
     norms, sound for each fixed b and (exhaustively averaged) for the
@@ -362,9 +355,7 @@ def refute_regular(
     if q % 2 == 0 or q < 3:
         raise ValueError("regular refutation requires odd q >= 3")
     _check_trials(trials)
-    if thresholds is None:
-        thresholds = instance_thresholds(inst, ell)
-    ell = thresholds.ell if ell is None else ell
+    ell = thresholds.ell
     check_regularity(inst, thresholds)
 
     m_total = inst.total_edges
@@ -598,10 +589,8 @@ def refute_full(
     _check_trials(trials)
     thr = instance_thresholds(inst, ell)
     dec = decompose(inst, thr)
-    regular = refute_regular(
-        dec.leftover, thr.ell, gamma=gamma, trials=trials, seed=seed,
-        thresholds=thr, threads=threads,
-    )
+    regular = refute_regular(dec.leftover, thr, gamma=gamma, trials=trials,
+                             seed=seed, threads=threads)
     pieces = {}
     piece_failures = {}
     for s in sorted(dec.pieces):

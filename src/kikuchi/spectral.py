@@ -108,7 +108,7 @@ def _tridiagonal_tops(diag, off):
     return top, last
 
 
-def _lanczos_top(gram, start, c, tol, trace=None):
+def _lanczos_top(gram, start, c, tol):
     """Top Ritz values of c symmetric positive semidefinite operators from
     the three-term Lanczos recurrence, every column started at ``start``.
 
@@ -124,8 +124,7 @@ def _lanczos_top(gram, start, c, tol, trace=None):
     theta is exact), or after _LANCZOS_MAX_STEPS steps.  A
     stopped column leaves the live set; every operation is row-wise, so each
     column stops at the step and with the bits it would have alone.
-    ``trace``, if a list, receives the checked columns' theta at every
-    checkpoint.  Returns arrays (theta, steps, residual / theta, converged).
+    Returns arrays (theta, steps, residual / theta, converged).
     """
     steps = _LANCZOS_MAX_STEPS
     q = np.tile(start / np.linalg.norm(start), (c, 1))
@@ -155,8 +154,6 @@ def _lanczos_top(gram, start, c, tol, trace=None):
         if check.size:
             top, last = _tridiagonal_tops(alphas[check, :j], betas[check, :j - 1])
             bound = beta[check] * np.abs(last)
-            if trace is not None:
-                trace.extend(top.tolist())
             done = invariant[check] | (bound <= tol * top) | (j == steps)
             if done.any():
                 stop, top, bound = check[done], top[done], bound[done]
@@ -177,7 +174,7 @@ def _lanczos_top(gram, start, c, tol, trace=None):
 
 def block_spectral_norms(
     A, c: int, tol: float = DEFAULT_TOL, seed: int = 0,
-    upper: float | None = None, trace=None,
+    upper: float | None = None,
 ) -> list[NormEstimate]:
     """Top singular values of the c diagonal blocks A_0 .. A_{c-1}, all of
     one shape, of the block-diagonal matrix ``A``, solved together.
@@ -193,8 +190,7 @@ def block_spectral_norms(
     value with a factor two to spare.  _PROBES random bilinear forms per
     column (one block product each) and ``upper``, an upper bound on every
     |A_t| such as the L1 row/column bound, are asserted afterwards as sanity
-    guards; their draws follow the start's.  ``trace`` collects the top
-    Ritz values at the recurrence's checkpoints.
+    guards; their draws follow the start's.
     """
     n_rows, n_cols = A.shape[0] // c, A.shape[1] // c
     # the smaller side's Gram operator: A^T A on columns, A A^T on rows
@@ -212,7 +208,7 @@ def block_spectral_norms(
 
     rng = np.random.default_rng(seed)
     theta, its, resid, conv = _lanczos_top(
-        gram, rng.standard_normal(min(n_rows, n_cols)), c, tol, trace=trace)
+        gram, rng.standard_normal(min(n_rows, n_cols)), c, tol)
     val = np.sqrt(theta)
 
     cols = np.flatnonzero(val > 0)
@@ -228,13 +224,10 @@ def block_spectral_norms(
                          tol, bool(conv[t])) for t in range(c)]
 
 
-def spectral_norm(A, tol: float = DEFAULT_TOL, seed: int = 0,
-                  trace=None) -> NormEstimate:
+def spectral_norm(A, tol: float = DEFAULT_TOL, seed: int = 0) -> NormEstimate:
     """Top singular value of a dense array or sparse matrix:
     ``block_spectral_norms`` on one matrix, with its L1 row/column bound as
-    the upper guard.  ``trace``, if a list, collects the top Ritz values,
-    one per checkpoint.
-    """
+    the upper guard."""
     if sp.issparse(A):
         A = A.tocsr()
         nnz = A.nnz
@@ -245,8 +238,7 @@ def spectral_norm(A, tol: float = DEFAULT_TOL, seed: int = 0,
     absA = abs(A)
     upper = float(np.sqrt(float(absA.sum(axis=1).max())
                           * float(absA.sum(axis=0).max())))
-    return block_spectral_norms(A, 1, tol=tol, seed=seed, upper=upper,
-                                trace=trace)[0]
+    return block_spectral_norms(A, 1, tol=tol, seed=seed, upper=upper)[0]
 
 
 def _components(S) -> np.ndarray:
@@ -275,8 +267,7 @@ def _components(S) -> np.ndarray:
             label = jumped
 
 
-def _collatz_wielandt(mul, w, sizes, tol: float = _CW_TOL,
-                      maxit: int = DEFAULT_MAXIT) -> np.ndarray:
+def _collatz_wielandt(mul, w, sizes, tol: float = _CW_TOL) -> np.ndarray:
     """Smallest Collatz-Wielandt bound max_j (S w)_j / w_j seen along power
     iteration, per diagonal block of a nonnegative block-diagonal S.
 
@@ -286,14 +277,15 @@ def _collatz_wielandt(mul, w, sizes, tol: float = _CW_TOL,
     another.  Every such max is an upper bound on the block's top eigenvalue
     (an entry w_j = 0 counts as infinite), so the result is one however far
     the loop got; a block stops once its bound meets its Rayleigh quotient, a
-    lower bound, to ``tol``.  Power steps also repair eigenvector entries
-    that are tiny and so carry large relative error.
+    lower bound, to ``tol``, or after DEFAULT_MAXIT steps.  Power steps also
+    repair eigenvector entries that are tiny and so carry large relative
+    error.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     best = np.full(len(sizes), np.inf)
     live = np.arange(len(sizes))
     starts = np.cumsum(sizes) - sizes
-    for _ in range(maxit):
+    for _ in range(DEFAULT_MAXIT):
         y = mul(live, w)
         with np.errstate(divide="ignore", invalid="ignore"):
             upper = np.maximum.reduceat(np.where(w > 0, y / w, np.inf), starts)

@@ -343,15 +343,15 @@ def test_criterion_5_matrix_khintchine(c4_runs):
     for _, _, run in c4_runs:
         for s in sorted(run.pieces):
             ref = run.pieces[s]
-            if ref.pruned is not None and ref.graph is not None:
-                mats = [m for m in ref.pruned.group_matrices() if m.nnz]
+            if ref.family is not None and ref.graph is not None:
+                mats = [m for m in ref.family.graph.group_matrices() if m.nnz]
                 if len(mats) >= 2:
                     families.append((mats, ref.graph.shape))
         if len(families) >= 30:
             break
-    reg_candidates = [run for _, _, run in c4_runs if run.regular.pruned is not None]
+    reg_candidates = [run for _, _, run in c4_runs if run.regular.family is not None]
     for run in reg_candidates[: 50 - len(families) - 10]:
-        mats = [m for m in run.regular.pruned.group_matrices() if m.nnz]
+        mats = [m for m in run.regular.family.graph.group_matrices() if m.nnz]
         if len(mats) >= 2:
             families.append((mats, run.regular.graph.shape))
     # synthetic sparse counting families round out the population
@@ -406,17 +406,13 @@ def test_criterion_7_pruning_contract(c4_runs, c6_runs):
     degree caps, exactly; D'/D is recorded, not asserted."""
     pruned_graphs = []
     for _, _, run in c4_runs:
-        if run.regular.pruned is not None:
-            pruned_graphs.append(run.regular.pruned)
-        for ref in run.pieces.values():
-            if ref.pruned is not None:
-                pruned_graphs.append(ref.pruned)
+        for ref in [run.regular, *run.pieces.values()]:
+            if ref.family is not None:
+                pruned_graphs.append(ref.family.graph)
     for _, _, _, run in c6_runs:
-        if run.regular.pruned is not None:
-            pruned_graphs.append(run.regular.pruned)
-        for ref in run.pieces.values():
-            if ref.pruned is not None:
-                pruned_graphs.append(ref.pruned)
+        for ref in [run.regular, *run.pieces.values()]:
+            if ref.family is not None:
+                pruned_graphs.append(ref.family.graph)
     violations = []
     ratios = []
     for pr in pruned_graphs:

@@ -58,7 +58,7 @@ def pair_heavy_instance():
 
 def test_greedy_hand_trace():
     inst = pair_heavy_instance()
-    thr = Thresholds.exact(ell=2, n=7, k=5, q=3, d_values={2: 2})
+    thr = Thresholds(ell=2, n=7, k=5, q=3, d_sq={2: Fraction(4)})
     dec = decompose(inst, thr)
     assert 2 in dec.pieces
     piece = dec.pieces[2]
@@ -73,7 +73,7 @@ def test_greedy_hand_trace():
 
 def test_no_heavy_set_means_identity():
     inst = generate_random_matching_instance(12, 3, 2, 0.25, seed=0)
-    thr = Thresholds.exact(ell=2, n=12, k=2, q=3, d_values={2: 100})
+    thr = Thresholds(ell=2, n=12, k=2, q=3, d_sq={2: Fraction(10000)})
     dec = decompose(inst, thr)
     assert dec.leftover.hypergraphs == inst.hypergraphs
     assert not dec.pieces
@@ -81,7 +81,7 @@ def test_no_heavy_set_means_identity():
 
 def test_idempotence_on_leftover():
     inst = pair_heavy_instance()
-    thr = Thresholds.exact(ell=2, n=7, k=5, q=3, d_values={2: 2})
+    thr = Thresholds(ell=2, n=7, k=5, q=3, d_sq={2: Fraction(4)})
     dec = decompose(inst, thr)
     again = decompose(dec.leftover, thr)
     assert again.leftover.hypergraphs == dec.leftover.hypergraphs
@@ -118,7 +118,7 @@ def test_property4_matches_exhaustive_degree_scan():
 
 def test_negative_control_duplicated_edge():
     inst = pair_heavy_instance()
-    thr = Thresholds.exact(ell=2, n=7, k=5, q=3, d_values={2: 2})
+    thr = Thresholds(ell=2, n=7, k=5, q=3, d_sq={2: Fraction(4)})
     dec = decompose(inst, thr)
     bad_leftover = [list(h) for h in dec.leftover.hypergraphs]
     bad_leftover[3].append([2, 3, 4])  # edge not present in H_4
@@ -146,7 +146,7 @@ def test_recombination_identity(rng):
 
 def test_recombination_all_ones():
     inst = pair_heavy_instance()
-    thr = Thresholds.exact(ell=2, n=7, k=5, q=3, d_values={2: 2})
+    thr = Thresholds(ell=2, n=7, k=5, q=3, d_sq={2: Fraction(4)})
     dec = decompose(inst, thr)
     b = [1, -1, 1, -1, 1]
     assert recombination_check(dec, b, [1] * 7)

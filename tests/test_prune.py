@@ -175,6 +175,16 @@ def test_prune_all_heavy_raises():
         prune(g, 1, Fraction(1, 10**6), Fraction(1, 10**6))
 
 
+def test_prune_graph_without_labels_raises():
+    """A graph with no label keeps no edge: the same PruningError as any
+    other, with a message that reads the empty survivor counts."""
+    inst = XorInstance(n=6, k=2, q=3, delta=0.1, hypergraphs=[[], []])
+    g = assemble_regular_cs(inst, 2)
+    assert g.n_labels == 0
+    with pytest.raises(PruningError, match=r"survivor counts 0\.\.0"):
+        prune(g, 8, Fraction(1), Fraction(1))
+
+
 def test_pruned_group_matrices_are_subsets():
     inst, g = cs_toy()
     tg = target_degrees(g, 2, 4)
@@ -193,7 +203,7 @@ def _per_group_reference(graph, gamma, d_left, d_right):
     keep_mask = np.ones(graph.n_edges, dtype=bool)
     per_group = []
     for g in range(graph.n_groups):
-        gmask = graph.group_edge_mask(g)
+        gmask = graph.label_group[graph.edge_label] == g
         lv, lc = np.unique(graph.left[gmask], return_counts=True)
         heavy_left = lv[lc > limit_l]
         if graph.symmetric:

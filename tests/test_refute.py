@@ -1,12 +1,13 @@
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import kikuchi.refute as refute
-from kikuchi.decompose import Thresholds, compute_thresholds
+from kikuchi.decompose import Thresholds, compute_thresholds, instance_thresholds
 from kikuchi.graphs import assemble_regular_cs, cs_pair_labels, quadratic_form
 from kikuchi.instances import (
     EXHAUSTIVE_B_LIMIT,
@@ -90,8 +91,8 @@ def test_quadratic_form_matches_eval_full_pairs(rng):
 def test_regular_degenerate_no_shared_pairs():
     inst = XorInstance(n=12, k=2, q=3, delta=1 / 12,
                        hypergraphs=[[[0, 1, 2]], [[3, 4, 5]]])
-    thr = Thresholds.exact(ell=1, n=12, k=2, q=3, d_values={2: 10})
-    ref = refute_regular(inst, ell=1, thresholds=thr)
+    thr = Thresholds(ell=1, n=12, k=2, q=3, d_sq={2: Fraction(100)})
+    ref = refute_regular(inst, thr)
     assert "no_shared_pairs" in ref.certificate["flags"]
     m = inst.total_edges
     expect = min(m, math.sqrt(3 * 12 * m) / 3)
@@ -104,9 +105,9 @@ def test_regular_degenerate_no_shared_pairs():
 def test_regular_rejects_heavy_instance():
     hgs = [[[0, 1, i + 2]] for i in range(5)]
     inst = XorInstance(n=7, k=5, q=3, delta=1 / 7, hypergraphs=hgs)
-    thr = Thresholds.exact(ell=2, n=7, k=5, q=3, d_values={2: 2})
+    thr = Thresholds(ell=2, n=7, k=5, q=3, d_sq={2: Fraction(4)})
     with pytest.raises(RegularityError):
-        refute_regular(inst, ell=2, thresholds=thr)
+        refute_regular(inst, thr)
 
 
 def test_regular_per_b_soundness(rng):
@@ -116,7 +117,7 @@ def test_regular_per_b_soundness(rng):
         from kikuchi.decompose import decompose
 
         dec = decompose(inst, thr)
-        ref = refute_regular(dec.leftover, ell=1, thresholds=thr)
+        ref = refute_regular(dec.leftover, thr)
         vals = val_for_all_signs(dec.leftover)
         for idx, bound in enumerate(ref.bounds(sign_rows(4))):
             assert bound + 1e-6 >= vals[idx]
@@ -188,8 +189,8 @@ def test_negative_control_corrupt_D_prime():
     somewhere on a tight instance."""
     inst = XorInstance(n=3, k=2, q=3, delta=1 / 3,
                        hypergraphs=[[[0, 1, 2]], [[0, 1, 2]]])
-    thr = Thresholds.exact(ell=1, n=3, k=2, q=3, d_values={2: 10})
-    ref = refute_regular(inst, ell=1, thresholds=thr)
+    thr = Thresholds(ell=1, n=3, k=2, q=3, d_sq={2: Fraction(100)})
+    ref = refute_regular(inst, thr)
     vals = val_for_all_signs(inst)
     ok_before = [
         bound + 1e-6 >= vals[i]
@@ -232,7 +233,7 @@ def test_gamma_tightens_D_prime():
     dec = decompose(inst, thr)
     dps = []
     for gamma in (2, 4, 8):
-        ref = refute_regular(dec.leftover, ell=1, thresholds=thr, gamma=gamma)
+        ref = refute_regular(dec.leftover, thr, gamma=gamma)
         dps.append(ref.certificate.get("pruned", {}).get("D_prime", 0))
     assert dps == sorted(dps)
 
@@ -302,7 +303,7 @@ def test_too_few_trials_raise(trials):
         hypergraphs=[[((4,), 0), ((5,), 1)], [((0,), 2), ((1,), 3)]],
     )
     for call in (lambda: refute_full(inst, ell=1, trials=trials),
-                 lambda: refute_regular(inst, ell=1, trials=trials),
+                 lambda: refute_regular(inst, instance_thresholds(inst, 1), trials=trials),
                  lambda: refute_bipartite(piece, ell=2, trials=trials)):
         with pytest.raises(ValueError, match="trials"):
             call()
@@ -350,15 +351,15 @@ def test_per_b_bounds_use_the_certificate_seed():
     run = refute_full(inst, ell=1, seed=7, trials=20)
     ref = run.regular
     rows = 1 - 2 * np.random.default_rng(11).integers(0, 2, size=(64, inst.k))
-    classes = {(s * s[0]).tobytes() for s in ref.pruned.signs_for(rows)}
+    classes = {(s * s[0]).tobytes() for s in ref.family.graph.signs_for(rows)}
     cached = len(ref.family._norm_cache)
     got, bare = ref.bounds(rows), ref.bounds(rows, capped=False)
     assert len(ref.family._norm_cache) == cached + len(classes)  # none was drawn
-    fresh = SignedFamily(ref.pruned, seed=7)
+    fresh = SignedFamily(ref.family.graph, seed=7)
     f = fresh.ratio * fresh.norms(rows)
     assert got.tolist() == ref.bound_of(f).tolist()
     assert bare.tolist() == ref._chain(f).tolist()
-    assert SignedFamily(ref.pruned).norms(rows).tolist() != fresh.norms(rows).tolist()
+    assert SignedFamily(ref.family.graph).norms(rows).tolist() != fresh.norms(rows).tolist()
 
 
 def test_soundness_check_is_the_same_at_any_thread_count():
@@ -389,7 +390,7 @@ def test_sigma_sq_rigorous_in_certificates():
         assert cert["sigma_sq_guarantee"] == "rigorous"
         assert cert["norm_mc"]["exhaustive"]
         assert cert["bound_khintchine"] >= cert["bound_empirical"] * (1 - 1e-9)
-        dense = [abs(m.toarray()) for m in ref.pruned.group_matrices()]
+        dense = [abs(m.toarray()) for m in ref.family.graph.group_matrices()]
         exact = max(
             np.linalg.eigvalsh(sum(d @ d.T for d in dense))[-1],
             np.linalg.eigvalsh(sum(d.T @ d for d in dense))[-1],

@@ -57,10 +57,25 @@ def test_norm_against_svd_oracle(rng):
     assert worst <= 1e-7
 
 
-def test_rayleigh_quotients_nondecreasing(rng):
-    M = random_sparse(rng, 40, 40, 200)
+def _record_ritz_values(monkeypatch) -> list:
+    """The top Ritz values of every Lanczos checkpoint, in order, as
+    ``_tridiagonal_tops`` returns them."""
     trace = []
-    spectral_norm(M, trace=trace)
+    tops = spectral._tridiagonal_tops
+
+    def recording(diag, off):
+        top, last = tops(diag, off)
+        trace.extend(top.tolist())
+        return top, last
+
+    monkeypatch.setattr(spectral, "_tridiagonal_tops", recording)
+    return trace
+
+
+def test_rayleigh_quotients_nondecreasing(rng, monkeypatch):
+    M = random_sparse(rng, 40, 40, 200)
+    trace = _record_ritz_values(monkeypatch)
+    spectral_norm(M)
     arr = np.asarray(trace)
     assert len(trace) >= 2
     assert (np.diff(arr) >= -1e-9 * arr[:-1].clip(min=1e-300)).all()
@@ -120,13 +135,13 @@ def test_lanczos_repeated_top_singular_value(rng):
     _assert_brackets(spectral_norm(copies, tol=1e-10), _svd_top(copies))
 
 
-def test_lanczos_finds_top_hidden_from_all_ones():
+def test_lanczos_finds_top_hidden_from_all_ones(monkeypatch):
     # every top right singular vector e_{2i} - e_{2i+1} is orthogonal to the
     # all-ones vector, an eigenvector of A^T A for 0.5: an all-ones start
     # would stop there, the seeded random start reaches the top value 2
     M = sp.kron(sp.eye(10), sp.csr_matrix([[1.0, -1.0], [0.5, 0.5]])).tocsr()
-    trace = []
-    est = spectral_norm(M, trace=trace)
+    trace = _record_ritz_values(monkeypatch)
+    est = spectral_norm(M)
     assert max(trace) == pytest.approx(2.0, rel=1e-12)
     assert est.value == pytest.approx(math.sqrt(2.0), rel=1e-12)
     _assert_brackets(est, _svd_top(M))
@@ -335,7 +350,7 @@ def test_sigma_localized_perron_vector():
     assert want_cols <= sig["col_norm"] <= want_cols * (1 + 1e-12)
 
 
-def test_collatz_wielandt_is_upper_bound_at_every_stop(rng):
+def test_collatz_wielandt_is_upper_bound_at_every_stop(rng, monkeypatch):
     # however early power iteration stops, the bound is already rigorous,
     # and more steps never loosen it
     for _ in range(10):
@@ -345,7 +360,8 @@ def test_collatz_wielandt_is_upper_bound_at_every_stop(rng):
         mul = lambda live, w: S @ w
         prev = np.inf
         for steps in (1, 2, 3, 5, 8):
-            got = float(spectral._collatz_wielandt(mul, np.ones(60), [60], maxit=steps)[0])
+            monkeypatch.setattr(spectral, "DEFAULT_MAXIT", steps)
+            got = float(spectral._collatz_wielandt(mul, np.ones(60), [60])[0])
             assert want * (1 - 1e-13) <= got <= prev
             prev = got
 
