@@ -180,6 +180,7 @@ def cmd_build(args) -> int:
         dump_graph
     from .instances import BipartiteXorInstance
 
+    _at_least("--ell", args.ell, 1)
     inst = load_instance(args.inp)
     if isinstance(inst, BipartiteXorInstance):
         g = assemble_bipartite(inst, args.ell)

@@ -435,19 +435,23 @@ def cs_pair_labels(inst: XorInstance):
     return out
 
 
+def pair_label_count(inst: XorInstance) -> int:
+    """How many ``cs_pair_labels`` there are, and so a bound on |F_b(x)|:
+    sum_u d_u (d_u - 1), d_u the constraints holding u, as H_i are matchings."""
+    degree = np.bincount([u for h in inst.hypergraphs for e in h for u in e],
+                         minlength=inst.n)
+    return int((degree * (degree - 1)).sum())
+
+
 def assemble_regular_cs(inst: XorInstance, ell: int) -> KikuchiGraph:
     """Graph of the derived even pairs over all ordered i != j, which is the
     full pair polynomial F_b; group = the left index i of a label.
 
     ValueError, before any label is built, when the graph would hold more
-    than PAIR_GRAPH_ENTRIES entries.  Every H_i is a matching, so the labels
-    number sum_u d_u (d_u - 1), d_u the count of constraints holding u, and
-    each label owns ``closed_form_D`` entries."""
+    than PAIR_GRAPH_ENTRIES entries: ``pair_label_count`` labels, each
+    owning ``closed_form_D`` entries."""
     n = inst.n
-    degree = np.bincount([u for h in inst.hypergraphs for e in h for u in e],
-                         minlength=n)
-    n_labels = int((degree * (degree - 1)).sum())
-    entries = n_labels * closed_form_D("regular_cs", n, ell, inst.q)
+    entries = pair_label_count(inst) * closed_form_D("regular_cs", n, ell, inst.q)
     if entries > PAIR_GRAPH_ENTRIES:
         advice = ("pass a smaller --ell" if ell > (inst.q - 1) // 2 else
                   "the explicit regular route cannot hold this instance")

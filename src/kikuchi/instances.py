@@ -97,6 +97,13 @@ def _int(value):
     return value
 
 
+def _number(value):
+    """``value`` when it is an int or a float and not a bool; TypeError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
 def _norm_edges(hypergraphs):
     return tuple(tuple(tuple(sorted(e)) for e in h) for h in hypergraphs)
 
@@ -156,7 +163,7 @@ class XorInstance:
             n=_field(d, "n", _int),
             k=_field(d, "k", _int),
             q=_field(d, "q", _int),
-            delta=d["delta"],
+            delta=_field(d, "delta", _number),
             hypergraphs=_field(d, "hypergraphs", lambda hs: [
                 [[v - 1 for v in e] for e in h] for h in hs]),
             signs=d.get("signs"),

@@ -60,6 +60,7 @@ from .graphs import (
     assemble_bipartite,
     assemble_regular_cs,
     cs_pair_labels,
+    pair_label_count,
 )
 from .instances import (
     BipartiteXorInstance,
@@ -349,7 +350,9 @@ def refute_regular(
     ``bound`` is the empirical variant: the full pair graph with realized
     norms, sound for each fixed b and (exhaustively averaged) for the
     expectation.  No Matrix-Khintchine estimate over sampled partitions is
-    computed or recorded.
+    computed or recorded.  Where no pair graph is pruned (ell < (q-1)/2,
+    n < q-1, D = 0 or an emptied label), F_b takes its trivial bound, the
+    pair label count ``pair_label_count``, which |F_b(x)| never exceeds.
     """
     q, n, k = inst.q, inst.n, inst.k
     if q % 2 == 0 or q < 3:
@@ -387,7 +390,7 @@ def refute_regular(
     else:
         flags.append("degenerate_D_zero" if full.n_labels else "no_shared_pairs")
 
-    trivial = full.n_labels if full is not None else 0
+    trivial = pair_label_count(inst)
     cert["graph"] = {
         "n_labels": trivial,
         "D": full.D if full is not None else None,

@@ -239,6 +239,7 @@ def test_trials_below_two_is_config_error(tmp_path, capsys, command, trials):
     ("sweep", "--ell", "0"),
     ("refute", "--ell", "0"),
     ("decompose", "--ell", "0"),
+    ("build", "--ell", "0"),
 ])
 def test_count_below_one_is_config_error(tmp_path, capsys, command, flag, value):
     # no seed means no row, and compute_thresholds would run --ell 0 as 1
@@ -253,6 +254,7 @@ def test_count_below_one_is_config_error(tmp_path, capsys, command, flag, value)
                   "--k-list", "3", "--out", str(out)],
         "refute": ["refute", "--in", str(inst), "--out", str(out)],
         "decompose": ["decompose", "--in", str(inst), "--out", str(out)],
+        "build": ["build", "--in", str(inst), "--out", str(out)],
     }[command]
     assert run_cli(*argv, flag, value) == 2
     err = capsys.readouterr().err
@@ -365,6 +367,8 @@ def test_nested_field_of_wrong_type_is_config_error(tmp_path, capsys, case):
 @pytest.mark.parametrize("field, value", [
     ("n", 12.0),
     ("q", 3.0),
+    ("delta", "abc"),
+    ("delta", True),
     ("params.epsilon", "0.1"),
     ("params.gamma", None),
     ("params.seed", 1.5),
@@ -372,7 +376,8 @@ def test_nested_field_of_wrong_type_is_config_error(tmp_path, capsys, case):
     ("params.ell", "1"),
 ])
 def test_mistyped_number_is_config_error(tmp_path, capsys, field, value):
-    # an instance field goes to refute, a certificate parameter to verify
+    # an instance field goes to refute and decompose, a certificate
+    # parameter to verify
     inst, cert, out = tmp_path / "inst.json", tmp_path / "cert.json", tmp_path / "out"
     run_cli("gen", "--n", "12", "--q", "3", "--k", "4", "--delta", "0.25",
             "--seed", "1", "--out", str(inst))
@@ -385,14 +390,16 @@ def test_mistyped_number_is_config_error(tmp_path, capsys, field, value):
     target.write_text(json.dumps(body))
     capsys.readouterr()
     if section:
-        argv = ["verify", "--in", str(inst), "--cert", str(cert)]
+        argvs = [["verify", "--in", str(inst), "--cert", str(cert)]]
     else:
-        argv = ["refute", "--in", str(inst), "--out", str(out)]
-    assert run_cli(*argv) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("config error:")
-    assert f"{target}: " in err and f"'{field}'" in err
-    assert not out.exists()
+        argvs = [[command, "--in", str(inst), "--out", str(out)]
+                 for command in ("refute", "decompose")]
+    for argv in argvs:
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:")
+        assert f"{target}: " in err and f"'{field}'" in err
+        assert not out.exists()
 
 
 def test_verify_accepts_a_certificate_with_partition_fields(tmp_path):

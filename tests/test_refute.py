@@ -8,7 +8,7 @@ import pytest
 
 import kikuchi.refute as refute
 from kikuchi.decompose import Thresholds, compute_thresholds, instance_thresholds
-from kikuchi.graphs import assemble_regular_cs, cs_pair_labels, quadratic_form
+from kikuchi.graphs import assemble_regular_cs, cs_pair_labels, pair_label_count, quadratic_form
 from kikuchi.instances import (
     EXHAUSTIVE_B_LIMIT,
     BipartiteXorInstance,
@@ -121,6 +121,31 @@ def test_regular_per_b_soundness(rng):
         vals = val_for_all_signs(dec.leftover)
         for idx, bound in enumerate(ref.bounds(sign_rows(4))):
             assert bound + 1e-6 >= vals[idx]
+
+
+def test_regular_without_pair_graph_bounds_f_by_its_label_count():
+    """At ell < (q-1)/2 no pair graph is built, and F_b takes the pair label
+    count as its bound, not 0: the certified bound, capped or not, stays
+    above val(Psi_b) where a zero would put it below."""
+    inst = generate_random_matching_instance(20, 5, 3, 0.2, 1)
+    thr = Thresholds(ell=1, n=20, k=3, q=5, d_sq={2: Fraction(10**6), 3: Fraction(10**6)})
+    ref = refute_regular(inst, thr)
+    vals = val_for_all_signs(inst)
+    assert (vals == 12).all()
+    for capped in (True, False):
+        assert (ref.bounds(sign_rows(3), capped=capped) + 1e-6 >= vals).all()
+    assert "ell_too_small" in ref.certificate["flags"]
+    assert ref.certificate["graph"]["n_labels"] == pair_label_count(inst) > 0
+    assert ref.certificate["bound"] == 12.0
+
+    run = refute_full(generate_random_matching_instance(20, 5, 400, 0.2, 1),
+                      ell=1, trials=20)
+    reg = run.regular
+    rows = 1 - 2 * np.random.default_rng(0).integers(0, 2, size=(8, reg.instance.k))
+    vals = val_for_all_signs(reg.instance, signs=rows)
+    for capped in (True, False):
+        assert (reg.bounds(rows, capped=capped) + 1e-6 >= vals).all()
+    assert reg.instance.total_edges == 75 and reg.certificate["bound"] == 75.0
 
 
 def test_bipartite_empty_piece():
@@ -418,6 +443,30 @@ def test_formula_ell_pipeline():
     run = refute_full(inst, seed=2, n_partitions=2)  # ell from the formula
     assert run.certificate["params"]["ell"] == 5
     assert all(e["ok"] for e in run.soundness_check())
+
+
+def test_failed_piece_keeps_its_header_and_takes_its_edge_count(monkeypatch):
+    """A piece whose refutation raises keeps the header a refuted piece has,
+    takes its edge count as its bound, is named in ``piece_failures``, and
+    the combined per-b bounds stay sound."""
+    inst = generate_random_matching_instance(20, 3, 6, 0.25, seed=1)
+    kw = dict(epsilon=0.1, trials=50, seed=7, ell=2)
+    refuted = refute_full(inst, **kw).certificate["pieces"]["2"]
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("no room for the piece graph")
+
+    monkeypatch.setattr(refute, "assemble_bipartite", out_of_memory)
+    run = refute_full(inst, **kw)
+    failed = run.certificate["pieces"]["2"]
+    header = ("kind", "params", "P_size", "m_total", "trivial_bound")
+    assert {key: failed[key] for key in header} == {key: refuted[key] for key in header}
+    assert failed["bound"] == failed["trivial_bound"] == 16.0
+    assert failed["flags"] == ["refutation_failed: no room for the piece graph"]
+    assert run.certificate["piece_failures"] == {2: "no room for the piece graph"}
+    rows = 1 - 2 * np.random.default_rng(8).integers(0, 2, size=(8, inst.k))
+    log = run.soundness_check(rows.tolist())
+    assert len(log) == 8 and all(e["ok"] for e in log)
 
 
 def test_q7_decomposes_everything_at_desk_scale():
