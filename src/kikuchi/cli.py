@@ -69,6 +69,29 @@ def _at_least(name: str, value: int | None, low: int) -> int | None:
     return value
 
 
+def _ell(ell: int | None, n: int) -> int | None:
+    """``--ell`` in [1, n]; above n, C([n], ell) is empty: refused, not clamped."""
+    _at_least("--ell", ell, 1)
+    if ell is not None and ell > n:
+        raise ConfigError(f"--ell must be <= n = {n}, got {ell}")
+    return ell
+
+
+def _load_xor_instance(path, command: str) -> XorInstance:
+    """The q-uniform instance in ``path``; a piece file is a config error."""
+    inst = load_instance(path)
+    if not isinstance(inst, XorInstance):
+        raise ConfigError(f"{command} expects a q-uniform instance file")
+    return inst
+
+
+def _generate(planted: bool, n: int, q: int, k: int, delta: float, seed: int):
+    """(instance, generator code or None): a planted or a random instance."""
+    if planted:
+        return generate_planted_linear_instance(n, q, k, delta, seed)
+    return generate_random_matching_instance(n, q, k, delta, seed), None
+
+
 def _threads(args) -> int:
     """``--threads`` if given, else KIKUCHI_THREADS, else 1; at least 1."""
     if args.threads is not None:
@@ -88,15 +111,7 @@ def cmd_gen(args) -> int:
         "n": args.n, "q": args.q, "k": args.k, "delta": args.delta,
         "planted": args.planted, "seed": args.seed,
     }
-    if args.planted:
-        inst, code = generate_planted_linear_instance(
-            args.n, args.q, args.k, args.delta, args.seed
-        )
-    else:
-        inst = generate_random_matching_instance(
-            args.n, args.q, args.k, args.delta, args.seed
-        )
-        code = None
+    inst, code = _generate(args.planted, args.n, args.q, args.k, args.delta, args.seed)
     extra = _meta(config, args.seed)
     extra["meta"] = {"created_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
     dump_instance(inst, args.out, extra=extra)
@@ -113,10 +128,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    _at_least("--ell", args.ell, 1)
-    inst = load_instance(args.inp)
-    if not isinstance(inst, XorInstance):
-        raise ConfigError("decompose expects a q-uniform instance file")
+    inst = _load_xor_instance(args.inp, "decompose")
+    _ell(args.ell, inst.n)
     dec = decompose(inst, instance_thresholds(inst, args.ell))
     report = verify_decomposition(dec)
     if not report["ok"]:
@@ -136,11 +149,9 @@ def cmd_decompose(args) -> int:
 def cmd_refute(args) -> int:
     threads = _threads(args)
     _at_least("--trials", args.trials, 2)
-    _at_least("--ell", args.ell, 1)
     _at_least("--partitions", args.partitions, 0)
-    inst = load_instance(args.inp)
-    if not isinstance(inst, XorInstance):
-        raise ConfigError("refute expects a q-uniform instance file")
+    inst = _load_xor_instance(args.inp, "refute")
+    _ell(args.ell, inst.n)
     config = {
         "epsilon": args.epsilon, "gamma": args.gamma,
         "trials": args.trials, "seed": args.seed, "ell": args.ell,
@@ -180,8 +191,8 @@ def cmd_build(args) -> int:
         dump_graph
     from .instances import BipartiteXorInstance
 
-    _at_least("--ell", args.ell, 1)
     inst = load_instance(args.inp)
+    _ell(args.ell, inst.n)
     if isinstance(inst, BipartiteXorInstance):
         g = assemble_bipartite(inst, args.ell)
     elif args.variant == "regular_cs":
@@ -227,20 +238,13 @@ def cmd_sweep(args) -> int:
     threads = _threads(args)
     _at_least("--trials", args.trials, 2)
     _at_least("--seeds", args.seeds, 1)
-    _at_least("--ell", args.ell, 1)
+    _ell(args.ell, args.n)
     ks = [int(x) for x in args.k_list.split(",")]
     rows = []
     for k in ks:
         for sd in range(args.seeds):
             try:
-                if args.planted:
-                    inst, _ = generate_planted_linear_instance(
-                        args.n, args.q, k, args.delta, seed=sd
-                    )
-                else:
-                    inst = generate_random_matching_instance(
-                        args.n, args.q, k, args.delta, seed=sd
-                    )
+                inst, _ = _generate(args.planted, args.n, args.q, k, args.delta, sd)
                 run = refute_full(
                     inst, epsilon=args.epsilon, gamma=args.gamma,
                     trials=args.trials, seed=sd, ell=args.ell,
@@ -280,7 +284,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     threads = _threads(args)
-    inst = load_instance(args.inp)
+    inst = _load_xor_instance(args.inp, "verify")
     cert = load_certificate(args.cert)
     params = cert["params"]
     failures = []

@@ -74,10 +74,12 @@ class Thresholds:
 def compute_thresholds(
     n: int, k: int, q: int, delta, ell_override: int | None = None
 ) -> Thresholds:
-    """l = floor(n^(1-2/q) delta^(-2/q)) clamped to [1, n]; d_t per formula.
+    """l = floor(n^(1-2/q) delta^(-2/q)) clamped to [1, n], or
+    ``ell_override``, which must lie in [1, n]; d_t per formula.
 
-    Infeasible-parameter situations are flagged, not raised: the pipeline
-    remains sound for any thresholds, only tightness depends on them.
+    This is the one place a Kikuchi level is accepted.  Infeasible-parameter
+    situations are flagged, not raised: the pipeline remains sound for any
+    thresholds, only tightness depends on them.
     """
     if n < 1 or k < 1:
         raise ValueError("n, k must be positive")
@@ -86,13 +88,14 @@ def compute_thresholds(
     dl = Fraction(delta).limit_denominator(10**9) if not isinstance(delta, Fraction) else delta
     if not (0 < dl <= 1):
         raise ValueError("delta must lie in (0, 1]")
-    if ell_override is not None:
-        ell = ell_override
-    else:
+    if ell_override is None:
         # l^q <= n^(q-2) / delta^2, exact integer q-th root
         x = (n ** (q - 2)) * (dl.denominator**2)
-        ell = integer_root(x // (dl.numerator**2), q)
-    ell = max(1, min(int(ell), n))
+        ell = max(1, min(integer_root(x // (dl.numerator**2), q), n))
+    elif 1 <= ell_override <= n:
+        ell = ell_override
+    else:
+        raise ValueError(f"ell must lie in [1, n] = [1, {n}], got {ell_override}")
     d_sq = {
         t: Fraction(k * k * ell ** (2 * t - 3), n ** (2 * t - 3))
         for t in range(2, (q + 1) // 2 + 1)
@@ -136,9 +139,9 @@ def decompose(inst: XorInstance, thr: Thresholds) -> DecomposedInstance:
 
     Deterministic choices: the lexicographically smallest heavy set is
     promoted, and the floor(d_t)+1 moved hyperedges are those with smallest
-    (i, original position).  Degree bookkeeping is incremental; a promotion
-    only ever lowers degrees, so within one size stage the heavy pool only
-    shrinks.
+    (i, original position).  A set's degree is the size of its incidence
+    set, kept up to date as edges move; a promotion only ever lowers
+    degrees, so within one size stage the heavy pool only shrinks.
     """
     q = inst.q
     tmax = (q + 1) // 2
@@ -147,17 +150,14 @@ def decompose(inst: XorInstance, thr: Thresholds) -> DecomposedInstance:
         for pos, e in enumerate(h):
             alive[(i, pos)] = mask_of(e)
 
-    # degree and incidence maps for every subset size in 2..tmax
-    deg = {t: {} for t in range(2, tmax + 1)}
+    # incidence[t][Q]: the live edges containing Q, for every size t in 2..tmax
     incidence = {t: {} for t in range(2, tmax + 1)}
     for key, em in alive.items():
         for t in range(2, tmax + 1):
             for sub in subsets_of_mask(em, t):
-                deg[t][sub] = deg[t].get(sub, 0) + 1
                 incidence[t].setdefault(sub, set()).add(key)
 
-    registries = {t: [] for t in range(2, tmax + 1)}
-    reg_index = {t: {} for t in range(2, tmax + 1)}
+    labels = {t: {} for t in range(2, tmax + 1)}  # promoted mask -> label index
     piece_edges = {t: [[] for _ in range(inst.k)] for t in range(2, tmax + 1)}
     provenance = {}
 
@@ -165,27 +165,22 @@ def decompose(inst: XorInstance, thr: Thresholds) -> DecomposedInstance:
         em = alive.pop(key)
         for t in range(2, tmax + 1):
             for sub in subsets_of_mask(em, t):
-                deg[t][sub] -= 1
                 incidence[t][sub].discard(key)
         return em
 
     for t in range(tmax, 1, -1):
-        heavy = {s for s, d in deg[t].items() if thr.is_heavy(d, t)}
+        heavy = {s for s, keys in incidence[t].items() if thr.is_heavy(len(keys), t)}
         while heavy:
             qmask = min(heavy, key=verts_of)
-            take = thr.move_count(t)
-            chosen = sorted(incidence[t][qmask])[:take]
-            if qmask not in reg_index[t]:
-                reg_index[t][qmask] = len(registries[t])
-                registries[t].append(verts_of(qmask))
-            p_idx = reg_index[t][qmask]
+            chosen = sorted(incidence[t][qmask])[:thr.move_count(t)]
+            p_idx = labels[t].setdefault(qmask, len(labels[t]))
             for key in chosen:
                 em = remove_edge(key)
                 left = verts_of(em & ~qmask)
                 i, pos = key
                 piece_edges[t][i].append((left, p_idx))
                 provenance[key] = ("piece", t, p_idx)
-            heavy = {s for s in heavy if thr.is_heavy(deg[t].get(s, 0), t)}
+            heavy = {s for s in heavy if thr.is_heavy(len(incidence[t][s]), t)}
 
     leftover_h = []
     for i, h in enumerate(inst.hypergraphs):
@@ -201,13 +196,13 @@ def decompose(inst: XorInstance, thr: Thresholds) -> DecomposedInstance:
     )
     pieces = {}
     for t in range(2, tmax + 1):
-        if registries[t]:
+        if labels[t]:
             pieces[t] = BipartiteXorInstance(
                 n=inst.n,
                 k=inst.k,
                 q=inst.q,
                 s=t,
-                registry=registries[t],
+                registry=[verts_of(m) for m in labels[t]],
                 hypergraphs=piece_edges[t],
             )
     return DecomposedInstance(

@@ -91,8 +91,8 @@ from .spectral import (
 BLOCK_ENTRIES = 1 << 16  # stored entries of one block-diagonal norm solve
 SOUNDNESS_GUARD = 1e-6
 # failures the pipeline raises on purpose: a norm solver guard, a graph too
-# large for memory, pruning that empties a label, an invalid parameter
-REFUTATION_ERRORS = (AssertionError, MemoryError, PruningError, ValueError)
+# large for memory, an invalid parameter (``_spectral_route`` handles pruning's)
+REFUTATION_ERRORS = (AssertionError, MemoryError, ValueError)
 
 
 class RegularityError(RuntimeError):
@@ -427,14 +427,14 @@ def _piece_header(piece: BipartiteXorInstance, ell, gamma, trials, seed) -> dict
 
 def refute_bipartite(
     piece: BipartiteXorInstance,
-    ell: int,
+    thresholds: Thresholds,
     gamma: float = 8.0,
     trials: int = 200,
     seed: int = 0,
-    thresholds: Thresholds | None = None,
     threads: int = 1,
 ) -> Refutation:
-    """Certify E_b[val(Psi^(s)_b)] <= (sqrt(N_L N_R)/D') E_b|B|_2.
+    """Certify E_b[val(Psi^(s)_b)] <= (sqrt(N_L N_R)/D') E_b|B|_2, at the
+    scale ell = ``thresholds.ell``.
 
     No partition and no pair derivation: the groups A_i are sign-free, so
     sigma^2 is exact and the Khintchine variant is rigorous.  The bound is
@@ -444,16 +444,13 @@ def refute_bipartite(
     """
     _check_trials(trials)
     n, k, q, s = piece.n, piece.k, piece.q, piece.s
+    ell = thresholds.ell
     m_total = piece.total_edges
     delta_n = max(piece.edge_counts, default=0)
     cert = _piece_header(piece, ell, gamma, trials, seed)
     cert["delta_n_measured"] = delta_n
-    if thresholds is not None:
-        d_s = thresholds.d_float(s)
-        cert["analytic_shapes"] = {
-            "ell_times_d_s": ell * d_s,
-            "P_times_d_s": piece.p_size * d_s,
-        }
+    d_s = thresholds.d_float(s)
+    cert["analytic_shapes"] = {"ell_times_d_s": ell * d_s, "P_times_d_s": piece.p_size * d_s}
     if m_total == 0:
         cert.update({"bound": 0.0, "bound_empirical": 0.0,
                      "bound_khintchine": 0.0, "flags": ["empty"]})
@@ -509,7 +506,6 @@ class FullRefutation:
     """Combined certificate: regular leftover + every bipartite piece."""
 
     instance: XorInstance
-    epsilon: float
     decomposition: DecomposedInstance
     regular: RegularRefutation
     pieces: dict  # s -> Refutation
@@ -597,15 +593,13 @@ def refute_full(
     pieces = {}
     piece_failures = {}
     for s in sorted(dec.pieces):
-        piece = dec.pieces[s]
+        piece, piece_seed = dec.pieces[s], seed * 131 + s
         try:
-            pieces[s] = refute_bipartite(
-                piece, thr.ell, gamma=gamma, trials=trials,
-                seed=seed * 131 + s, thresholds=thr, threads=threads,
-            )
+            pieces[s] = refute_bipartite(piece, thr, gamma=gamma, trials=trials,
+                                         seed=piece_seed, threads=threads)
         except REFUTATION_ERRORS as exc:  # partial results kept; trivial bound is sound
             piece_failures[s] = str(exc)
-            cert = _piece_header(piece, thr.ell, gamma, trials, seed * 131 + s)
+            cert = _piece_header(piece, thr.ell, gamma, trials, piece_seed)
             cert.update({"bound": cert["trivial_bound"],
                          "flags": [f"refutation_failed: {exc}"]})
             pieces[s] = Refutation(cert, None, piece.total_edges)
@@ -645,7 +639,7 @@ def refute_full(
     if piece_failures:
         certificate["piece_failures"] = piece_failures
     return FullRefutation(
-        instance=inst, epsilon=epsilon, decomposition=dec,
+        instance=inst, decomposition=dec,
         regular=regular, pieces=pieces, certificate=certificate,
     )
 

@@ -263,6 +263,55 @@ def test_count_below_one_is_config_error(tmp_path, capsys, command, flag, value)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "refute", "decompose", "build"])
+def test_ell_above_n_is_config_error(tmp_path, capsys, command):
+    # C([12], 13) is empty: an --ell above n is refused, not run at l = n
+    # while the config echo keeps the value given
+    inst = tmp_path / "inst.json"
+    run_cli("gen", "--n", "12", "--q", "3", "--k", "4", "--delta", "0.25",
+            "--seed", "1", "--out", str(inst))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {
+        "sweep": ["sweep", "--n", "12", "--q", "3", "--delta", "0.25",
+                  "--k-list", "4", "--out", str(out)],
+        "refute": ["refute", "--in", str(inst), "--out", str(out)],
+        "decompose": ["decompose", "--in", str(inst), "--out", str(out)],
+        "build": ["build", "--in", str(inst), "--out", str(out)],
+    }[command]
+    assert run_cli(*argv, "--ell", "13") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert "--ell must be <= n = 12, got 13" in err
+    assert not out.exists()
+    assert run_cli(*argv, "--ell", "1") == 0
+
+
+@pytest.mark.parametrize("command", ["decompose", "refute", "verify"])
+def test_bipartite_piece_file_is_config_error(tmp_path, capsys, command):
+    from kikuchi.instances import dump_instance, generate_random_bipartite_instance
+
+    inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+            "--seed", "4", "--out", str(inst))
+    assert run_cli("refute", "--in", str(inst), "--out", str(cert), "--ell", "1",
+                   "--trials", "10") == 0
+    piece = tmp_path / "piece.json"
+    dump_instance(generate_random_bipartite_instance(8, 3, 2, 2, edges_per=2,
+                                                     p_size=5, seed=4), piece)
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    argv = {
+        "decompose": ["decompose", "--in", str(piece), "--out", str(out)],
+        "refute": ["refute", "--in", str(piece), "--out", str(out)],
+        "verify": ["verify", "--in", str(piece), "--cert", str(cert)],
+    }[command]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {command} expects a q-uniform instance file\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("trials", ["1", "0", "-3"])
 def test_oracle_trials_below_two_is_config_error(tmp_path, capsys, trials):
     # k > EXHAUSTIVE_B_LIMIT: the oracle samples signs, and one draw has no

@@ -50,6 +50,14 @@ def test_threshold_delta_dependence():
     assert thr.ell == 12
 
 
+def test_threshold_override_outside_one_to_n_raises():
+    # only the formula's value is clamped; an override is taken or refused
+    assert compute_thresholds(12, 4, 3, 0.25, ell_override=12).ell == 12
+    for ell in (0, 13):
+        with pytest.raises(ValueError, match=rf"\[1, 12\], got {ell}"):
+            compute_thresholds(12, 4, 3, 0.25, ell_override=ell)
+
+
 def pair_heavy_instance():
     """Five matchings, each one triple extending the pair {0,1}."""
     hgs = [[[0, 1, i + 2]] for i in range(5)]

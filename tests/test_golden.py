@@ -4,7 +4,11 @@ refuted at fixed seeds, must give the same certificate bytes.  Oracle
 digests pin the checking side the same way: the ``soundness_check`` logs of
 both verify-exhaustive instances, ``val_for_all_signs`` on the many-signs
 instance and one Monte Carlo ``expected_val`` (k=17, above the exhaustive
-sign limit).
+sign limit).  Decomposition digests pin ``DecomposedInstance.to_dict()``,
+what ``kikuchi decompose`` writes outside its config and ``meta`` blocks, on
+random instances generated at seed 1 and decomposed at l=2: one q=3, whose
+edges move to a piece of pair labels, and two q=5, whose edges move to a
+piece of triple labels.
 
 Each digest is the sha256 of the certificate as canonical JSON (sorted keys,
 no whitespace, Fractions as floats) without its ``meta`` block, the rule
@@ -25,6 +29,7 @@ import json
 
 import pytest
 
+from kikuchi.decompose import decompose, instance_thresholds
 from kikuchi.instances import (
     expected_val,
     generate_planted_linear_instance,
@@ -70,6 +75,23 @@ ORACLE_GOLDEN = {
         "2c7d096d4b1e9bc4b105158350637dfdd72467e7f6d10ae711f4a1207789698a",
 }
 
+# random instance at generation seed 1, decomposed at l=2: (q, n, k, delta),
+# and the hyperedges the decomposition moves into pieces
+DECOMPOSITIONS = {
+    "q3-n20-k6": ((3, 20, 6, 0.25), 16),
+    "q5-n15-k24": ((5, 15, 24, 0.2), 70),
+    "q5-n20-k48": ((5, 20, 48, 0.2), 188),
+}
+
+DECOMPOSITION_GOLDEN = {
+    "q3-n20-k6":
+        "9bdcd924d0aaa5de9624549575ae71fa52e93dad8ca3acb1cef9cfa430652bef",
+    "q5-n15-k24":
+        "bdc8ee0f6bbe03d2db05110b9a4c30e594485fa4a2433b80cd681b1ad6d8313d",
+    "q5-n20-k48":
+        "dea8f1d8dbdf7fbd5215856960656cb25192bc42d91b53d7b8549be3e97239a2",
+}
+
 
 def digest(cert: dict) -> str:
     """sha256 of canonical JSON with the ``meta`` block removed."""
@@ -109,6 +131,12 @@ def oracle_value(name: str):
     return list(expected_val(inst, trials=50, seed=3))
 
 
+def decomposition(name: str):
+    (q, n, k, delta), _ = DECOMPOSITIONS[name]
+    inst = generate_random_matching_instance(n, q, k, delta, 1)
+    return decompose(inst, instance_thresholds(inst, 2))
+
+
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_certificate_digest_is_pinned(name):
     assert digest(certificate(name)) == GOLDEN[name]
@@ -119,9 +147,20 @@ def test_oracle_digest_is_pinned(name):
     assert value_digest(oracle_value(name)) == ORACLE_GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(DECOMPOSITIONS))
+def test_decomposition_digest_is_pinned(name):
+    dec = decomposition(name)
+    moved = dec.original.total_edges - dec.leftover.total_edges
+    assert moved == DECOMPOSITIONS[name][1]
+    assert value_digest(dec.to_dict()) == DECOMPOSITION_GOLDEN[name]
+
+
 if __name__ == "__main__":
     for name in INSTANCES:
         print(f'    "{name}":\n        "{digest(certificate(name))}",')
     print()
     for name in ORACLE_GOLDEN:
         print(f'    "{name}":\n        "{value_digest(oracle_value(name))}",')
+    print()
+    for name in DECOMPOSITIONS:
+        print(f'    "{name}":\n        "{value_digest(decomposition(name).to_dict())}",')

@@ -148,10 +148,15 @@ def test_regular_without_pair_graph_bounds_f_by_its_label_count():
     assert reg.instance.total_edges == 75 and reg.certificate["bound"] == 75.0
 
 
+def piece_thresholds(piece: BipartiteXorInstance, ell: int) -> Thresholds:
+    """Thresholds at scale ell for a hand-built piece (delta = 1)."""
+    return compute_thresholds(piece.n, piece.k, piece.q, 1, ell_override=ell)
+
+
 def test_bipartite_empty_piece():
     piece = BipartiteXorInstance(n=6, k=2, q=3, s=2, registry=[],
                                  hypergraphs=[[], []])
-    ref = refute_bipartite(piece, ell=2)
+    ref = refute_bipartite(piece, piece_thresholds(piece, 2))
     assert ref.certificate["bound"] == 0.0
 
 
@@ -161,7 +166,7 @@ def test_bipartite_toy_soundness_exhaustive():
         registry=[(0, 1), (2, 3), (4, 5), (0, 2), (1, 3)],
         hypergraphs=[[((4,), 0), ((5,), 1)], [((0,), 2), ((1,), 3)]],
     )
-    ref = refute_bipartite(piece, ell=2)
+    ref = refute_bipartite(piece, piece_thresholds(piece, 2))
     vals = val_for_all_signs(piece)
     for idx, bound in enumerate(ref.bounds(sign_rows(2))):
         assert bound + 1e-6 * max(1.0, bound) >= vals[idx]
@@ -173,7 +178,7 @@ def test_bipartite_shared_label_concentrates_right():
         registry=[(0, 1), (2, 3), (4, 5), (6, 7)],
         hypergraphs=[[((2,), 0)], [((5,), 0)], [((8,), 0)]],
     )
-    ref = refute_bipartite(piece, ell=1, gamma=1)
+    ref = refute_bipartite(piece, piece_thresholds(piece, 1), gamma=1)
     cert = ref.certificate
     if "pruned" in cert:
         assert cert["pruned"]["heavy_right"] > 0
@@ -329,7 +334,8 @@ def test_too_few_trials_raise(trials):
     )
     for call in (lambda: refute_full(inst, ell=1, trials=trials),
                  lambda: refute_regular(inst, instance_thresholds(inst, 1), trials=trials),
-                 lambda: refute_bipartite(piece, ell=2, trials=trials)):
+                 lambda: refute_bipartite(piece, piece_thresholds(piece, 2),
+                                          trials=trials)):
         with pytest.raises(ValueError, match="trials"):
             call()
 
