@@ -1,5 +1,6 @@
-"""Golden certificate digests: the benchmark workloads' instances and the
-ROADMAP grid points that fit tier 1 (small; medium is ``regular-l2``),
+"""Golden certificate digests: the benchmark workloads' instances, the
+ROADMAP grid points that fit tier 1 (small; medium is ``regular-l2``) and
+three q=5 and q=7 points at the branches where a route prunes no graph,
 refuted at fixed seeds, must give the same certificate bytes.  Oracle
 digests pin the checking side the same way: the ``soundness_check`` logs of
 both verify-exhaustive instances, ``val_for_all_signs`` on the many-signs
@@ -40,14 +41,20 @@ from kikuchi.refute import refute_full
 
 REFUTE = {"epsilon": 0.1, "gamma": 8.0, "trials": 50, "seed": 7}
 
-# workload instance or ROADMAP grid point: (planted?, n, k, delta, ell), all
-# q=3; "large" (n=24, k=8, l=2) takes about half a minute, too long for tier 1
+# workload instance, ROADMAP grid point or route branch: (planted?, q, n, k,
+# delta, ell); "large" (n=24, k=8, l=2) takes about half a minute, too long
+# for tier 1.  The q=5 and q=7 points reach the branches where a route
+# prunes no graph: the leftover flagged ell_too_small beside a piece flagged
+# degenerate_D_zero, both routes flagged pruning_failed, and an empty leftover.
 INSTANCES = {
-    "grid-small": (False, 16, 6, 0.25, 1),
-    "regular-l2": (False, 20, 6, 0.25, 2),
-    "many-signs": (False, 16, 12, 0.25, 1),
-    "verify-exhaustive/random": (False, 20, 6, 0.25, 1),
-    "verify-exhaustive/planted": (True, 20, 6, 0.16, 1),
+    "grid-small": (False, 3, 16, 6, 0.25, 1),
+    "regular-l2": (False, 3, 20, 6, 0.25, 2),
+    "many-signs": (False, 3, 16, 12, 0.25, 1),
+    "verify-exhaustive/random": (False, 3, 20, 6, 0.25, 1),
+    "verify-exhaustive/planted": (True, 3, 20, 6, 0.16, 1),
+    "q5-ell-too-small": (False, 5, 16, 100, 0.2, 1),
+    "q5-pruning-failed": (False, 5, 15, 24, 0.2, 2),
+    "q7-empty-leftover": (False, 7, 14, 3, 0.1, 3),
 }
 
 GOLDEN = {
@@ -61,6 +68,12 @@ GOLDEN = {
         "5a479cface68654f7b7f7ed0248e4a193bc183034da2eb8999e78d0f471254d0",
     "verify-exhaustive/planted":
         "f02925dbfc8d82f8240e43b53f9b082528ea8a409b0b05dce9286dc90335e277",
+    "q5-ell-too-small":
+        "1d9b82b6165e9a937f1a53c7099650708df9ee619fefe63cdab9eb540a290352",
+    "q5-pruning-failed":
+        "674690ebb684298865b3573a8868395fe53f8cf2c529e8d1df4e8ed9e44ffffc",
+    "q7-empty-leftover":
+        "d535f9a8aa5b01a1ca8e244fdb074d63edd6f4daf30458bb18c8abfd80663203",
 }
 
 
@@ -106,14 +119,14 @@ def value_digest(value) -> str:
 
 
 def instance(name: str):
-    planted, n, k, delta, _ = INSTANCES[name]
+    planted, q, n, k, delta, _ = INSTANCES[name]
     if planted:
-        return generate_planted_linear_instance(n, 3, k, delta, 1)[0]
-    return generate_random_matching_instance(n, 3, k, delta, 1)
+        return generate_planted_linear_instance(n, q, k, delta, 1)[0]
+    return generate_random_matching_instance(n, q, k, delta, 1)
 
 
 def refutation(name: str):
-    return refute_full(instance(name), ell=INSTANCES[name][4], threads=1, **REFUTE)
+    return refute_full(instance(name), ell=INSTANCES[name][5], threads=1, **REFUTE)
 
 
 def certificate(name: str) -> dict:
