@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -85,6 +86,15 @@ def _load_xor_instance(path, command: str) -> XorInstance:
     return inst
 
 
+def _generator_args(n: int, q: int, delta: float):
+    """``--n`` and ``--q`` at least 1 and ``--delta`` finite and above 0,
+    checked before anything is generated."""
+    _at_least("--n", n, 1)
+    _at_least("--q", q, 1)
+    if not (math.isfinite(delta) and delta > 0):
+        raise ConfigError(f"--delta must be finite and > 0, got {delta}")
+
+
 def _generate(planted: bool, n: int, q: int, k: int, delta: float, seed: int):
     """(instance, generator code or None): a planted or a random instance."""
     if planted:
@@ -111,6 +121,8 @@ def cmd_gen(args) -> int:
         "n": args.n, "q": args.q, "k": args.k, "delta": args.delta,
         "planted": args.planted, "seed": args.seed,
     }
+    _generator_args(args.n, args.q, args.delta)
+    _at_least("--k", args.k, 1)
     inst, code = _generate(args.planted, args.n, args.q, args.k, args.delta, args.seed)
     extra = _meta(config, args.seed)
     extra["meta"] = {"created_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
@@ -238,8 +250,11 @@ def cmd_sweep(args) -> int:
     threads = _threads(args)
     _at_least("--trials", args.trials, 2)
     _at_least("--seeds", args.seeds, 1)
+    _generator_args(args.n, args.q, args.delta)
     _ell(args.ell, args.n)
     ks = [int(x) for x in args.k_list.split(",")]
+    for k in ks:
+        _at_least("--k-list", k, 1)
     rows = []
     for k in ks:
         for sd in range(args.seeds):

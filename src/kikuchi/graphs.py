@@ -209,14 +209,25 @@ class KikuchiGraph:
         )
 
     def group_matrices(self) -> list:
-        """One matrix per group; an entry counts the group's edges there."""
+        """One matrix per group; an entry counts the group's edges there.
+
+        The CSR entries are stable-sorted by group once and split, so each
+        group's entries keep their (row, column) order."""
+        label_seq, indices, indptr, shape = self._structure()
+        rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
+        group = self.label_group[label_seq]
+        order = np.argsort(group, kind="stable")
+        cuts = np.searchsorted(group[order], np.arange(self.n_groups + 1))
         out = []
-        for g in range(self.n_groups):
-            m = self.to_csr(self.label_group == g)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            part = order[lo:hi]
+            m = sp.csr_matrix(
+                (np.ones(len(part)), indices[part],
+                 np.append(0, np.cumsum(np.bincount(rows[part], minlength=shape[0])))),
+                shape=shape)
             # one stored entry per position: khintchine_sigma's rounding
             # margin counts stored entries per row
             m.sum_duplicates()
-            m.eliminate_zeros()
             out.append(m)
         return out
 

@@ -120,6 +120,8 @@ class XorInstance:
     signs: tuple | None = None
 
     def __post_init__(self):
+        if self.n < 1 or self.q < 1:
+            raise ValueError(f"n and q must be >= 1, got n={self.n}, q={self.q}")
         object.__setattr__(self, "hypergraphs", _norm_edges(self.hypergraphs))
         if len(self.hypergraphs) != self.k:
             raise DimensionMismatch("expected k hypergraphs")

@@ -88,7 +88,6 @@ class PrunedGraph(KikuchiGraph):
     D = D' edges and group degrees are capped at gamma times the targets."""
 
     parent: KikuchiGraph
-    keep: np.ndarray  # indices into the parent's edge arrays
     D_prime: int
     gamma: float
     d_left: Fraction
@@ -177,7 +176,7 @@ def prune(graph: KikuchiGraph, gamma, d_left: Fraction, d_right: Fraction) -> Pr
     shared = {f.name: getattr(graph, f.name) for f in fields(KikuchiGraph) if f.init}
     shared.update(left=graph.left[keep], right=graph.right[keep],
                   edge_label=graph.edge_label[keep], D=D_prime)
-    return PrunedGraph(**shared, parent=graph, keep=keep, D_prime=D_prime,
+    return PrunedGraph(**shared, parent=graph, D_prime=D_prime,
                        gamma=float(gamma), d_left=d_left, d_right=d_right, report=report)
 
 

@@ -1,17 +1,19 @@
 """End-to-end refutation certificates for matching XOR instances.
 
-One spectral route serves every Kikuchi graph: the graph is pruned to its
-target degrees and the norms of its signed matrices B(b) are averaged over
-b, and for every fixed b
+One route serves every Kikuchi graph (``_refute_graph``): the graph is
+pruned to its target degrees and the norms of its signed matrices B(b) are
+averaged over b, and for every fixed b
 
     val  <=  (sqrt(N_L N_R) / D') |B(b)|_2  =  ratio |B(b)|_2,
 
-N_L x N_R the graph's shape and D' the edges each label keeps.  Each route
+N_L x N_R the graph's shape and D' the edges each label keeps.  The route
 returns a ``Refutation``, whose ``spectral(rows)`` is that bound per sign
 row, or the route's trivial bound when pruning left no family.  One rule
 turns it into a bound on val: ``min(cap, chain(spectral))``, with ``cap``
-a bound on val that holds for every b.  The certificate's ``bound`` is the
-same rule applied to the mean over b.
+the instance's edge count, which bounds val for every b.  The certificate's
+``bound`` is the same rule applied to the mean over b.  Where every label
+is signed by one b entry, the groups are independent Rademacher terms and
+the route also records sigma^2 and the Matrix-Khintchine bound.
 
 Regular route (leftover instance): the square full pair graph (N_L = N_R)
 bounds val(F_b), where F_b sums the derived pair constraints over all
@@ -20,13 +22,12 @@ and Cauchy-Schwarz give, for every fixed b and every x,
 
     q^2 Psi_b(x)^2  <=  q n m  +  n F_b(x),      m = sum_i |H_i|,
 
-the chain, and m caps it.  The route records no Matrix-Khintchine
-estimate: F_b = 4 E f_{L,R} needs the mean over all partitions (L, R), and
+the chain.  A label is signed by b_i b_j, so no Khintchine bound is
+recorded: F_b = 4 E f_{L,R} needs the mean over all partitions (L, R), and
 a mean over sampled ones would bound nothing.
 
 Bipartite route (decomposed pieces): z^T B w = D' Psi^(s)(x, y), so the
-route bounds val(Psi^(s)_b) directly: the chain is the identity, and the
-piece's edge count sum_i |H_i^(s)| caps it.
+route bounds val(Psi^(s)_b) directly: the chain is the identity.
 
 Per-b norms come from ``SignedFamily``, which solves each missing
 label-sign class on the support component of largest norm bound first and
@@ -43,7 +44,9 @@ or thread count.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -91,7 +94,7 @@ from .spectral import (
 BLOCK_ENTRIES = 1 << 16  # stored entries of one block-diagonal norm solve
 SOUNDNESS_GUARD = 1e-6
 # failures the pipeline raises on purpose: a norm solver guard, a graph too
-# large for memory, an invalid parameter (``_spectral_route`` handles pruning's)
+# large for memory, an invalid parameter (``_refute_graph`` handles pruning's)
 REFUTATION_ERRORS = (AssertionError, MemoryError, ValueError)
 
 
@@ -234,16 +237,25 @@ class SignedFamily:
         return np.vstack(thread_map(solve, range(0, len(signs), size), self.threads)).T
 
 
+def _identity(f):
+    return f
+
+
+def _cauchy_schwarz(q, n, m, f):
+    """val(Psi_b) <= sqrt(q n m + n f) / q, where f bounds val(F_b)."""
+    return np.sqrt(q * n * m + n * f) / q
+
+
 @dataclass
 class Refutation:
-    """One route's certificate, plus per-b bound machinery; as is, a
-    decomposed piece's, whose chain is the identity and whose ``cap`` is
-    ``trivial``, its edge count."""
+    """One route's certificate, plus per-b bound machinery."""
 
     certificate: dict
     family: SignedFamily | None  # the pruned graph's family, None without one
     trivial: int  # bounds, for every b, what ratio |B(b)| bounds
-    graph: KikuchiGraph | None = None
+    graph: KikuchiGraph | None
+    cap: int  # bounds val of the route's polynomial for every b
+    chain: Callable = _identity  # maps a bound on what ``spectral`` bounds to one on val
 
     def spectral(self, rows) -> np.ndarray:
         """ratio |B(b)| at each sign row of the (c, k) array ``rows``, or
@@ -252,70 +264,16 @@ class Refutation:
             return np.full(len(rows), float(self.trivial))
         return self.family.ratio * self.family.norms(rows)
 
-    @property
-    def cap(self) -> float:
-        """Bounds val of the route's polynomial for every b."""
-        return float(self.trivial)
-
-    def _chain(self, f):
-        return f
-
     def bound_of(self, f):
         """The one bound rule: the chain of f, a bound on what ``spectral``
         bounds, capped at ``cap``."""
-        return np.minimum(self.cap, self._chain(f))
+        return np.minimum(self.cap, self.chain(f))
 
     def bounds(self, rows, capped: bool = True) -> np.ndarray:
         """``bound_of`` the spectral bound at each sign row of the (c, k)
         array ``rows``; ``capped=False`` leaves out the cap (also sound)."""
         f = self.spectral(rows)
-        return self.bound_of(f) if capped else self._chain(f)
-
-
-@dataclass(kw_only=True)
-class RegularRefutation(Refutation):
-    """Certificate for the leftover instance; ``spectral`` bounds val(F_b)
-    and ``trivial`` is the label count, which |F_b(x)| never exceeds."""
-
-    instance: XorInstance
-
-    @property
-    def cap(self) -> float:
-        return float(self.instance.total_edges)
-
-    def _chain(self, f):
-        """Cauchy-Schwarz: val(Psi_b) <= sqrt(q n m + n f) / q."""
-        q, n = self.instance.q, self.instance.n
-        return np.sqrt(q * n * self.instance.total_edges + n * f) / q
-
-
-def _spectral_route(graph, gamma, d_left, d_right, k, trials, seed, threads,
-                    cert, flags):
-    """Prune ``graph`` to the target degrees and average its family's norms
-    over b: (family, norm summary), both None with a ``pruning_failed:``
-    flag when pruning empties a label.  The family keeps ``seed`` and
-    ``threads`` for every later per-b bound."""
-    try:
-        pruned = prune(graph, gamma, d_left, d_right)
-    except PruningError as exc:
-        flags.append(f"pruning_failed: {exc}")
-        return None, None
-    cert["pruned"] = pruned.report
-    family = SignedFamily(pruned, seed, threads)
-    mean, stderr, exhaustive, draws = average_over_signs(
-        family.norms, k, trials, np.random.default_rng((seed, 7103)))
-    norm = {"mean": mean, "stderr": stderr, "exhaustive": exhaustive, "draws": draws}
-    return family, norm
-
-
-def _khintchine(family: SignedFamily) -> tuple[dict, float]:
-    """The sigma^2 fields of the family's sign-free groups and its
-    Matrix-Khintchine bound ratio * sqrt(2 sigma^2 ln(N_L + N_R))."""
-    pruned = family.graph
-    sig = khintchine_sigma(pruned.group_matrices())
-    fields = {"sigma_sq": sig["sigma_sq"], "sigma_sq_guarantee": sig["guarantee"],
-              "sigma_proxy": sig["proxy"]}
-    return fields, family.ratio * khintchine_bound(sig["sigma_sq"], *pruned.shape)
+        return self.bound_of(f) if capped else self.chain(f)
 
 
 def _check_trials(trials: int):
@@ -336,6 +294,81 @@ def check_regularity(inst: XorInstance, thr: Thresholds):
         raise RegularityError(f"set {q_set} has degree {d} > d_{t}; decompose first")
 
 
+def _header(inst, thresholds: Thresholds, gamma, trials, seed) -> dict:
+    """The certificate fields a route has whether or not its refutation ran."""
+    piece = isinstance(inst, BipartiteXorInstance)
+    params = {"n": inst.n, "k": inst.k, "q": inst.q, "ell": thresholds.ell,
+              "gamma": gamma, "seed": seed, "trials": trials}
+    cert = {"kind": "bipartite" if piece else "regular", "params": params,
+            "m_total": inst.total_edges, "trivial_bound": float(inst.total_edges)}
+    if piece:
+        params["s"] = inst.s
+        cert["P_size"] = inst.p_size
+    return cert
+
+
+def _refute_graph(inst, cert, graph, targets, fields, trivial, gamma, trials, seed,
+                  threads, chain=_identity) -> Refutation:
+    """Certify E_b[val] of ``inst`` on ``graph``: prune it to the target
+    degrees ``targets["d_left"]``, ``targets["d_right"]``, average the
+    pruned family's norms over b and bound val by ``min(cap, chain(f))``,
+    cap = ``inst.total_edges``.
+
+    ``cert`` holds the route's header, and the route's own ``fields`` join
+    it unless the instance is empty.  ``graph`` is None where none is built.
+    Without a family (no graph, D = 0 or a ``pruning_failed:`` label) f is
+    ``trivial``, which bounds what ratio |B(b)| bounds for every b.  Where
+    every label has one sign factor the groups are independent Rademacher
+    terms, so sigma^2 and the Matrix-Khintchine bound ratio * sqrt(2 sigma^2
+    ln(N_L + N_R)) are recorded, and ``bound`` takes the smaller f.  The
+    family keeps ``seed`` and ``threads`` for every later per-b bound.
+    """
+    cap = inst.total_edges
+    khintchine = graph is not None and all(len(f) == 1 for f in graph.label_sign_factors)
+    if cap == 0:
+        cert.update({"bound": 0.0, "bound_empirical": 0.0, "flags": ["empty"]})
+        if khintchine:
+            cert["bound_khintchine"] = 0.0
+        return Refutation(cert, None, trivial, graph, cap, chain)
+
+    flags, family, norm = [], None, None
+    if graph is None:
+        flags.append("ell_too_small")
+    elif not graph.D:
+        flags.append("degenerate_D_zero" if graph.n_labels else "no_shared_pairs")
+    else:
+        try:
+            pruned = prune(graph, gamma, targets["d_left"], targets["d_right"])
+        except PruningError as exc:
+            flags.append(f"pruning_failed: {exc}")
+        else:
+            cert["pruned"] = pruned.report
+            family = SignedFamily(pruned, seed, threads)
+            mean, stderr, exhaustive, draws = average_over_signs(
+                family.norms, inst.k, trials, np.random.default_rng((seed, 7103)))
+            norm = {"mean": mean, "stderr": stderr, "exhaustive": exhaustive,
+                    "draws": draws}
+    cert.update(fields)
+
+    ref = Refutation(cert, family, trivial, graph, cap, chain)
+    f = f_khin = family.ratio * norm["mean"] if family is not None else float(trivial)
+    if not khintchine:
+        cert["full_graph_norm"] = norm
+    elif family is not None:
+        sig = khintchine_sigma(family.graph.group_matrices())
+        f_khin = family.ratio * khintchine_bound(sig["sigma_sq"], *family.graph.shape)
+        # every label keeps D' >= 1 edges, so a group is nonempty iff it has a label
+        nonempty = len(np.unique(family.graph.label_group))
+        cert.update({"sigma_sq": sig["sigma_sq"], "sigma_sq_guarantee": sig["guarantee"],
+                     "sigma_proxy": sig["proxy"],
+                     "norm_mc": {**norm, "nonempty_groups": nonempty}})
+    if khintchine:
+        cert["bound_khintchine"] = float(chain(f_khin))
+    cert.update({"bound_empirical": float(chain(f)),
+                 "bound": float(ref.bound_of(min(f_khin, f))), "flags": flags})
+    return ref
+
+
 def refute_regular(
     inst: XorInstance,
     thresholds: Thresholds,
@@ -343,16 +376,16 @@ def refute_regular(
     trials: int = 200,
     seed: int = 0,
     threads: int = 1,
-) -> RegularRefutation:
+) -> Refutation:
     """Certify an upper bound on E_b[val(Psi_b)] for a regular instance,
-    at the scale ell = ``thresholds.ell``.
+    at the scale ell = ``thresholds.ell``, on the full pair graph.
 
     ``bound`` is the empirical variant: the full pair graph with realized
     norms, sound for each fixed b and (exhaustively averaged) for the
-    expectation.  No Matrix-Khintchine estimate over sampled partitions is
-    computed or recorded.  Where no pair graph is pruned (ell < (q-1)/2,
-    n < q-1, D = 0 or an emptied label), F_b takes its trivial bound, the
-    pair label count ``pair_label_count``, which |F_b(x)| never exceeds.
+    expectation, through the Cauchy-Schwarz chain.  Where no pair graph is
+    pruned (ell < (q-1)/2, n < q-1, D = 0 or an emptied label), F_b takes
+    its trivial bound, the pair label count ``pair_label_count``, which
+    |F_b(x)| never exceeds.
     """
     q, n, k = inst.q, inst.n, inst.k
     if q % 2 == 0 or q < 3:
@@ -361,68 +394,26 @@ def refute_regular(
     ell = thresholds.ell
     check_regularity(inst, thresholds)
 
-    m_total = inst.total_edges
-    delta_n = max(inst.edge_counts, default=0)
-    cert: dict = {
-        "kind": "regular",
-        "params": {
-            "n": n, "k": k, "q": q, "ell": ell, "gamma": gamma,
-            "seed": seed, "trials": trials,
-        },
-        "m_total": m_total,
-        "delta_n_measured": delta_n,
-        "trivial_bound": float(m_total),
-    }
-    if m_total == 0:
-        cert.update({"bound": 0.0, "bound_empirical": 0.0, "flags": ["empty"]})
-        return RegularRefutation(cert, None, 0, instance=inst)
-
-    flags = []
-    full = assemble_regular_cs(inst, ell) if ell >= (q - 1) // 2 and n >= q - 1 else None
-    family = norm = d = None
-    if full is None:
-        flags.append("ell_too_small")
-    elif full.D:
-        # the target degree d = delta*n*k*D / N
-        d = target_degrees(full, delta_n, k)["d"]
-        family, norm = _spectral_route(
-            full, gamma, d, d, k, trials, seed, threads, cert, flags)
-    else:
-        flags.append("degenerate_D_zero" if full.n_labels else "no_shared_pairs")
-
+    cert = _header(inst, thresholds, gamma, trials, seed)
+    cert["delta_n_measured"] = delta_n = max(inst.edge_counts, default=0)
+    full = None  # an empty leftover builds no pair graph
+    if inst.total_edges and ell >= (q - 1) // 2 and n >= q - 1:
+        full = assemble_regular_cs(inst, ell)
+    # the target degree d = delta*n*k*D / N
+    tg = target_degrees(full, delta_n, k) if full is not None and full.D else None
+    target_d = float(tg["d"]) if tg else None
     trivial = pair_label_count(inst)
-    cert["graph"] = {
-        "n_labels": trivial,
-        "D": full.D if full is not None else None,
-        "N": full.shape[0] if full is not None else None,
-        "target_d": float(d) if d is not None else None,
-    }
     shape = analytic_degree_shapes("regular_cs", n, ell, q, delta_n, k)["d"]
-    cert["degree_analytic"] = {
-        "shape_d": shape,
-        "ratio": (cert["graph"]["target_d"] / shape)
-        if cert["graph"]["target_d"] and shape > 0 else None,
+    fields = {
+        "graph": {"n_labels": trivial,
+                  "D": full.D if full is not None else None,
+                  "N": full.shape[0] if full is not None else None,
+                  "target_d": target_d},
+        "degree_analytic": {"shape_d": shape,
+                            "ratio": target_d / shape if target_d and shape > 0 else None},
     }
-
-    # the full pair graph's norms averaged over signs; bound_empirical is
-    # the chain before the cap, as on a piece
-    ref = RegularRefutation(cert, family, trivial, full, instance=inst)
-    f_mean = family.ratio * norm["mean"] if family is not None else float(trivial)
-    cert.update({"full_graph_norm": norm, "bound_empirical": float(ref._chain(f_mean)),
-                 "bound": float(ref.bound_of(f_mean)), "flags": flags})
-    return ref
-
-
-def _piece_header(piece: BipartiteXorInstance, ell, gamma, trials, seed) -> dict:
-    """The certificate fields a piece has whether or not its refutation ran."""
-    return {
-        "kind": "bipartite",
-        "params": {"n": piece.n, "k": piece.k, "q": piece.q, "s": piece.s,
-                   "ell": ell, "gamma": gamma, "seed": seed, "trials": trials},
-        "P_size": piece.p_size,
-        "m_total": piece.total_edges,
-        "trivial_bound": float(piece.total_edges),
-    }
+    return _refute_graph(inst, cert, full, tg, fields, trivial, gamma, trials, seed,
+                         threads, partial(_cauchy_schwarz, q, n, inst.total_edges))
 
 
 def refute_bipartite(
@@ -445,60 +436,30 @@ def refute_bipartite(
     _check_trials(trials)
     n, k, q, s = piece.n, piece.k, piece.q, piece.s
     ell = thresholds.ell
-    m_total = piece.total_edges
-    delta_n = max(piece.edge_counts, default=0)
-    cert = _piece_header(piece, ell, gamma, trials, seed)
-    cert["delta_n_measured"] = delta_n
+    cert = _header(piece, thresholds, gamma, trials, seed)
+    cert["delta_n_measured"] = delta_n = max(piece.edge_counts, default=0)
     d_s = thresholds.d_float(s)
     cert["analytic_shapes"] = {"ell_times_d_s": ell * d_s, "P_times_d_s": piece.p_size * d_s}
-    if m_total == 0:
-        cert.update({"bound": 0.0, "bound_empirical": 0.0,
-                     "bound_khintchine": 0.0, "flags": ["empty"]})
-        return Refutation(cert, None, 0)
-
-    flags = []
     graph = assemble_bipartite(piece, ell)
     tg = target_degrees(graph, delta_n, k)
-    family = norm = None
-    if graph.D:
-        family, norm = _spectral_route(
-            graph, gamma, tg["d_left"], tg["d_right"], k, trials, seed, threads,
-            cert, flags)
-    else:
-        flags.append("degenerate_D_zero")
-
-    cert["graph"] = {
-        "n_labels": graph.n_labels,
-        "D": graph.D,
-        "N_L": graph.shape[0],
-        "N_R": graph.shape[1],
-    }
     shapes = analytic_degree_shapes("bipartite", n, ell, q, delta_n, k,
                                     s=s, p_size=piece.p_size)
-    cert["degree_analytic"] = {
-        "shape_d_left": shapes["d_left"],
-        "shape_d_right": shapes["d_right"],
-        "measured_d_left": float(tg["d_left"]),
-        "measured_d_right": float(tg["d_right"]),
-        "ratio_left": float(tg["d_left"]) / shapes["d_left"]
-        if shapes["d_left"] > 0 else None,
-        "ratio_right": float(tg["d_right"]) / shapes["d_right"]
-        if shapes["d_right"] > 0 else None,
+    fields = {
+        "graph": {"n_labels": graph.n_labels, "D": graph.D,
+                  "N_L": graph.shape[0], "N_R": graph.shape[1]},
+        "degree_analytic": {
+            "shape_d_left": shapes["d_left"],
+            "shape_d_right": shapes["d_right"],
+            "measured_d_left": float(tg["d_left"]),
+            "measured_d_right": float(tg["d_right"]),
+            "ratio_left": float(tg["d_left"]) / shapes["d_left"]
+            if shapes["d_left"] > 0 else None,
+            "ratio_right": float(tg["d_right"]) / shapes["d_right"]
+            if shapes["d_right"] > 0 else None,
+        },
     }
-
-    bound_khin = bound_emp = float(m_total)
-    if family is not None:
-        # sigma^2 on the actual sign-free pruned groups
-        fields, bound_khin = _khintchine(family)
-        bound_emp = family.ratio * norm["mean"]
-        # every label keeps D' >= 1 edges, so a group is nonempty iff it has a label
-        nonempty = len(np.unique(family.graph.label_group))
-        cert.update({**fields, "norm_mc": {**norm, "nonempty_groups": nonempty}})
-    ref = Refutation(cert, family, m_total, graph)
-    cert.update({"bound_khintchine": bound_khin, "bound_empirical": bound_emp,
-                 "bound": float(ref.bound_of(min(bound_khin, bound_emp))),
-                 "flags": flags})
-    return ref
+    return _refute_graph(piece, cert, graph, tg, fields, piece.total_edges, gamma,
+                         trials, seed, threads)
 
 
 @dataclass
@@ -507,7 +468,7 @@ class FullRefutation:
 
     instance: XorInstance
     decomposition: DecomposedInstance
-    regular: RegularRefutation
+    regular: Refutation
     pieces: dict  # s -> Refutation
     certificate: dict
 
@@ -599,10 +560,10 @@ def refute_full(
                                          seed=piece_seed, threads=threads)
         except REFUTATION_ERRORS as exc:  # partial results kept; trivial bound is sound
             piece_failures[s] = str(exc)
-            cert = _piece_header(piece, thr.ell, gamma, trials, piece_seed)
+            cert = _header(piece, thr, gamma, trials, piece_seed)
             cert.update({"bound": cert["trivial_bound"],
                          "flags": [f"refutation_failed: {exc}"]})
-            pieces[s] = Refutation(cert, None, piece.total_edges)
+            pieces[s] = Refutation(cert, None, piece.total_edges, None, piece.total_edges)
 
     combined = regular.certificate["bound"]
     for s in sorted(pieces):

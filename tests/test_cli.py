@@ -240,16 +240,26 @@ def test_trials_below_two_is_config_error(tmp_path, capsys, command, trials):
     ("refute", "--ell", "0"),
     ("decompose", "--ell", "0"),
     ("build", "--ell", "0"),
+    ("gen", "--n", "0"),
+    ("gen", "--q", "0"),
+    ("gen", "--k", "0"),
+    ("sweep", "--n", "0"),
+    ("sweep", "--q", "0"),
+    ("sweep", "--k-list", "0"),
 ])
 def test_count_below_one_is_config_error(tmp_path, capsys, command, flag, value):
     # no seed means no row, and compute_thresholds would run --ell 0 as 1
-    # while the config echo says 0: refuse both before any work
+    # while the config echo says 0; n = 0 divides by zero, and q = 0 or
+    # k = 0 writes an instance of empty hyperedges or of no matching:
+    # refuse them all before any work
     inst = tmp_path / "inst.json"
     run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
             "--seed", "4", "--out", str(inst))
     capsys.readouterr()
     out = tmp_path / "out"
     argv = {
+        "gen": ["gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+                "--out", str(out)],
         "sweep": ["sweep", "--n", "10", "--q", "3", "--delta", "0.2",
                   "--k-list", "3", "--out", str(out)],
         "refute": ["refute", "--in", str(inst), "--out", str(out)],
@@ -260,6 +270,36 @@ def test_count_below_one_is_config_error(tmp_path, capsys, command, flag, value)
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error:")
     assert f"{flag} must be >= 1, got {value}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "sweep"])
+@pytest.mark.parametrize("value", ["0", "-0.5", "inf"])
+def test_delta_not_above_zero_is_config_error(tmp_path, capsys, command, value):
+    # delta <= 0 gives matchings of no edge; an infinite one overflows
+    out = tmp_path / "out"
+    argv = {
+        "gen": ["gen", "--n", "10", "--q", "3", "--k", "4", "--out", str(out)],
+        "sweep": ["sweep", "--n", "10", "--q", "3", "--k-list", "3", "--out", str(out)],
+    }[command]
+    assert run_cli(*argv, "--delta", value) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert f"--delta must be finite and > 0, got {float(value)}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, command", [
+    ("n", "refute"), ("n", "decompose"), ("q", "oracle")])
+def test_instance_file_without_vertices_or_arity_is_config_error(
+        tmp_path, capsys, field, command):
+    inst, out = tmp_path / "inst.json", tmp_path / "out"
+    body = {"n": 12, "k": 2, "q": 3, "delta": 0.1, "hypergraphs": [[], []], field: 0}
+    inst.write_text(json.dumps(body))
+    assert run_cli(command, "--in", str(inst), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert "n and q must be >= 1" in err
     assert not out.exists()
 
 

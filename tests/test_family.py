@@ -99,9 +99,16 @@ def test_pruned_graph_is_a_kikuchi_graph(name):
     assert isinstance(pg, KikuchiGraph)
     assert pg.D == pg.D_prime > 0
     assert pg.verify_label_counts()
-    assert np.array_equal(pg.left, pg.parent.left[pg.keep])
-    assert np.array_equal(pg.right, pg.parent.right[pg.keep])
-    assert np.array_equal(pg.edge_label, pg.parent.edge_label[pg.keep])
+    # a label's edges are distinct, so each kept (left, right, label) triple
+    # has one position in the parent, and the kept ones keep their order
+    position = {e: i for i, e in enumerate(_triples(pg.parent))}
+    assert len(position) == pg.parent.n_edges
+    kept = [position[e] for e in _triples(pg)]
+    assert kept == sorted(set(kept))
+
+
+def _triples(graph):
+    return zip(graph.left.tolist(), graph.right.tolist(), graph.edge_label.tolist())
 
 
 def _capturing(monkeypatch, seen):

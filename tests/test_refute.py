@@ -8,7 +8,13 @@ import pytest
 
 import kikuchi.refute as refute
 from kikuchi.decompose import Thresholds, compute_thresholds, instance_thresholds
-from kikuchi.graphs import assemble_regular_cs, cs_pair_labels, pair_label_count, quadratic_form
+from kikuchi.graphs import (
+    assemble_basic,
+    assemble_regular_cs,
+    cs_pair_labels,
+    pair_label_count,
+    quadratic_form,
+)
 from kikuchi.instances import (
     EXHAUSTIVE_B_LIMIT,
     BipartiteXorInstance,
@@ -20,6 +26,7 @@ from kikuchi.instances import (
     sign_rows,
     val_for_all_signs,
 )
+from kikuchi.prune import target_degrees
 from kikuchi.refute import (
     FullRefutation,
     RegularityError,
@@ -140,12 +147,12 @@ def test_regular_without_pair_graph_bounds_f_by_its_label_count():
 
     run = refute_full(generate_random_matching_instance(20, 5, 400, 0.2, 1),
                       ell=1, trials=20)
-    reg = run.regular
-    rows = 1 - 2 * np.random.default_rng(0).integers(0, 2, size=(8, reg.instance.k))
-    vals = val_for_all_signs(reg.instance, signs=rows)
+    reg, leftover = run.regular, run.decomposition.leftover
+    rows = 1 - 2 * np.random.default_rng(0).integers(0, 2, size=(8, leftover.k))
+    vals = val_for_all_signs(leftover, signs=rows)
     for capped in (True, False):
         assert (reg.bounds(rows, capped=capped) + 1e-6 >= vals).all()
-    assert reg.instance.total_edges == 75 and reg.certificate["bound"] == 75.0
+    assert leftover.total_edges == 75 and reg.certificate["bound"] == 75.0
 
 
 def piece_thresholds(piece: BipartiteXorInstance, ell: int) -> Thresholds:
@@ -285,6 +292,32 @@ def test_partitions_never_reach_the_bound():
     assert not any(key in reg for key in KHINTCHINE_KEYS)
 
 
+@pytest.mark.parametrize("planted", [False, True])
+def test_one_route_serves_the_imbalanced_graph(planted):
+    """The leftover's route run on ``assemble_basic(inst, 2, "naive_odd")``
+    with the identity chain: every label has one sign factor, so the graph
+    records the Khintchine bound, and for every b the per-b bounds, capped
+    or not, stay above val(Phi_b).  The pair graph's labels have two sign
+    factors, so the regular certificate records none."""
+    inst = (generate_planted_linear_instance(16, 3, 6, 0.19, 1)[0] if planted
+            else generate_random_matching_instance(12, 3, 6, 0.25, 1))
+    thr = instance_thresholds(inst, 2)
+    graph = assemble_basic(inst, 2, "naive_odd")
+    targets = target_degrees(graph, max(inst.edge_counts), inst.k)
+    cert = refute._header(inst, thr, 8.0, 20, 7)
+    ref = refute._refute_graph(inst, cert, graph, targets, {}, inst.total_edges,
+                               8.0, 20, 7, 1)
+    assert ref.family is not None and cert["flags"] == []
+    assert cert["bound_khintchine"] >= cert["bound_empirical"] * (1 - 1e-9)
+    vals = val_for_all_signs(inst)
+    for capped in (True, False):
+        assert (ref.bounds(sign_rows(inst.k), capped=capped) + 1e-6 >= vals).all()
+
+    regular = refute_full(inst, ell=2, trials=20, seed=7).regular
+    assert regular.family is not None
+    assert "bound_khintchine" not in regular.certificate
+
+
 def test_one_prune_per_route_and_sigma_per_piece(monkeypatch):
     """The run assembles one pair graph, prunes once per route and computes
     sigma^2 only for the piece family, whatever ``n_partitions`` says."""
@@ -389,7 +422,7 @@ def test_per_b_bounds_use_the_certificate_seed():
     fresh = SignedFamily(ref.family.graph, seed=7)
     f = fresh.ratio * fresh.norms(rows)
     assert got.tolist() == ref.bound_of(f).tolist()
-    assert bare.tolist() == ref._chain(f).tolist()
+    assert bare.tolist() == ref.chain(f).tolist()
     assert SignedFamily(ref.family.graph).norms(rows).tolist() != fresh.norms(rows).tolist()
 
 
