@@ -30,6 +30,7 @@ from .instances import (
     brute_force_val,
     dump_instance,
     dump_json,
+    eval_psi_bipartite,
     expected_val,
     generate_planted_linear_instance,
     generate_random_matching_instance,
@@ -335,21 +336,33 @@ def cmd_verify(args) -> int:
     if fresh["verdict"] != cert["verdict"]:
         failures.append("verdict mismatch")
 
-    # edge-count and quadratic-form re-verification on the run's full pair graph
+    # every route's graph: label counts, the edge predicate (imported here,
+    # where perfbench's wrapper of graphs.reverify_edges is seen) and the
+    # quadratic-form identity, a piece's on draws of its own generator
     from .graphs import reverify_edges
 
-    g = run.regular.graph
-    if g is not None and g.n_labels:
+    routes = [("leftover", run.regular, dec.leftover, rng)] + [
+        (f"piece s={s}", run.pieces[s], dec.pieces[s],
+         np.random.default_rng((params["seed"], s))) for s in sorted(run.pieces)]
+    for name, ref, part, draws in routes:
+        g = ref.graph
+        if g is None or not g.n_labels:
+            continue
         if not g.verify_label_counts():
-            failures.append("per-label edge counts unequal")
+            failures.append(f"{name}: per-label edge counts unequal")
         if not reverify_edges(g):
-            failures.append("edge predicate re-verification failed")
+            failures.append(f"{name}: edge predicate re-verification failed")
         for _ in range(5):
-            b = (1 - 2 * rng.integers(0, 2, size=inst.k)).tolist()
-            x = (1 - 2 * rng.integers(0, 2, size=inst.n)).tolist()
-            form, _ = quadratic_form(g, b, x)
-            if form != g.D * eval_full_pairs(dec.leftover, b, x):
-                failures.append("quadratic form identity violated")
+            b = (1 - 2 * draws.integers(0, 2, size=inst.k)).tolist()
+            x = (1 - 2 * draws.integers(0, 2, size=inst.n)).tolist()
+            y = None
+            if isinstance(part, XorInstance):
+                value = eval_full_pairs(part, b, x)
+            else:
+                y = (1 - 2 * draws.integers(0, 2, size=part.p_size)).tolist()
+                value = eval_psi_bipartite(part, b, x, y)
+            if quadratic_form(g, b, x, y)[0] != g.D * value:
+                failures.append(f"{name}: quadratic form identity violated")
                 break
 
     try:

@@ -513,33 +513,27 @@ def quadratic_form(graph: KikuchiGraph, b, x, y=None):
     return int(per_label.sum()), per_label
 
 
+# a label's set on each space component, per variant: (C), (C1, C2), (C, {p})
+_LABEL_SETS = {
+    "basic_even": lambda lab: lab[1:],
+    "naive_odd": lambda lab: lab[1:],
+    "regular_cs": lambda lab: lab[3:],
+    "bipartite": lambda lab: (lab[1], (lab[2],)),
+}
+
+
 def reverify_edges(graph: KikuchiGraph) -> bool:
-    """Re-check every stored edge against its variant's defining predicate."""
+    """Re-check every stored edge against the one Kikuchi rule: on each
+    space component j, S_j + T_j is the label's j-th set.
+
+    The component sizes imply the rest: a piece's T2 = S2 u {p}, since
+    |S2| = l < |T2| = l + 1, and no self-loop in the pair graph, since C1
+    has q - 1 >= 1 vertices."""
+    sets_of = _LABEL_SETS[graph.variant]
     for l, r, j in zip(graph.left, graph.right, graph.edge_label):
-        left_sets = graph.left_space.unrank(int(l))
-        right_sets = graph.right_space.unrank(int(r))
-        lab = graph.labels[j]
-        if graph.variant in ("basic_even", "naive_odd"):
-            _, c = lab
-            if tuple(sorted(set(left_sets[0]) ^ set(right_sets[0]))) != tuple(c):
-                return False
-        elif graph.variant == "regular_cs":
-            _, _, _, c1, c2 = lab
-            if tuple(sorted(set(left_sets[0]) ^ set(right_sets[0]))) != tuple(sorted(c1)):
-                return False
-            if tuple(sorted(set(left_sets[1]) ^ set(right_sets[1]))) != tuple(sorted(c2)):
-                return False
-            if left_sets == right_sets:
-                return False  # self-loops cannot occur
-        elif graph.variant == "bipartite":
-            _, c, p = lab
-            if tuple(sorted(set(left_sets[0]) ^ set(right_sets[0]))) != tuple(c):
-                return False
-            if set(left_sets[1]) ^ set(right_sets[1]) != {p}:
-                return False
-            if p in left_sets[1] or p not in right_sets[1]:
-                return False
-        else:
+        parts = zip(graph.left_space.unrank(int(l)), graph.right_space.unrank(int(r)),
+                    sets_of(graph.labels[j]))
+        if any(set(s) ^ set(t) != set(c) for s, t, c in parts):
             return False
     return True
 

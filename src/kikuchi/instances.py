@@ -104,36 +104,36 @@ def _number(value):
     return value
 
 
-def _norm_edges(hypergraphs):
-    return tuple(tuple(tuple(sorted(e)) for e in h) for h in hypergraphs)
+def _check_sets(sets, size: int, n: int, what: str):
+    """Every set in ``sets`` holds ``size`` distinct vertices of [0, n)."""
+    for e in sets:
+        if len(e) != size or len(set(e)) != size or not all(0 <= v < n for v in e):
+            raise ValueError(f"{what} {e} is not a set of {size} vertices in [0, {n})")
 
 
 @dataclass(frozen=True)
-class XorInstance:
-    """k q-uniform hypergraph matchings on [n] with optional fixed signs."""
+class _Matchings:
+    """What both instance types share: k matchings over [n] of a q-ary
+    polynomial.  Each subclass declares ``hypergraphs`` and ``signs`` after
+    its own fields, so that its constructor keeps its field order."""
 
     n: int
     k: int
     q: int
-    delta: float
-    hypergraphs: tuple  # k tuples of sorted vertex tuples (0-based)
-    signs: tuple | None = None
 
-    def __post_init__(self):
+    def _check(self, matchings, size: int, what: str):
+        """The one instance contract: n and q at least 1, k matchings of
+        ``size``-sets of [0, n), pairwise disjoint within each, and +-1
+        signs, which are stored as ints."""
         if self.n < 1 or self.q < 1:
             raise ValueError(f"n and q must be >= 1, got n={self.n}, q={self.q}")
-        object.__setattr__(self, "hypergraphs", _norm_edges(self.hypergraphs))
-        if len(self.hypergraphs) != self.k:
+        if len(matchings) != self.k:
             raise DimensionMismatch("expected k hypergraphs")
-        for h in self.hypergraphs:
-            for e in h:
-                if len(e) != self.q:
-                    raise ValueError(f"edge {e} is not {self.q}-uniform")
-                if not all(0 <= v < self.n for v in e):
-                    raise ValueError(f"edge {e} out of range [0, {self.n})")
-            ok, pair = validate_matching(h)
+        for sets in matchings:
+            _check_sets(sets, size, self.n, what)
+            ok, pair = validate_matching(sets)
             if not ok:
-                raise ValueError(f"not a matching: edges {pair} collide")
+                raise ValueError(f"not a matching: {what}s {pair} collide")
         if self.signs is not None:
             object.__setattr__(self, "signs", _check_signs(self.signs, self.k))
 
@@ -145,115 +145,97 @@ class XorInstance:
     def total_edges(self) -> int:
         return sum(self.edge_counts)
 
-    def measured_delta(self) -> Fraction:
-        """max_i |H_i| / n, from the data rather than the metadata field."""
-        return Fraction(max(self.edge_counts, default=0), self.n)
+    @property
+    def delta_n(self) -> int:
+        """max_i |H_i|, the measured delta * n; 0 without a matching."""
+        return max(self.edge_counts, default=0)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "q": self.q,
-            "delta": self.delta,
-            "hypergraphs": [[[v + 1 for v in e] for e in h] for h in self.hypergraphs],
-            "signs": list(self.signs) if self.signs is not None else None,
-        }
+        """The fields both types write; a subclass adds its own."""
+        return {"n": self.n, "k": self.k, "q": self.q,
+                "signs": list(self.signs) if self.signs is not None else None}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "XorInstance":
-        return cls(
-            n=_field(d, "n", _int),
-            k=_field(d, "k", _int),
-            q=_field(d, "q", _int),
-            delta=_field(d, "delta", _number),
-            hypergraphs=_field(d, "hypergraphs", lambda hs: [
-                [[v - 1 for v in e] for e in h] for h in hs]),
-            signs=d.get("signs"),
-        )
+    def from_dict(cls, d: dict, **fields):
+        """The instance a file's object holds, given the subclass's ``fields``."""
+        return cls(n=_field(d, "n", _int), k=_field(d, "k", _int), q=_field(d, "q", _int),
+                   signs=d.get("signs"), **fields)
 
 
 @dataclass(frozen=True)
-class BipartiteXorInstance:
+class XorInstance(_Matchings):
+    """k q-uniform hypergraph matchings on [n] with optional fixed signs."""
+
+    delta: float
+    hypergraphs: tuple  # k tuples of sorted vertex tuples (0-based)
+    signs: tuple | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "hypergraphs", tuple(
+            tuple(tuple(sorted(e)) for e in h) for h in self.hypergraphs))
+        self._check(self.hypergraphs, self.q, "edge")
+
+    def measured_delta(self) -> Fraction:
+        """max_i |H_i| / n, from the data rather than the metadata field."""
+        return Fraction(self.delta_n, self.n)
+
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "delta": self.delta,
+                "hypergraphs": [[[v + 1 for v in e] for e in h] for h in self.hypergraphs]}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "XorInstance":
+        return super().from_dict(d, delta=_field(d, "delta", _number), hypergraphs=_field(
+            d, "hypergraphs", lambda hs: [[[v - 1 for v in e] for e in h] for h in hs]))
+
+
+@dataclass(frozen=True)
+class BipartiteXorInstance(_Matchings):
     """k bipartite matchings over [n] x P_s; labels are registered s-subsets."""
 
-    n: int
-    k: int
-    q: int
     s: int
     registry: tuple  # distinct s-subsets of [n], index = label p
     hypergraphs: tuple  # k tuples of (left vertex tuple, label index)
     signs: tuple | None = None
 
     def __post_init__(self):
+        """The instance contract on the left sets, then the label rules: s
+        in range, distinct s-subsets of [0, n) in the registry, and integer
+        label indices into it, distinct within a matching."""
         if not (2 <= self.s <= (self.q + 1) // 2):
             raise ValueError("s out of range for the pipeline")
-        reg = tuple(tuple(sorted(p)) for p in self.registry)
-        if len(set(reg)) != len(reg):
+        object.__setattr__(self, "registry", tuple(tuple(sorted(p)) for p in self.registry))
+        object.__setattr__(self, "hypergraphs", tuple(
+            tuple((tuple(sorted(c)), _int(p)) for c, p in h) for h in self.hypergraphs))
+        self._check([[c for c, _ in h] for h in self.hypergraphs], self.q - self.s,
+                    "left set")
+        _check_sets(self.registry, self.s, self.n, "registry set")
+        if len(set(self.registry)) != self.p_size:
             raise ValueError("registry labels must be distinct")
-        for p in reg:
-            if len(p) != self.s:
-                raise ValueError(f"registry set {p} is not an s-subset")
-        object.__setattr__(self, "registry", reg)
-        hgs = tuple(
-            tuple((tuple(sorted(c)), int(p)) for c, p in h) for h in self.hypergraphs
-        )
-        object.__setattr__(self, "hypergraphs", hgs)
-        if len(hgs) != self.k:
-            raise DimensionMismatch("expected k hypergraphs")
-        for h in hgs:
-            seen_left = 0
-            seen_p = set()
-            for c, p in h:
-                if len(c) != self.q - self.s:
-                    raise ValueError(f"left set {c} is not (q-s)-uniform")
-                if not (0 <= p < len(reg)):
-                    raise ValueError(f"unknown label index {p}")
-                m = mask_of(c)
-                if (seen_left & m) or p in seen_p:
-                    raise ValueError("not a bipartite matching")
-                seen_left |= m
-                seen_p.add(p)
-        if self.signs is not None:
-            object.__setattr__(self, "signs", _check_signs(self.signs, self.k))
+        for h in self.hypergraphs:
+            labels = [p for _, p in h]
+            if not all(0 <= p < self.p_size for p in labels):
+                raise ValueError(f"unknown label index in {labels}")
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"a label repeats within one matching: {labels}")
 
     @property
     def p_size(self) -> int:
         return len(self.registry)
 
-    @property
-    def edge_counts(self) -> tuple[int, ...]:
-        return tuple(len(h) for h in self.hypergraphs)
-
-    @property
-    def total_edges(self) -> int:
-        return sum(self.edge_counts)
-
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "q": self.q,
-            "s": self.s,
-            "labels": [[v + 1 for v in p] for p in self.registry],
-            "hypergraphs": [
-                [{"left": [v + 1 for v in c], "p": p} for c, p in h]
-                for h in self.hypergraphs
-            ],
-            "signs": list(self.signs) if self.signs is not None else None,
-        }
+        return {**super().to_dict(), "s": self.s,
+                "labels": [[v + 1 for v in p] for p in self.registry],
+                "hypergraphs": [[{"left": [v + 1 for v in c], "p": p} for c, p in h]
+                                for h in self.hypergraphs]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "BipartiteXorInstance":
-        return cls(
-            n=_field(d, "n", _int),
-            k=_field(d, "k", _int),
-            q=_field(d, "q", _int),
-            s=_field(d, "s", _int),
+        return super().from_dict(
+            d, s=_field(d, "s", _int),
             registry=_field(d, "labels", lambda ps: [[v - 1 for v in p] for p in ps]),
             hypergraphs=_field(d, "hypergraphs", lambda hs: [
-                [([v - 1 for v in e["left"]], e["p"]) for e in h] for h in hs]),
-            signs=d.get("signs"),
-        )
+                [([v - 1 for v in e["left"]], e["p"]) for e in h] for h in hs]))
 
 
 def _check_signs(values, length: int, name: str = "signs") -> tuple:

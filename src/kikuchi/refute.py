@@ -395,7 +395,7 @@ def refute_regular(
     check_regularity(inst, thresholds)
 
     cert = _header(inst, thresholds, gamma, trials, seed)
-    cert["delta_n_measured"] = delta_n = max(inst.edge_counts, default=0)
+    cert["delta_n_measured"] = delta_n = inst.delta_n
     full = None  # an empty leftover builds no pair graph
     if inst.total_edges and ell >= (q - 1) // 2 and n >= q - 1:
         full = assemble_regular_cs(inst, ell)
@@ -437,7 +437,7 @@ def refute_bipartite(
     n, k, q, s = piece.n, piece.k, piece.q, piece.s
     ell = thresholds.ell
     cert = _header(piece, thresholds, gamma, trials, seed)
-    cert["delta_n_measured"] = delta_n = max(piece.edge_counts, default=0)
+    cert["delta_n_measured"] = delta_n = piece.delta_n
     d_s = thresholds.d_float(s)
     cert["analytic_shapes"] = {"ell_times_d_s": ell * d_s, "P_times_d_s": piece.p_size * d_s}
     graph = assemble_bipartite(piece, ell)
@@ -568,7 +568,7 @@ def refute_full(
     combined = regular.certificate["bound"]
     for s in sorted(pieces):
         combined += pieces[s].certificate["bound"]
-    delta_n = max(inst.edge_counts, default=0)
+    delta_n = inst.delta_n
     eps_delta_nk = float(epsilon) * delta_n * inst.k
     refuted = combined < eps_delta_nk
 

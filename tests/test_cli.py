@@ -352,6 +352,37 @@ def test_bipartite_piece_file_is_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# piece files (1-based vertices, k=1) that break the instance contract, and
+# whether a vertex in them lies outside [1, n]
+BROKEN_PIECES = {
+    "no-vertices": ({"n": 0, "labels": [], "hypergraphs": [[]]}, False),
+    "left-vertex-out-of-range": (
+        {"n": 3, "labels": [[1, 2]], "hypergraphs": [[{"left": [5], "p": 0}]]}, True),
+    "label-vertex-out-of-range": (
+        {"n": 3, "labels": [[1, 9]], "hypergraphs": [[{"left": [3], "p": 0}]]}, True),
+    "fractional-label-index": (
+        {"n": 4, "labels": [[1, 2], [3, 4]],
+         "hypergraphs": [[{"left": [3], "p": 1.9}]]}, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_PIECES))
+def test_piece_file_breaking_the_contract_is_config_error(tmp_path, capsys, case):
+    body, out_of_range = BROKEN_PIECES[case]
+    piece = tmp_path / "piece.json"
+    piece.write_text(json.dumps({"k": 1, "q": 3, "s": 2, **body}))
+    commands = [["oracle", "--in", str(piece), "--signs", "1"]]
+    out = tmp_path / "graph.json"
+    if out_of_range:
+        commands.append(["build", "--in", str(piece), "--ell", "1", "--out", str(out)])
+    for argv in commands:
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("config error:")
+        assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("trials", ["1", "0", "-3"])
 def test_oracle_trials_below_two_is_config_error(tmp_path, capsys, trials):
     # k > EXHAUSTIVE_B_LIMIT: the oracle samples signs, and one draw has no
@@ -634,6 +665,35 @@ def test_verify_detects_tampering(tmp_path):
         json.dump(c, fh)
     rc = run_cli("verify", "--in", str(inst), "--cert", str(cert))
     assert rc == 1
+
+
+def test_verify_rechecks_every_piece_graph(tmp_path, capsys, monkeypatch):
+    """A piece graph with one corrupted edge, under an unchanged certificate,
+    fails verify, and the failure names the piece."""
+    import dataclasses
+
+    import kikuchi.refute as refute
+
+    inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.25",
+            "--seed", "1", "--out", str(inst))
+    assert run_cli("refute", "--in", str(inst), "--out", str(cert), "--ell", "1",
+                   "--trials", "10") == 0
+    assert run_cli("verify", "--in", str(inst), "--cert", str(cert)) == 0
+    real = refute.refute_bipartite
+
+    def corrupted(piece, *args, **kwargs):
+        ref = real(piece, *args, **kwargs)
+        g = ref.graph
+        left = g.left.copy()
+        left[0] = (left[0] + 1) % g.shape[0]
+        return dataclasses.replace(ref, graph=dataclasses.replace(g, left=left))
+
+    monkeypatch.setattr(refute, "refute_bipartite", corrupted)
+    capsys.readouterr()
+    assert run_cli("verify", "--in", str(inst), "--cert", str(cert)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL: piece s=2: ")
 
 
 def test_sweep_planted_rows_never_refuted(tmp_path):

@@ -4,9 +4,11 @@ three q=5 and q=7 points at the branches where a route prunes no graph,
 refuted at fixed seeds, must give the same certificate bytes.  Oracle
 digests pin the checking side the same way: the ``soundness_check`` logs of
 both verify-exhaustive instances, ``val_for_all_signs`` on the many-signs
-instance and one Monte Carlo ``expected_val`` (k=17, above the exhaustive
-sign limit).  Decomposition digests pin ``DecomposedInstance.to_dict()``,
-what ``kikuchi decompose`` writes outside its config and ``meta`` blocks, on
+instance and on its s=2 piece (n=16, |P|=2, k=12: the bipartite
+constructor that ``decompose`` builds it with and the joint x, y scan), and
+one Monte Carlo ``expected_val`` (k=17, above the exhaustive sign limit).
+Decomposition digests pin ``DecomposedInstance.to_dict()``, what
+``kikuchi decompose`` writes outside its config and ``meta`` blocks, on
 random instances generated at seed 1 and decomposed at l=2: one q=3, whose
 edges move to a piece of pair labels, and two q=5, whose edges move to a
 piece of triple labels.
@@ -84,6 +86,8 @@ ORACLE_GOLDEN = {
         "6e1db91287e9b83af941ac8bd563b3ff6ed51a109fb98cb4ff689b90949fcd3e",
     "val_for_all_signs/many-signs":
         "afdf449c5c4915fd8ba8f32b2ab26938307d9507c7cabdeb703ae5b71ecc532e",
+    "val_for_all_signs/many-signs/piece-2":
+        "741bfa07d495babbd230cab11318dd0e9b337545afa8b095b1b078daf00fef90",
     "expected_val/n16-k17-trials50-seed3":
         "2c7d096d4b1e9bc4b105158350637dfdd72467e7f6d10ae711f4a1207789698a",
 }
@@ -139,7 +143,12 @@ def oracle_value(name: str):
     if kind == "soundness":
         return refutation(rest).soundness_check()
     if kind == "val_for_all_signs":
-        return val_for_all_signs(instance(rest)).tolist()
+        rest, _, piece = rest.partition("/piece-")
+        inst = instance(rest)
+        if piece:
+            dec = decompose(inst, instance_thresholds(inst, INSTANCES[rest][5]))
+            inst = dec.pieces[int(piece)]
+        return val_for_all_signs(inst).tolist()
     inst = generate_random_matching_instance(16, 3, 17, 0.25, 1)
     return list(expected_val(inst, trials=50, seed=3))
 

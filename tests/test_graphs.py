@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 from math import comb
 
@@ -179,6 +180,32 @@ def test_assemble_and_reverify():
     gb = assemble_bipartite(piece, 1)
     assert gb.verify_label_counts()
     assert reverify_edges(gb)
+
+
+def _graph_of(variant):
+    if variant == "bipartite":
+        piece = generate_random_bipartite_instance(8, 3, 2, 2, edges_per=2,
+                                                   p_size=4, seed=3)
+        return assemble_bipartite(piece, 1)
+    if variant == "basic_even":
+        return assemble_basic(generate_random_matching_instance(10, 4, 2, 0.2, seed=2),
+                              2, "basic_even")
+    inst = generate_random_matching_instance(10, 3, 3, 0.2, seed=2)
+    if variant == "regular_cs":
+        return assemble_regular_cs(inst, 1)
+    return assemble_basic(inst, 2, "naive_odd")
+
+
+@pytest.mark.parametrize("variant", ["naive_odd", "regular_cs", "bipartite",
+                                     "basic_even"])
+def test_reverify_refuses_a_corrupted_graph(variant):
+    """Each edge given the right rank of the edge before it breaks the
+    predicate somewhere, so a check that always passes is caught."""
+    g = _graph_of(variant)
+    assert g.variant == variant and g.n_edges > 1 and reverify_edges(g)
+    bad = dataclasses.replace(g, right=np.roll(g.right, 1))
+    assert bad.verify_label_counts()  # the counts alone cannot see it
+    assert not reverify_edges(bad)
 
 
 def test_assemble_empty_instance():

@@ -112,6 +112,37 @@ def test_bipartite_matching_validation():
         )
 
 
+# fields that break a piece's contract, over a valid n=4, q=3, s=2 piece
+BROKEN_PIECE_FIELDS = {
+    "no-vertices": ({"n": 0, "registry": [], "hypergraphs": [[]]}, ValueError),
+    "left-vertex-out-of-range": ({"hypergraphs": [[((4,), 0)]]}, ValueError),
+    "left-set-of-wrong-size": ({"hypergraphs": [[((0, 2), 0)]]}, ValueError),
+    "left-sets-collide": ({"hypergraphs": [[((2,), 0), ((2,), 1)]]}, ValueError),
+    "label-vertex-out-of-range": ({"registry": [(0, 1), (2, 7)]}, ValueError),
+    "label-vertex-repeated": ({"registry": [(0, 1), (2, 2)]}, ValueError),
+    "label-registered-twice": ({"registry": [(0, 1), (1, 0)]}, ValueError),
+    "label-index-out-of-range": ({"hypergraphs": [[((2,), 2)]]}, ValueError),
+    "fractional-label-index": ({"hypergraphs": [[((2,), 1.9)]]}, TypeError),
+    "boolean-label-index": ({"hypergraphs": [[((2,), True)]]}, TypeError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_PIECE_FIELDS))
+def test_piece_contract(case):
+    fields, error = BROKEN_PIECE_FIELDS[case]
+    good = {"n": 4, "k": 1, "q": 3, "s": 2, "registry": [(0, 1), (2, 3)],
+            "hypergraphs": [[((2,), 1)]]}
+    BipartiteXorInstance(**good)
+    with pytest.raises(error):
+        BipartiteXorInstance(**{**good, **fields})
+
+
+def test_delta_n_is_the_largest_matching():
+    assert toy([[[0, 1, 2], [3, 4, 5]], [[0, 1, 2]]]).delta_n == 2
+    assert toy([[], []]).delta_n == 0 and toy([]).delta_n == 0
+    assert bipartite_toy().delta_n == 1
+
+
 def test_brute_force_matches_slow_scan(rng):
     for seed in range(4):
         inst = generate_random_matching_instance(8, 3, 2, 0.25, seed=seed)
