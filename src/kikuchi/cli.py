@@ -393,11 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="kikuchi",
         description="Spectral refutation certificates for matching XOR instances",
+        allow_abbrev=False,  # no prefix matching: --seed must not read as --seeds
     )
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    g = sub.add_parser("gen", help="generate a random or planted instance")
+    g = command("gen", help="generate a random or planted instance")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--q", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
@@ -407,14 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen)
 
-    d = sub.add_parser("decompose", help="heavy-set decomposition of an instance")
+    d = command("decompose", help="heavy-set decomposition of an instance")
     d.add_argument("--in", dest="inp", required=True)
     d.add_argument("--out", required=True)
     d.add_argument("--ell", type=int, default=None,
                    help="override the formula value of ell")
     d.set_defaults(fn=cmd_decompose)
 
-    r = sub.add_parser("refute", help="produce a combined refutation certificate")
+    r = command("refute", help="produce a combined refutation certificate")
     r.add_argument("--in", dest="inp", required=True)
     r.add_argument("--out", required=True)
     r.add_argument("--epsilon", type=float, default=0.1)
@@ -430,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     r.set_defaults(fn=cmd_refute)
 
-    b = sub.add_parser("build", help="assemble a Kikuchi graph and dump its edges")
+    b = command("build", help="assemble a Kikuchi graph and dump its edges")
     b.add_argument("--in", dest="inp", required=True)
     b.add_argument("--variant", default="auto",
                    choices=["auto", "basic_even", "naive_odd", "regular_cs"],
@@ -439,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True)
     b.set_defaults(fn=cmd_build)
 
-    o = sub.add_parser("oracle", help="brute-force value / expected value")
+    o = command("oracle", help="brute-force value / expected value")
     o.add_argument("--in", dest="inp", required=True)
     o.add_argument("--signs", default=None,
                    help="comma-separated +-1 vector; omit for E_b")
@@ -449,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--out", default=None)
     o.set_defaults(fn=cmd_oracle)
 
-    s = sub.add_parser("sweep", help="CSV of combined bounds across a k range")
+    s = command("sweep", help="CSV of combined bounds across a k range")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--delta", type=float, required=True)
@@ -464,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_sweep)
 
-    v = sub.add_parser("verify", help="re-verify an instance + certificate pair")
+    v = command("verify", help="re-verify an instance + certificate pair")
     v.add_argument("--in", dest="inp", required=True)
     v.add_argument("--cert", required=True)
     v.add_argument("--exhaustive-b", action="store_true")

@@ -244,22 +244,24 @@ def spectral_norm(A, tol: float = DEFAULT_TOL, seed: int = 0) -> NormEstimate:
 def _components(S) -> np.ndarray:
     """Connected-component labels of the graph of a symmetric sparse matrix.
 
-    Min-label hooking plus pointer jumping: each round, every tree root
-    takes the smallest root adjacent to any of its members, then pointers
-    are collapsed until every vertex points at a root.  A component's label
-    is its smallest vertex index.
+    Min-label hooking plus pointer jumping over the edge list, each edge
+    read once from its entry above the diagonal: each round, every tree
+    root takes the smallest root across any edge leaving its tree, then
+    pointers are collapsed until every vertex points at a root, and the
+    edges now inside one tree are dropped.  A pointer never rises above its
+    vertex, so a component's label is its smallest vertex index.
     """
     label = np.arange(S.shape[0])
-    rows = np.flatnonzero(np.diff(S.indptr))
-    if rows.size == 0:
-        return label
-    starts = S.indptr[rows]
+    u = np.repeat(label, np.diff(S.indptr))
+    upper = u < S.indices
+    u, v = u[upper], S.indices[upper]
     while True:
-        own = label[rows]
-        nbr_min = np.minimum(np.minimum.reduceat(label[S.indices], starts), own)
-        if np.array_equal(nbr_min, own):
+        lu, lv = label[u], label[v]
+        apart = lu != lv
+        if not apart.any():
             return label
-        np.minimum.at(label, own, nbr_min)
+        u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
         while True:
             jumped = label[label]
             if np.array_equal(jumped, label):

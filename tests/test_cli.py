@@ -119,6 +119,27 @@ def test_refute_negative_partitions_is_config_error(tmp_path, capsys):
     assert not cert.exists()
 
 
+@pytest.mark.parametrize("command, prefix, value", [
+    ("sweep", "--seed", "3"),  # a prefix of --seeds
+    ("refute", "--part", "4"),  # a prefix of --partitions
+])
+def test_option_prefix_is_config_error(tmp_path, capsys, command, prefix, value):
+    # a prefix is no option: ``sweep --seeds 1 --seed 3`` once ran 3 seeds
+    inst = tmp_path / "inst.json"
+    out = tmp_path / "out"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+            "--seed", "4", "--out", str(inst))
+    capsys.readouterr()
+    argv = {
+        "sweep": ["sweep", "--n", "10", "--q", "3", "--delta", "0.2",
+                  "--k-list", "3", "--seeds", "1", "--ell", "1"],
+        "refute": ["refute", "--in", str(inst), "--ell", "1"],
+    }[command]
+    assert run_cli(*argv, prefix, value, "--out", str(out)) == 2
+    assert f"unrecognized arguments: {prefix} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["refute", "sweep", "verify"])
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_is_config_error(tmp_path, capsys, monkeypatch,

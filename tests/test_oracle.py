@@ -171,8 +171,8 @@ def test_one_sign_value_and_lowest_argmax(name, small_blocks):
 
 def test_argmax_is_lowest_maximiser_at_default_blocks():
     # variables 9..15 are in no constraint, so every maximiser has 2^7
-    # copies, spread over all four high-bit blocks; the lowest one leaves
-    # those variables at +1
+    # copies, spread over all 2^(16 - LOW_BITS) high-bit values; the lowest
+    # one leaves those variables at +1
     inst = UNUSED_VARS
     signs = _sign_rows(inst.k)
     ref = _reference_values(inst, signs)
@@ -226,6 +226,58 @@ def test_all_signs_memory_and_time_guard():
     rows = [0, 1, 12345, (1 << inst.k) - 1]
     ref = _reference_values(inst, _sign_rows(inst.k)[rows])
     assert np.array_equal(vals[rows], ref.max(axis=0))
+
+
+def _traced_peak(call):
+    """Peak traced allocation, in bytes, while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_benchmark_all_signs_scan_fits_in_cache_sized_tables():
+    # the random n=20, k=6 instance of the verify-exhaustive benchmark: its
+    # 30 characters over 2^12 low bits and a 2^18-value block
+    inst = generate_random_matching_instance(20, 3, 6, 0.25, seed=1)
+    assert _traced_peak(lambda: val_for_all_signs(inst)) < 4 * 2**20
+
+
+def test_sampled_scan_memory_scales_with_distinct_characters():
+    # 4,096 constraints on 16 variables hold at most 560 distinct triples;
+    # one low table per constraint would take 256 MiB
+    inst = generate_random_matching_instance(16, 3, 1024, 0.25, seed=1)
+    rows = 1 - 2 * np.random.default_rng(0).integers(0, 2, size=(64, inst.k))
+    assert _traced_peak(lambda: val_for_all_signs(inst, signs=rows)) < 32 * 2**20
+
+
+# one triple in matchings 0 and 1: its merged coefficient b_0 + b_1 is 0
+# whenever b_0 = -b_1
+SHARED_TRIPLE = XorInstance(
+    n=9, k=3, q=3, delta=0.25,
+    hypergraphs=[[[0, 1, 2], [3, 4, 5]], [[0, 1, 2], [6, 7, 8]], [[1, 4, 7]]])
+
+
+@pytest.mark.parametrize("blocks", ["default", "small"])
+def test_merged_characters_match_reference(blocks, request):
+    if blocks == "small":
+        request.getfixturevalue("small_blocks")
+    # 768 constraints, at most C(12, 3) = 220 distinct masks
+    inst = generate_random_matching_instance(12, 3, 256, 0.25, seed=1)
+    assert len(set(_constraint_masks(inst)[1])) <= 220 < inst.total_edges
+    rows = 1 - 2 * np.random.default_rng(3).integers(0, 2, size=(16, inst.k))
+    every = _sign_rows(SHARED_TRIPLE.k)
+    assert np.array_equal(val_for_all_signs(SHARED_TRIPLE),
+                          _reference_values(SHARED_TRIPLE, every).max(axis=0))
+    for inst, signs in ((SHARED_TRIPLE, every), (inst, rows)):
+        ref = _reference_values(inst, signs)
+        assert np.array_equal(val_for_all_signs(inst, signs=signs), ref.max(axis=0))
+        for row, b in enumerate(signs[:8].tolist()):
+            val, x, y = brute_force_val(inst, b)
+            assert val == ref[:, row].max()
+            assert _index_of(x, y) == np.flatnonzero(ref[:, row] == val)[0]
 
 
 def _parity(x):

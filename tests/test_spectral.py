@@ -515,6 +515,47 @@ def test_component_bounds_symmetric_keeps_bipartite_component_whole(rng):
     assert bounds[0] == bounds[1] >= want
 
 
+def _union_find_labels(S):
+    """Smallest vertex of each vertex's component, by a plain union-find
+    over the stored entries of S."""
+    parent = list(range(S.shape[0]))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    coo = S.tocoo()
+    for u, v in zip(coo.row.tolist(), coo.col.tolist()):
+        ru, rv = find(u), find(v)
+        parent[max(ru, rv)] = min(ru, rv)
+    return [find(x) for x in range(S.shape[0])]
+
+
+def _components_cases(rng):
+    """Symmetric supports of random graphs, with isolated rows, the
+    bipartite form of random rectangular matrices, and empty matrices."""
+    cases = [sp.csr_matrix((0, 0)), sp.csr_matrix((5, 5))]
+    for n, nnz in ((1, 1), (12, 6), (40, 30), (200, 150), (300, 1000)):
+        X = _random_counting(rng, n, n, nnz)
+        cases.append(sp.csr_matrix(X + X.T))  # random diagonal entries too
+    for m, n, nnz in ((6, 9, 5), (30, 20, 25), (150, 100, 120)):
+        G = _random_counting(rng, m, n, nnz)
+        cases.append(sp.bmat([[None, G], [G.T, None]], format="csr"))
+    return cases
+
+
+def test_components_match_union_find(rng):
+    cases = _components_cases(rng)
+    sizes = set()
+    for S in cases:
+        label = spectral._components(S)
+        assert label.tolist() == _union_find_labels(S)
+        sizes |= set(np.unique(label, return_counts=True)[1].tolist())
+    # the cases hold isolated rows and components of several sizes
+    assert {1, 2} < sizes and max(sizes) > 50
+
+
 def _stacked_gram(mats, transpose):
     """The Gram matrix by the generic product on the stacked matrices, the
     way ``_gram`` formed every S before it took a lone matrix as is."""
