@@ -21,8 +21,9 @@ character table built once, with one row per distinct mask.  Every partial
 sum of that GEMM is an integer of magnitude at most m, the constraint count
 before merging, so the float32 GEMM is exact whatever the BLAS summation
 order while m <= 2^24 (``EXACT_SUM_LIMIT``); the scan refuses larger m
-before it builds a table.  The low table and a block of 2^18 values (1 MB)
-together fit a 2 MB L2 cache.  ``val_for_all_signs`` scans only the sign
+before it builds a table.  Blocks hold 2^18 values (1 MB); the low table
+takes 16 KB per distinct mask, so with up to about 64 distinct masks the two fit
+a 2 MB L2 cache.  ``val_for_all_signs`` scans only the sign
 vectors with b_k = +1 and reads val(Phi_-b) = -min Phi_b off the same rows.
 
 Callers that need only values (``val_for_all_signs``, ``expected_val`` and
@@ -54,9 +55,11 @@ from .setops import mask_of
 EXHAUSTIVE_LIMIT = 24  # max total +-1 variables for the exact oracle
 INDEX_BITS = 63  # variables an int64 assignment index can hold
 EXHAUSTIVE_B_LIMIT = 16  # expected_val enumerates all 2^k signs up to here
-# The low character table (distinct masks x 2^LOW_BITS) and one GEMM block
-# of BLOCK_ENTRIES values (1 MB) fit together in a 2 MB L2 cache, so the max
-# and min passes over each block read cached data.
+# One GEMM block of BLOCK_ENTRIES values (1 MB) and the low character table
+# (distinct masks x 2^LOW_BITS float32, 16 KB per mask) fit together in a
+# 2 MB L2 cache for up to about 64 distinct masks, as on the benchmark
+# instances, so the max and min passes over each block read cached data.
+# Tuned on a VM with a 2 MB per-core L2.
 LOW_BITS = 12  # assignment bits in the oracle's low character table
 BLOCK_ENTRIES = 1 << 18  # float32 values (1 MB) per oracle GEMM block
 EXACT_SUM_LIMIT = 1 << 24  # float32 holds every integer up to here exactly
@@ -319,10 +322,10 @@ def _scan(masks, coeff, nv: int):
     """Max, first argmax and min of ``coeff[r] . chi(a)`` over a in [0, 2^nv).
 
     ``chi(a)[c] = (-1)^(bit count of a & masks[c])``, so mask bits at or above
-    nv play no part.  Columns with equal masks have one character, so when
-    a mask repeats, the columns of each mask are first merged into one
-    holding the sum of their coefficients; the tables below then have one
-    row per distinct mask.  With a = (hi << t) | lo,
+    nv play no part.  Columns with equal masks have one character, so the
+    columns of each mask are first merged into one holding the sum of their
+    coefficients; the tables below then have one row per distinct mask.
+    With a = (hi << t) | lo,
     every character factors as chi_C(a) = chi_{C_hi}(hi) chi_{C_lo}(lo), so
     the values of a block of (hi, row) pairs are one float32 GEMM,
     ``(high[hi] * coeff[row]) @ low``, against the (distinct masks, 2^t)
@@ -337,15 +340,11 @@ def _scan(masks, coeff, nv: int):
     if m > EXACT_SUM_LIMIT:
         raise OracleLimitExceeded(
             f"{m} constraints exceeds the exact float32 sum limit {EXACT_SUM_LIMIT}")
-    masks = np.asarray(masks, dtype=np.uint64)
-    distinct, group = np.unique(masks, return_inverse=True)
-    merge = len(distinct) < m
-    if merge:
-        # coeff's columns in mask order; the columns of distinct[g] start at
-        # starts[g]
-        order = np.argsort(group, kind="stable")
-        starts = np.searchsorted(group[order], np.arange(len(distinct)))
-        masks, m = distinct, len(distinct)
+    masks, group = np.unique(np.asarray(masks, dtype=np.uint64), return_inverse=True)
+    # coeff's columns in mask order; the columns of masks[g] start at starts[g]
+    order = np.argsort(group, kind="stable")
+    starts = np.searchsorted(group[order], np.arange(len(masks)))
+    m = len(masks)
     t = min(nv, LOW_BITS)
     lo_masks = (masks & np.uint64((1 << t) - 1)).astype(np.uint16)  # t <= 16
     low = _chi(lo_masks, np.arange(1 << t, dtype=np.uint16))
@@ -358,9 +357,7 @@ def _scan(masks, coeff, nv: int):
     rb = max(1, min(rows, pairs))
     hb = max(1, pairs // rb)
     for r0 in range(0, rows, rb):
-        c = coeff[r0 : r0 + rb].astype(np.float32)
-        if merge:
-            c = np.add.reduceat(c[:, order], starts, axis=1)
+        c = np.add.reduceat(coeff[r0 : r0 + rb, order].astype(np.float32), starts, axis=1)
         sel = np.arange(len(c))
         for h0 in range(0, len(high), hb):
             w = high[h0 : h0 + hb, None, :] * c[None, :, :]  # (hi, row, m)
