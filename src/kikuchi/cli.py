@@ -71,6 +71,16 @@ def _at_least(name: str, value: int | None, low: int) -> int | None:
     return value
 
 
+def _int_list(name: str, text: str) -> list[int]:
+    """The integers of a comma-separated option; any other item is a config
+    error that names the option and echoes its text."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{name} must be comma-separated integers, "
+                          f"got {text!r}") from None
+
+
 def _ell(ell: int | None, n: int) -> int | None:
     """``--ell`` in [1, n]; above n, C([n], ell) is empty: refused, not clamped."""
     _at_least("--ell", ell, 1)
@@ -124,6 +134,7 @@ def cmd_gen(args) -> int:
     }
     _generator_args(args.n, args.q, args.delta)
     _at_least("--k", args.k, 1)
+    _at_least("--seed", args.seed, 0)
     inst, code = _generate(args.planted, args.n, args.q, args.k, args.delta, args.seed)
     extra = _meta(config, args.seed)
     extra["meta"] = {"created_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
@@ -163,6 +174,7 @@ def cmd_refute(args) -> int:
     threads = _threads(args)
     _at_least("--trials", args.trials, 2)
     _at_least("--partitions", args.partitions, 0)
+    _at_least("--seed", args.seed, 0)
     inst = _load_xor_instance(args.inp, "refute")
     _ell(args.ell, inst.n)
     config = {
@@ -222,12 +234,11 @@ def cmd_build(args) -> int:
 
 def cmd_oracle(args) -> int:
     _at_least("--trials", args.trials, 2)
+    _at_least("--seed", args.seed, 0)
+    signs = _int_list("--signs", args.signs) if args.signs else None
     inst = load_instance(args.inp)
     out: dict = {"tool_version": __version__, "in": args.inp}
-    signs = None
-    if args.signs:
-        signs = [int(s) for s in args.signs.split(",")]
-    elif inst.signs is not None:
+    if signs is None and inst.signs is not None:
         signs = list(inst.signs)  # fixed signs stored with the instance
     try:
         if signs is not None:
@@ -253,7 +264,7 @@ def cmd_sweep(args) -> int:
     _at_least("--seeds", args.seeds, 1)
     _generator_args(args.n, args.q, args.delta)
     _ell(args.ell, args.n)
-    ks = [int(x) for x in args.k_list.split(",")]
+    ks = _int_list("--k-list", args.k_list)
     for k in ks:
         _at_least("--k-list", k, 1)
     rows = []

@@ -30,7 +30,6 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-import scipy.sparse as sp
 
 from .instances import BipartiteXorInstance, XorInstance, dump_json
 from .setops import subset_rank, subset_unrank
@@ -41,6 +40,20 @@ SPACE_ENUM_LIMIT = 5 * 10**7  # lift vectors materialize the whole space
 # (1.29M entries) assembly took about 150 bytes per entry and a whole
 # refutation about 230, so this caps a run near 1 GB
 PAIR_GRAPH_ENTRIES = 1 << 22
+
+
+class _ScipySparse:
+    """``scipy.sparse``, imported at the first attribute read: the import
+    takes about 0.17 s of every start, and gen, oracle, decompose, build
+    and --help never build a matrix."""
+
+    def __getattr__(self, name):
+        import scipy.sparse  # an interrupted import leaves no module behind
+
+        return getattr(scipy.sparse, name)
+
+
+sp = _ScipySparse()  # the one import of scipy.sparse; spectral's too
 
 
 @dataclass(frozen=True)

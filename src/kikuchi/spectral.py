@@ -46,12 +46,11 @@ equal to the exact one up to rounding.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
+from .graphs import sp
 from .instances import sign_rows
 
 DEFAULT_TOL = 1e-9
@@ -558,6 +557,8 @@ def thread_map(fn, items, threads: int = 1) -> list:
     """[fn(x) for x in items], on a pool of ``threads`` threads when more
     than one; the order is kept."""
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as ex:
             return list(ex.map(fn, items))
     return [fn(x) for x in items]

@@ -140,6 +140,35 @@ def test_option_prefix_is_config_error(tmp_path, capsys, command, prefix, value)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("gen", "--seed", "-1"),
+    ("refute", "--seed", "-3"),
+    ("oracle", "--seed", "-1"),  # its expectation is exhaustive at k = 4
+    ("sweep", "--k-list", "2,,4"),
+    ("oracle", "--signs", "1,a,1,1"),
+])
+def test_bad_seed_or_list_is_config_error_naming_it(tmp_path, capsys, command,
+                                                    option, value):
+    inst = tmp_path / "inst.json"
+    out = tmp_path / "out"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+            "--seed", "4", "--out", str(inst))
+    capsys.readouterr()
+    argv = {
+        "gen": ["gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2"],
+        "refute": ["refute", "--in", str(inst), "--ell", "1"],
+        "oracle": ["oracle", "--in", str(inst)],
+        "sweep": ["sweep", "--n", "10", "--q", "3", "--delta", "0.2",
+                  "--ell", "1"],
+    }[command]
+    assert run_cli(*argv, option, value, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and option in err
+    if "," in value:
+        assert repr(value) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["refute", "sweep", "verify"])
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_is_config_error(tmp_path, capsys, monkeypatch,
@@ -611,6 +640,26 @@ def test_threads_flag_keeps_the_certificate(tmp_path):
         cert = tmp_path / f"cert{threads}.json"
         assert run_cli("refute", "--in", str(inst), "--out", str(cert), "--ell",
                        "1", "--trials", "10", "--threads", threads) == 0
+        certs.append(without_meta(read_json(cert)))
+    assert certs[0] == certs[1]
+
+
+def test_threads_keep_the_certificate_in_a_fresh_process(tmp_path):
+    # scipy.sparse is first imported during the run; with two threads that
+    # must still give the one-thread certificate
+    inst = tmp_path / "inst.json"
+    run_cli("gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+            "--seed", "4", "--out", str(inst))
+    certs = []
+    for threads in ("1", "2"):
+        cert = tmp_path / f"cert{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "kikuchi.cli", "refute", "--in", str(inst),
+             "--out", str(cert), "--ell", "1", "--trials", "10",
+             "--threads", threads],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
         certs.append(without_meta(read_json(cert)))
     assert certs[0] == certs[1]
 

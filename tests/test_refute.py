@@ -21,6 +21,7 @@ from kikuchi.instances import (
     OracleLimitExceeded,
     XorInstance,
     brute_force_val,
+    dump_instance,
     generate_planted_linear_instance,
     generate_random_matching_instance,
     sign_rows,
@@ -661,3 +662,40 @@ def test_refute_imports_no_heavy_scipy_submodule():
     assert heavy == ""
     assert int(components) > 1  # the component screen ran
     assert checked == "16 True"  # every b in {+-1}^4
+
+
+@pytest.mark.parametrize("command", [
+    "gen", "oracle-signs", "oracle", "decompose", "build", "help", "refute"])
+def test_cold_start_imports_scipy_sparse_only_for_a_matrix(tmp_path, command):
+    # importing scipy.sparse is about half of a fresh process's start-up;
+    # only the commands that build a matrix may pay for it
+    inst = tmp_path / "inst.json"
+    out = str(tmp_path / "out.json")
+    dump_instance(generate_random_matching_instance(10, 3, 4, 0.25, seed=1), inst)
+    argv = {
+        "gen": ["gen", "--n", "10", "--q", "3", "--k", "4", "--delta", "0.2",
+                "--out", out],
+        "oracle-signs": ["oracle", "--in", str(inst), "--signs", "1,-1,1,1"],
+        "oracle": ["oracle", "--in", str(inst)],
+        "decompose": ["decompose", "--in", str(inst), "--out", out],
+        "build": ["build", "--in", str(inst), "--ell", "2", "--out", out],
+        "help": ["--help"],
+        "refute": ["refute", "--in", str(inst), "--ell", "1", "--trials", "10",
+                   "--out", out],
+    }[command]
+    code = (
+        "import sys\n"
+        "from kikuchi.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "mods = ('scipy.sparse', 'concurrent.futures')\n"
+        "print(rc, *(m for m in mods if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, *loaded = proc.stdout.splitlines()[-1].split()
+    assert rc == "0"
+    if command == "refute":
+        assert "scipy.sparse" in loaded
+    else:
+        assert loaded == []
