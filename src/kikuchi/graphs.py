@@ -14,8 +14,11 @@ combined row-major.  Four variants are built:
 size D, which is what turns quadratic forms into D times the instance
 polynomial.
 
-Every builder returns its entries as an (m, 2) int64 array of (left, right)
-ranks, enumerated by ``_one_sided_edges`` per subset component.
+Each variant has one builder (``build_*``), which returns its entries as an
+(m, 2) int64 array of (left, right) ranks, enumerated by
+``_one_sided_edges`` per subset component.  Its assembler passes it one
+memo per graph, so each distinct component set is enumerated once however
+many labels repeat it.
 
 ``KikuchiGraph`` is the one representation of a signed edge family: the
 only code that turns its edge triples into CSR (``to_csr``), per-label
@@ -267,26 +270,27 @@ class ParityObstruction(ValueError):
     even builder and vice versa)."""
 
 
-def build_basic_even(c_set, n: int, ell: int) -> np.ndarray:
+def build_basic_even(c_set, n: int, ell: int, memo: dict | None = None) -> np.ndarray:
     """Edge entries {(S, T): |S|=|T|=l, S+T=C} for an even-size C.
 
     An (m, 2) array of (left_rank, right_rank) rows; m is
-    C(|C|, |C|/2) C(n-|C|, l-|C|/2).
+    C(|C|, |C|/2) C(n-|C|, l-|C|/2).  A ``memo`` dict, here as in every
+    builder, keeps the one-sided edges across calls (``_memo_one_sided``).
     """
     c = tuple(sorted(c_set))
     qc = len(c)
     if qc % 2 == 1:
         raise ParityObstruction("basic even-split graph needs |C| even")
-    return _one_sided_edges(c, n, ell, qc // 2, ell)
+    return _memo_one_sided(memo, c, n, ell, qc // 2, ell)
 
 
-def build_naive_odd(c_set, n: int, ell: int) -> np.ndarray:
+def build_naive_odd(c_set, n: int, ell: int, memo: dict | None = None) -> np.ndarray:
     """Edge entries {(S, T): |S|=l, |T|=l+1, S+T=C} for an odd-size C."""
     c = tuple(sorted(c_set))
     qc = len(c)
     if qc % 2 == 0:
         raise ParityObstruction("imbalanced odd graph needs |C| odd")
-    return _one_sided_edges(c, n, ell, (qc - 1) // 2, ell + 1)
+    return _memo_one_sided(memo, c, n, ell, (qc - 1) // 2, ell + 1)
 
 
 def _one_sided_edges(c, n, ell, s_take, t_size) -> np.ndarray:
@@ -345,17 +349,25 @@ def _product_edges(ones, twos, card_l2: int, card_r2: int) -> np.ndarray:
     return np.stack([left.ravel(), right.ravel()], axis=1)
 
 
-def _memo_one_sided(memo: dict, c, *args) -> np.ndarray:
-    """``_one_sided_edges(c, *args)``, built once per argument tuple and
-    kept in ``memo``: the labels of one graph share their sets C."""
+def _memo_one_sided(memo: dict | None, c, *args) -> np.ndarray:
+    """``_one_sided_edges(c, *args)``; with a ``memo`` dict, built once per
+    argument tuple and kept there, as the labels of one graph share their
+    sets C."""
+    if memo is None:
+        return _one_sided_edges(c, *args)
     key = (c, *args)
     if key not in memo:
         memo[key] = _one_sided_edges(c, *args)
     return memo[key]
 
 
-def _regular_cs_edges(c1_set, c2_set, n: int, ell: int, memo: dict) -> np.ndarray:
-    """``build_regular_cs`` with the one-sided edges kept in ``memo``."""
+def build_regular_cs(c1_set, c2_set, n: int, ell: int,
+                     memo: dict | None = None) -> np.ndarray:
+    """Entries ((S1,S2),(T1,T2)) with S1+T1=C1, S2+T2=C2, all sets size l.
+
+    The space is C([n], l)^2 with row-major ranks; C1 and C2 need not be
+    disjoint (separate components never interact).
+    """
     if len(c1_set) % 2 or len(c2_set) % 2:
         raise ParityObstruction("regular CS graph needs even |C1|, |C2|")
     ones = _memo_one_sided(memo, tuple(sorted(c1_set)), n, ell, len(c1_set) // 2, ell)
@@ -364,32 +376,18 @@ def _regular_cs_edges(c1_set, c2_set, n: int, ell: int, memo: dict) -> np.ndarra
     return _product_edges(ones, twos, card, card)
 
 
-def build_regular_cs(c1_set, c2_set, n: int, ell: int) -> np.ndarray:
-    """Entries ((S1,S2),(T1,T2)) with S1+T1=C1, S2+T2=C2, all sets size l.
-
-    The space is C([n], l)^2 with row-major ranks; C1 and C2 need not be
-    disjoint (separate components never interact).
-    """
-    return _regular_cs_edges(c1_set, c2_set, n, ell, {})
-
-
-def _bipartite_edges(c_set, p: int, n: int, ell: int, p_size: int, s: int,
-                     memo: dict) -> np.ndarray:
-    """``build_bipartite`` with the one-sided edges kept in ``memo``."""
-    c = tuple(sorted(c_set))
-    h = (len(c) + s - 1) // 2
-    ones = _memo_one_sided(memo, c, n, ell, h, ell + 1 - s)
-    twos = _memo_one_sided(memo, (p,), p_size, ell, 0, ell + 1)
-    return _product_edges(ones, twos, comb(p_size, ell), comb(p_size, ell + 1))
-
-
-def build_bipartite(c_set, p: int, n: int, ell: int, p_size: int, s: int) -> np.ndarray:
+def build_bipartite(c_set, p: int, n: int, ell: int, p_size: int, s: int,
+                    memo: dict | None = None) -> np.ndarray:
     """Entries ((S1,S2),(T1,T2)): S1+T1=C with |S1 n C|=(q-1)/2, T2=S2 u {p}.
 
     |C| = q - s; right sizes are l+1-s and l+1.  An infeasible size yields
     no entries (reported, not an error).
     """
-    return _bipartite_edges(c_set, p, n, ell, p_size, s, {})
+    c = tuple(sorted(c_set))
+    h = (len(c) + s - 1) // 2
+    ones = _memo_one_sided(memo, c, n, ell, h, ell + 1 - s)
+    twos = _memo_one_sided(memo, (p,), p_size, ell, 0, ell + 1)
+    return _product_edges(ones, twos, comb(p_size, ell), comb(p_size, ell + 1))
 
 
 def _make_graph(variant, left_space, right_space, per_label, labels,
@@ -436,8 +434,10 @@ def assemble_basic(inst: XorInstance, ell: int, variant: str | None = None) -> K
         build = build_naive_odd
         symmetric = False
     labels = [(i, e) for i, h in enumerate(inst.hypergraphs) for e in h]
-    return _make_graph(variant, main_l, right, [build(e, n, ell) for _, e in labels],
-                       labels, [(i,) for i, _ in labels], inst.k, symmetric)
+    memo = {}
+    per_label = [build(e, n, ell, memo) for _, e in labels]
+    return _make_graph(variant, main_l, right, per_label, labels,
+                       [(i,) for i, _ in labels], inst.k, symmetric)
 
 
 def cs_pair_labels(inst: XorInstance):
@@ -487,7 +487,7 @@ def assemble_regular_cs(inst: XorInstance, ell: int) -> KikuchiGraph:
     )
     labels = cs_pair_labels(inst)
     memo = {}
-    per_label = [_regular_cs_edges(c1, c2, n, ell, memo) for _, _, _, c1, c2 in labels]
+    per_label = [build_regular_cs(c1, c2, n, ell, memo) for *_, c1, c2 in labels]
     return _make_graph("regular_cs", space, space, per_label, labels,
                        [(i, j) for i, j, *_ in labels], inst.k, symmetric=True)
 
@@ -506,7 +506,7 @@ def assemble_bipartite(piece: BipartiteXorInstance, ell: int) -> KikuchiGraph:
     )
     labels = [(i, c, p) for i, h in enumerate(piece.hypergraphs) for c, p in h]
     memo = {}
-    per_label = [_bipartite_edges(c, p, n, ell, ps, s, memo) for _, c, p in labels]
+    per_label = [build_bipartite(c, p, n, ell, ps, s, memo) for _, c, p in labels]
     return _make_graph("bipartite", left_space, right_space, per_label, labels,
                        [(i,) for i, *_ in labels], piece.k, symmetric=False)
 

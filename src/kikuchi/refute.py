@@ -288,12 +288,6 @@ def _check_positive(name: str, value: float):
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
-def check_regularity(inst: XorInstance, thr: Thresholds):
-    """deg_H(Q) <= d_|Q| over the union multiset for 2 <= |Q| <= (q+1)/2."""
-    for q_set, d, t in heavy_sets(inst, thr):
-        raise RegularityError(f"set {q_set} has degree {d} > d_{t}; decompose first")
-
-
 def _header(inst, thresholds: Thresholds, gamma, trials, seed) -> dict:
     """The certificate fields a route has whether or not its refutation ran."""
     piece = isinstance(inst, BipartiteXorInstance)
@@ -392,7 +386,9 @@ def refute_regular(
         raise ValueError("regular refutation requires odd q >= 3")
     _check_trials(trials)
     ell = thresholds.ell
-    check_regularity(inst, thresholds)
+    # deg_H(Q) <= d_|Q| over the union multiset for 2 <= |Q| <= (q+1)/2
+    for q_set, d, t in heavy_sets(inst, thresholds):
+        raise RegularityError(f"set {q_set} has degree {d} > d_{t}; decompose first")
 
     cert = _header(inst, thresholds, gamma, trials, seed)
     cert["delta_n_measured"] = delta_n = inst.delta_n

@@ -111,43 +111,43 @@ def _lanczos_top(gram, start, c, tol):
     """Top Ritz values of c symmetric positive semidefinite operators from
     the three-term Lanczos recurrence, every column started at ``start``.
 
-    ``gram(live, Q)`` applies the operators indexed by ``live`` to the rows
-    of Q, shape (len(live), dim).  No basis is stored and nothing is
-    reorthogonalised: by Paige's analysis the extreme Ritz value and its
-    residual stay reliable in finite precision; lost orthogonality only adds
-    ghost copies of converged values.  Every _RITZ_EVERY steps the top
-    eigenpairs (theta, s) of the columns' tridiagonal T come from batched
-    eigh calls, and a column stops once the residual
-    |G y - theta y| = beta_j |s_j| of its Ritz vector y is at most
-    tol * theta, when its beta_j vanishes (an invariant subspace, where
-    theta is exact), or after _LANCZOS_MAX_STEPS steps.  A
-    stopped column leaves the live set; every operation is row-wise, so each
-    column stops at the step and with the bits it would have alone.
+    ``gram(Q)`` applies the operators to the rows of Q, shape (c, dim), one
+    row each.  No basis is stored and nothing is reorthogonalised: by
+    Paige's analysis the extreme Ritz value and its residual stay reliable
+    in finite precision; lost orthogonality only adds ghost copies of
+    converged values.  Every _RITZ_EVERY steps the top eigenpairs (theta, s)
+    of the live columns' tridiagonal T come from batched eigh calls, and a
+    column stops once the residual |G y - theta y| = beta_j |s_j| of its
+    Ritz vector y is at most tol * theta, when its beta_j vanishes (an
+    invariant subspace, where theta is exact), or after _LANCZOS_MAX_STEPS
+    steps.  A stopped column keeps its row, zeroed, and leaves the boolean
+    ``live`` mask; every operation is row-wise, so each column stops at the
+    step and with the bits it would have alone.
     Returns arrays (theta, steps, residual / theta, converged).
     """
     steps = _LANCZOS_MAX_STEPS
     q = np.tile(start / np.linalg.norm(start), (c, 1))
     q_prev = np.zeros_like(q)
     beta = np.zeros(c)
-    # rows follow ``live``: T's diagonal and off-diagonal so far
+    # T's diagonal and off-diagonal so far, one row per column
     alphas = np.zeros((c, steps))
     betas = np.zeros((c, steps))
     theta = np.zeros(c)
     its = np.zeros(c, dtype=np.int64)
     resid = np.zeros(c)
-    live = np.arange(c)
+    live = np.ones(c, dtype=bool)
     for j in range(1, steps + 1):
-        w = gram(live, q)
+        w = gram(q)
         w -= beta[:, None] * q_prev
         alpha = _row_dots(q, w)
         w -= alpha[:, None] * q
         beta_prev, beta = beta, np.sqrt(_row_dots(w, w))
         # |G q|^2 = beta_prev^2 + alpha^2 + beta^2 in exact arithmetic
-        invariant = beta <= _BREAKDOWN * (np.abs(alpha) + beta_prev)
+        invariant = live & (beta <= _BREAKDOWN * (np.abs(alpha) + beta_prev))
         alphas[:, j - 1] = alpha
         betas[:, j - 1] = beta
         if j % _RITZ_EVERY == 0 or j == steps:
-            check = np.arange(live.size)
+            check = np.flatnonzero(live)
         else:
             check = np.flatnonzero(invariant)
         if check.size:
@@ -156,16 +156,17 @@ def _lanczos_top(gram, start, c, tol):
             done = invariant[check] | (bound <= tol * top) | (j == steps)
             if done.any():
                 stop, top, bound = check[done], top[done], bound[done]
-                theta[live[stop]] = np.maximum(top, 0.0)
-                its[live[stop]] = j
-                resid[live[stop]] = np.where(
+                theta[stop] = np.maximum(top, 0.0)
+                its[stop] = j
+                resid[stop] = np.where(
                     bound == 0, 0.0, bound / np.maximum(top, np.finfo(float).tiny))
-                keep = np.ones(live.size, dtype=bool)
-                keep[stop] = False
-                live, q, w, beta = live[keep], q[keep], w[keep], beta[keep]
-                alphas, betas = alphas[keep], betas[keep]
-                if not live.size:
+                live[stop] = False
+                if not live.any():
                     break
+                # a stopped column's q and q_prev rows stay zero from here
+                # on, so it enters every later product as a zero row
+                q[stop] = w[stop] = 0.0
+        beta[~live] = 1.0  # a zero row over a zero beta would divide 0 by 0
         w /= beta[:, None]
         q_prev, q = q, w
     return theta, its, resid, resid <= tol
@@ -198,12 +199,8 @@ def block_spectral_norms(
     def mul(mat, X):
         return (mat @ X.ravel()).reshape(c, -1)
 
-    def gram(live, Q):
-        if live.size == c:
-            return mul(second, mul(first, Q))
-        full = np.zeros((c, Q.shape[1]))  # stopped columns: zero rows
-        full[live] = Q
-        return mul(second, mul(first, full))[live]
+    def gram(Q):
+        return mul(second, mul(first, Q))
 
     rng = np.random.default_rng(seed)
     theta, its, resid, conv = _lanczos_top(

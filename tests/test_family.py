@@ -341,7 +341,7 @@ def test_signed_family_norm_brackets_svd(name):
 
 def _all_ones_start_norm(M) -> float:
     """The Lanczos value of one matrix from the all-ones start alone."""
-    def gram(live, Q):
+    def gram(Q):
         return (M.T @ (M @ Q[0]))[None]
 
     return float(np.sqrt(spectral._lanczos_top(gram, np.ones(M.shape[1]), 1, 1e-9)[0][0]))

@@ -226,7 +226,7 @@ def test_pair_graph_budget_is_the_exact_entry_count(monkeypatch):
     monkeypatch.setattr(graphs, "PAIR_GRAPH_ENTRIES", g.n_edges - 1)
     # never reached: the count comes from the vertex degrees
     monkeypatch.setattr(graphs, "cs_pair_labels", None)
-    monkeypatch.setattr(graphs, "_regular_cs_edges", None)
+    monkeypatch.setattr(graphs, "build_regular_cs", None)
     with pytest.raises(ValueError, match=f"{g.n_edges:,} entries.*--ell"):
         assemble_regular_cs(inst, 2)
 
@@ -435,3 +435,52 @@ def test_bipartite_arrays_match_nested_enumeration(ell):
                     seen_d.add(g.D)
     assert seen_s == {2, 3}
     assert 0 in seen_d and max(seen_d) > 0
+
+
+@pytest.mark.parametrize("variant, q", [("naive_odd", 3), ("basic_even", 4)])
+def test_assemble_basic_enumerates_each_distinct_set_once(monkeypatch, variant, q):
+    # 80 labels over 42 distinct triples (q = 3) or 48 distinct 4-sets
+    n, ell = 8, 2
+    inst = generate_random_matching_instance(n, q, 40, 0.25, 1)
+    sets = [e for h in inst.hypergraphs for e in h]
+    distinct = {tuple(sorted(e)) for e in sets}
+    assert len(distinct) < len(sets)
+    build = build_naive_odd if variant == "naive_odd" else build_basic_even
+    per_label = [build(e, n, ell) for e in sets]
+    calls = []
+    real = graphs._one_sided_edges
+    monkeypatch.setattr(graphs, "_one_sided_edges",
+                        lambda c, *args: calls.append(c) or real(c, *args))
+    g = assemble_basic(inst, ell, variant)
+    assert len(calls) == len(distinct) and set(calls) == distinct
+    edges = np.concatenate(per_label)
+    assert np.array_equal(g.left, edges[:, 0])
+    assert np.array_equal(g.right, edges[:, 1])
+    assert np.array_equal(g.edge_label,
+                          np.repeat(np.arange(len(sets)), [len(e) for e in per_label]))
+
+
+def test_a_shared_memo_never_changes_an_edge_array():
+    # one memo across the labels of all four variants on [8] at ell = 2, so
+    # it holds every key shape at once: the pair graph's C1 = C2 labels, and
+    # a piece's 1-sets both as C (taking one) and as {p} on a registry of
+    # p_size = n (taking none)
+    n, ell = 8, 2
+    pairs = cs_pair_labels(generate_random_matching_instance(n, 3, 6, 0.25, 1))
+    piece = generate_random_bipartite_instance(n, 3, 2, 4, edges_per=2, p_size=n, seed=1)
+    calls = [
+        *[(build_naive_odd, (e, n, ell)) for h in
+          generate_random_matching_instance(n, 3, 40, 0.25, 1).hypergraphs for e in h],
+        *[(build_basic_even, (e, n, ell)) for h in
+          generate_random_matching_instance(n, 4, 40, 0.25, 1).hypergraphs for e in h],
+        *[(build_regular_cs, (c1, c2, n, ell)) for *_, c1, c2 in pairs],
+        *[(build_bipartite, (c, p, n, ell, n, piece.s))
+          for h in piece.hypergraphs for c, p in h],
+    ]
+    assert any(sorted(c1) == sorted(c2) for *_, c1, c2 in pairs)
+    assert {c for h in piece.hypergraphs for c, _ in h} & {
+        (p,) for h in piece.hypergraphs for _, p in h}
+    memo = {}
+    for build, args in calls:
+        assert np.array_equal(build(*args, memo), build(*args))
+    assert len(memo) < len(calls)
