@@ -22,7 +22,8 @@ many labels repeat it.
 
 ``KikuchiGraph`` is the one representation of a signed edge family: the
 only code that turns its edge triples into CSR (``to_csr``), per-label
-signs (``signs_for``) and per-group counting matrices (``group_matrices``).
+signs (``signs_for``) and the per-group counting matrices stacked side by
+side and on top of each other (``group_stacks``).
 A pruned graph is a ``KikuchiGraph`` too, over the kept edges.
 """
 
@@ -224,28 +225,21 @@ class KikuchiGraph:
             shape=(c * nl, c * nr),
         )
 
-    def group_matrices(self) -> list:
-        """One matrix per group; an entry counts the group's edges there.
-
-        The CSR entries are stable-sorted by group once and split, so each
-        group's entries keep their (row, column) order."""
-        label_seq, indices, indptr, shape = self._structure()
-        rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
+    def group_stacks(self):
+        """(wide, tall): the groups' counting matrices A_0 .. A_{k-1} side by
+        side, N_L x k N_R with entry (r, g N_R + c), and on top of each other,
+        k N_L x N_R with entry (g N_L + r, c); an entry counts the group's
+        edges there.  Each is one CSR matrix from COO input, so duplicates
+        are summed and the indices sorted: khintchine_sigma's rounding margin
+        counts stored entries per row."""
+        label_seq, indices, indptr, (nl, nr) = self._structure()
+        rows = np.repeat(np.arange(nl), np.diff(indptr))
         group = self.label_group[label_seq]
-        order = np.argsort(group, kind="stable")
-        cuts = np.searchsorted(group[order], np.arange(self.n_groups + 1))
-        out = []
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            part = order[lo:hi]
-            m = sp.csr_matrix(
-                (np.ones(len(part)), indices[part],
-                 np.append(0, np.cumsum(np.bincount(rows[part], minlength=shape[0])))),
-                shape=shape)
-            # one stored entry per position: khintchine_sigma's rounding
-            # margin counts stored entries per row
-            m.sum_duplicates()
-            out.append(m)
-        return out
+        ones = np.ones(len(label_seq))
+        k = self.n_groups
+        wide = sp.csr_matrix((ones, (rows, group * nr + indices)), shape=(nl, k * nr))
+        tall = sp.csr_matrix((ones, (group * nl + rows, indices)), shape=(k * nl, nr))
+        return wide, tall
 
     def to_dense(self, label_signs=None) -> np.ndarray:
         nl, nr = self.shape

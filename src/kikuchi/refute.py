@@ -349,7 +349,7 @@ def _refute_graph(inst, cert, graph, targets, fields, trivial, gamma, trials, se
     if not khintchine:
         cert["full_graph_norm"] = norm
     elif family is not None:
-        sig = khintchine_sigma(family.graph.group_matrices())
+        sig = khintchine_sigma(*family.graph.group_stacks())
         f_khin = family.ratio * khintchine_bound(sig["sigma_sq"], *family.graph.shape)
         # every label keeps D' >= 1 edges, so a group is nonempty iff it has a label
         nonempty = len(np.unique(family.graph.label_group))

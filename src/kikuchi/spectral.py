@@ -35,13 +35,15 @@ whose first-step bound could.
 
 The Matrix-Khintchine variance sigma^2 needs no iteration over signs: the
 group matrices are sign-free, so both Gram matrices are built explicitly,
-split into connected components, and bounded per component by
-Collatz-Wielandt.  Components up to DENSE_COMPONENT_MAX vertices start at
-the Perron vector of a batched dense eigh; larger ones run together from
-the all-ones vector through ``_cw_from_ones``, the runner that the norm
-screen's ``refine`` uses, which works row by row, so a component gets the
-same bits alone or in a batch.  That value is a rigorous upper bound and
-equal to the exact one up to rounding.
+each by one sparse product on the groups stacked side by side or on top of
+each other (``KikuchiGraph.group_stacks``), split into connected
+components, and bounded per component by Collatz-Wielandt.  Components
+up to DENSE_COMPONENT_MAX vertices start at the Perron vector of a batched
+dense eigh; larger ones run together from the all-ones vector through
+``_cw_from_ones``, the runner that the norm screen's ``refine`` uses, which
+works row by row, so a component gets the same bits alone or in a batch.
+That value is a rigorous upper bound and equal to the exact one up to
+rounding.
 """
 
 from __future__ import annotations
@@ -78,15 +80,6 @@ class NormEstimate:
     residual: float  # relative error bound on value^2; <= tol on success
     tol: float
     converged: bool
-
-
-def _row_dots(a, b) -> np.ndarray:
-    """Dot product of each row of ``a`` with the same row of ``b``.
-
-    ``vecdot`` runs one BLAS dot per row, so a column gets the same bits in
-    a block of any size and the same as ``a[t] @ b[t]``; an einsum over long
-    rows does not."""
-    return np.vecdot(a, b)
 
 
 def _tridiagonal_tops(diag, off):
@@ -139,9 +132,11 @@ def _lanczos_top(gram, start, c, tol):
     for j in range(1, steps + 1):
         w = gram(q)
         w -= beta[:, None] * q_prev
-        alpha = _row_dots(q, w)
+        # one BLAS dot per row, so a column keeps its bits in a block of any
+        # size, the same as q[t] @ w[t]; an einsum over long rows does not
+        alpha = np.vecdot(q, w)
         w -= alpha[:, None] * q
-        beta_prev, beta = beta, np.sqrt(_row_dots(w, w))
+        beta_prev, beta = beta, np.sqrt(np.vecdot(w, w))
         # |G q|^2 = beta_prev^2 + alpha^2 + beta^2 in exact arithmetic
         invariant = live & (beta <= _BREAKDOWN * (np.abs(alpha) + beta_prev))
         alphas[:, j - 1] = alpha
@@ -400,24 +395,18 @@ def _top_eig_bound(S) -> float:
     return best
 
 
-def _gram(mats, transpose: bool):
-    """(S, margin): S = sum X X^T (sum X^T X with ``transpose``) over
-    nonnegative CSR matrices X, and the factor 1 + steps * eps that lifts a
-    Collatz-Wielandt bound computed on S over its rounding.  The sum is one
-    sparse product on the matrices stacked side by side (on top of each
-    other with ``transpose``), or on a lone X as is.  With ``transpose`` S
-    is the transpose of the product X^T X, which sorts its indices in one
-    linear pass; S is symmetric, so its entry (i, j) is the sum of
-    X_ki X_kj over rows k in increasing k, as X^T X has it.  A product
-    stores no zero sums.
+def _gram(X, transpose: bool):
+    """(S, margin): S = X X^T (X^T X with ``transpose``) for a nonnegative
+    CSR matrix X, and the factor 1 + steps * eps that lifts a
+    Collatz-Wielandt bound computed on S over its rounding.  With
+    ``transpose`` S is the transpose of the product X^T X, which sorts its
+    indices in one linear pass; S is symmetric, so its entry (i, j) is the
+    sum of X_ki X_kj over rows k in increasing k, as X^T X has it.  A
+    product stores no zero sums.
 
     The margin covers the rounding of the Gram sums (at most ``terms``
     products per entry), of S w and of the final division.
     """
-    if len(mats) == 1:
-        X = mats[0]
-    else:
-        X = (sp.vstack if transpose else sp.hstack)(mats, format="csr")
     if transpose:
         S = (X.T.tocsr() @ X).T.tocsr()
         terms = np.bincount(X.indices, minlength=X.shape[1])
@@ -428,10 +417,10 @@ def _gram(mats, transpose: bool):
     return S, 1.0 + steps * float(np.finfo(float).eps)
 
 
-def _gram_top(mats, transpose: bool) -> float:
-    """Rigorous upper bound on the top eigenvalue of sum X X^T (of
-    sum X^T X with ``transpose``) over nonnegative CSR matrices X."""
-    S, margin = _gram(mats, transpose)
+def _gram_top(X, transpose: bool) -> float:
+    """Rigorous upper bound on the top eigenvalue of X X^T (of X^T X with
+    ``transpose``) for a nonnegative CSR matrix X."""
+    S, margin = _gram(X, transpose)
     return float(_top_eig_bound(S)) * margin
 
 
@@ -485,7 +474,7 @@ class ComponentBounds:
             self.bounds = np.full(n_comp, np.inf)
             self.lower = np.zeros(n_comp)
             return
-        self._S, self._margin = _gram([A], transpose)
+        self._S, self._margin = _gram(A, transpose)
         # Gram vertices holding an entry, grouped by component; every one of
         # them has a positive diagonal, so the power iterates stay positive
         used = np.flatnonzero(np.diff(self._S.indptr))
@@ -512,31 +501,32 @@ class ComponentBounds:
         return int(todo.sum())
 
 
-def khintchine_sigma(group_mats) -> dict:
-    """sigma^2 = max(|sum X X^T|, |sum X^T X|) for fixed group matrices,
-    plus the walk-counting proxy k * max_row_deg * max_col_deg.
+def khintchine_sigma(wide, tall) -> dict:
+    """sigma^2 = max(|sum X X^T|, |sum X^T X|) for fixed group matrices
+    X = A_g, plus the walk-counting proxy k * max_row_deg * max_col_deg.
 
-    Each Gram matrix is built once, explicitly, one group at a time, and
-    its top eigenvalue is taken per connected component (``_gram_top``), so
+    The groups come as two CSR matrices (``KikuchiGraph.group_stacks``):
+    ``wide`` = [A_0 ... A_{k-1}] side by side and ``tall`` = [A_0; ...; A_{k-1}]
+    on top of each other, so sum X X^T = wide wide^T and sum X^T X =
+    tall^T tall.  Each Gram matrix is built once, explicitly, and its top
+    eigenvalue is taken per connected component (``_gram_top``), so
     ``sigma_sq`` is a rigorous upper bound (``guarantee``) that equals the
-    exact value to about 1e-13.  A group with negative entries enters as
-    its entrywise absolute value, which can only raise sigma^2; the
-    pipeline's counting matrices are nonnegative already.
+    exact value to about 1e-13.  Negative entries enter as their absolute
+    values, which can only raise sigma^2; the pipeline's counting matrices
+    are nonnegative already.
     """
-    mats = [sp.csr_matrix(m) for m in group_mats]
-    mats = [m if m.data.min(initial=0.0) >= 0 else abs(m) for m in mats]
-    if not mats:
-        return {"sigma_sq": 0.0, "row_norm": 0.0, "col_norm": 0.0,
-                "proxy": 0.0, "guarantee": "rigorous"}
-    row_norm = _gram_top(mats, transpose=False)
-    col_norm = _gram_top(mats, transpose=True)
-    max_row = max(np.asarray(m.sum(axis=1)).max(initial=0.0) for m in mats)
-    max_col = max(np.asarray(m.sum(axis=0)).max(initial=0.0) for m in mats)
+    wide, tall = (m if m.data.min(initial=0.0) >= 0 else abs(m) for m in (wide, tall))
+    row_norm = _gram_top(wide, transpose=False)
+    col_norm = _gram_top(tall, transpose=True)
+    # a group's rows are rows of tall, its columns columns of wide
+    k = wide.shape[1] // tall.shape[1] if tall.shape[1] else 0
+    max_row = np.asarray(tall.sum(axis=1)).max(initial=0.0)
+    max_col = np.asarray(wide.sum(axis=0)).max(initial=0.0)
     return {
         "sigma_sq": max(row_norm, col_norm),
         "row_norm": row_norm,
         "col_norm": col_norm,
-        "proxy": len(mats) * float(max_row) * float(max_col),
+        "proxy": k * float(max_row) * float(max_col),
         "guarantee": "rigorous",
     }
 

@@ -57,6 +57,32 @@ def random_sets(rng, n, count, smax=4):
     return out
 
 
+def group_coo_matrices(graph):
+    """One counting matrix per Rademacher group of a Kikuchi graph, its entry
+    the number of the group's edges there: CSR from COO input over the edge
+    arrays, so duplicates are summed.  A label's group is its first sign
+    factor, read from ``label_sign_factors`` directly."""
+    import scipy.sparse as sp
+
+    first = np.array([f[0] for f in graph.label_sign_factors], dtype=np.int64)
+    group = first[graph.edge_label]
+    mats = []
+    for g in range(graph.n_groups):
+        sel = group == g
+        mats.append(sp.csr_matrix(
+            (np.ones(int(sel.sum())), (graph.left[sel], graph.right[sel])),
+            shape=graph.shape))
+    return mats
+
+
+def stacked(mats):
+    """(wide, tall): a list of group matrices side by side and on top of each
+    other, the two CSR matrices ``khintchine_sigma`` takes."""
+    import scipy.sparse as sp
+
+    return sp.hstack(mats, format="csr"), sp.vstack(mats, format="csr")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import count_edges_by_scan
+from conftest import count_edges_by_scan, group_coo_matrices, stacked
 from kikuchi.decompose import compute_thresholds, decompose, recombination_check, \
     verify_decomposition
 from kikuchi.graphs import (
@@ -344,14 +344,14 @@ def test_criterion_5_matrix_khintchine(c4_runs):
         for s in sorted(run.pieces):
             ref = run.pieces[s]
             if ref.family is not None and ref.graph is not None:
-                mats = [m for m in ref.family.graph.group_matrices() if m.nnz]
+                mats = [m for m in group_coo_matrices(ref.family.graph) if m.nnz]
                 if len(mats) >= 2:
                     families.append((mats, ref.graph.shape))
         if len(families) >= 30:
             break
     reg_candidates = [run for _, _, run in c4_runs if run.regular.family is not None]
     for run in reg_candidates[: 50 - len(families) - 10]:
-        mats = [m for m in run.regular.family.graph.group_matrices() if m.nnz]
+        mats = [m for m in group_coo_matrices(run.regular.family.graph) if m.nnz]
         if len(mats) >= 2:
             families.append((mats, run.regular.graph.shape))
     # synthetic sparse counting families round out the population
@@ -374,7 +374,7 @@ def test_criterion_5_matrix_khintchine(c4_runs):
 
     failures = 0
     for mats, (d1, d2) in families[:50]:
-        sig = khintchine_sigma(mats)
+        sig = khintchine_sigma(*stacked(mats))
         bound = khintchine_bound(sig["sigma_sq"], d1, d2)
         dense = np.stack([m.toarray() for m in mats])
         mean = np.mean([np.linalg.norm(np.tensordot(b, dense, 1), 2)

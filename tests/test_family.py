@@ -1,13 +1,13 @@
 """One signed edge family: a pruned graph is a KikuchiGraph, and the matrices
-SignedFamily hands to the norm solver and the group matrices behind sigma^2
-are built from its edge triples alone."""
+SignedFamily hands to the norm solver and the stacked group matrices behind
+sigma^2 are built from its edge triples alone."""
 
 import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from conftest import group_coo_matrices, stacked
 import kikuchi.refute as refute
 import kikuchi.spectral as spectral
 from kikuchi.decompose import compute_thresholds, decompose
@@ -282,20 +282,17 @@ def test_regular_l2_exhaustive_rows_solve_once_per_class(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
-def test_group_matrices_match_coo_reference(name):
+def test_group_stacks_match_coo_reference(name):
     pg = VARIANTS[name]
-    mats = pg.group_matrices()
+    wide, tall = pg.group_stacks()
+    mats = group_coo_matrices(pg)
     assert len(mats) == pg.n_groups
-    for g, m in enumerate(mats):
-        sel = pg.label_group[pg.edge_label] == g
-        ref = sp.csr_matrix(
-            (np.ones(int(sel.sum())), (pg.left[sel], pg.right[sel])),
-            shape=pg.shape,
-        )  # COO input: duplicates are summed
-        assert m.has_canonical_format
-        assert np.array_equal(m.indptr, ref.indptr)
-        assert np.array_equal(m.indices, ref.indices)
-        assert np.array_equal(m.data, ref.data)
+    for got, ref in zip((wide, tall), stacked(mats)):
+        assert got.has_canonical_format
+        assert got.shape == ref.shape
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))

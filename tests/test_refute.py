@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import group_coo_matrices
 import kikuchi.refute as refute
 from kikuchi.decompose import Thresholds, compute_thresholds, instance_thresholds
 from kikuchi.graphs import (
@@ -27,7 +28,7 @@ from kikuchi.instances import (
     sign_rows,
     val_for_all_signs,
 )
-from kikuchi.prune import target_degrees
+from kikuchi.prune import prune, target_degrees
 from kikuchi.refute import (
     FullRefutation,
     RegularityError,
@@ -455,12 +456,40 @@ def test_sigma_sq_rigorous_in_certificates():
         assert cert["sigma_sq_guarantee"] == "rigorous"
         assert cert["norm_mc"]["exhaustive"]
         assert cert["bound_khintchine"] >= cert["bound_empirical"] * (1 - 1e-9)
-        dense = [abs(m.toarray()) for m in ref.family.graph.group_matrices()]
+        dense = [abs(m.toarray()) for m in group_coo_matrices(ref.family.graph)]
         exact = max(
             np.linalg.eigvalsh(sum(d @ d.T for d in dense))[-1],
             np.linalg.eigvalsh(sum(d.T @ d for d in dense))[-1],
         )
         assert exact <= cert["sigma_sq"] <= exact * (1 + 1e-12)
+
+
+def _sigma_step_constructions(inst, monkeypatch):
+    """scipy.sparse matrices built by the route's sigma^2 step, from stacking
+    the groups through ``khintchine_sigma``, on the naive_odd graph of
+    ``inst`` at l=2 pruned with gamma=1e9."""
+    import scipy.sparse._base as base
+
+    graph = assemble_basic(inst, 2, "naive_odd")
+    tg = target_degrees(graph, inst.delta_n, inst.k)
+    pruned = prune(graph, 1e9, tg["d_left"], tg["d_right"])
+    built = []
+    init = base._spbase.__init__
+    with monkeypatch.context() as m:
+        m.setattr(base._spbase, "__init__",
+                  lambda self, *a, **kw: built.append(type(self)) or init(self, *a, **kw))
+        refute.khintchine_sigma(*pruned.group_stacks())
+    return len(built)
+
+
+def test_sigma_step_builds_no_matrix_per_group(monkeypatch):
+    """Two sign-free families that differ only in k build as many sparse
+    matrices for sigma^2: none of them is per group."""
+    big = generate_random_matching_instance(16, 3, 128, 0.25, seed=1)
+    small = XorInstance(n=16, k=16, q=3, delta=big.delta,
+                        hypergraphs=big.hypergraphs[:16])
+    counts = [_sigma_step_constructions(inst, monkeypatch) for inst in (small, big)]
+    assert counts[0] == counts[1] > 0
 
 
 def test_identical_matchings_equality_case():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import stacked
 from kikuchi import spectral
 from kikuchi.instances import sign_rows
 from kikuchi.spectral import (
@@ -286,7 +287,7 @@ def test_sigma_matches_eigvalsh(rng):
                 mats.append(abs(random_sparse(rng, m, n, int(rng.integers(1, 3 * (m + n))))))
             else:
                 mats.append(_random_counting(rng, m, n, int(rng.integers(1, 2 * (m + n)))))
-        sig = khintchine_sigma(mats)
+        sig = khintchine_sigma(*stacked(mats))
         want_rows, want_cols = _dense_gram_tops(mats)
         assert sig["guarantee"] == "rigorous"
         for got, want in ((sig["row_norm"], want_rows), (sig["col_norm"], want_cols)):
@@ -304,11 +305,11 @@ def test_sigma_split_dense_batches(rng, monkeypatch):
         weight = np.ones(blocks)
         weight[heavy] = 2.0
         X = sp.block_diag([w * np.ones((2, 2)) for w in weight], format="csr")
-        sig = khintchine_sigma([X])  # 2x2 Gram blocks 2 w^2 J: top 4 w^2
+        sig = khintchine_sigma(*stacked([X]))  # 2x2 Gram blocks 2 w^2 J: top 4 w^2
         assert 16.0 <= sig["sigma_sq"] <= 16.0 * (1 + 1e-12)
     for _ in range(20):
         mats = [_random_counting(rng, 30, 25, 20) for _ in range(2)]
-        sig = khintchine_sigma(mats)
+        sig = khintchine_sigma(*stacked(mats))
         want_rows, want_cols = _dense_gram_tops(mats)
         assert want_rows <= sig["row_norm"] <= want_rows * (1 + 1e-12)
         assert want_cols <= sig["col_norm"] <= want_cols * (1 + 1e-12)
@@ -318,20 +319,23 @@ def test_sigma_signed_groups_use_absolute_values(rng):
     # negative entries enter as |X|, an upper bound on the signed sigma^2
     for _ in range(10):
         mats = [random_sparse(rng, 15, 18, 40) for _ in range(3)]
-        sig = khintchine_sigma(mats)
+        sig = khintchine_sigma(*stacked(mats))
         dense = [m.toarray() for m in mats]
         signed = max(
             np.linalg.eigvalsh(sum(d @ d.T for d in dense))[-1],
             np.linalg.eigvalsh(sum(d.T @ d for d in dense))[-1],
         )
         assert sig["sigma_sq"] >= signed
-        assert sig == khintchine_sigma([abs(m) for m in mats])
+        assert sig == khintchine_sigma(*stacked([abs(m) for m in mats]))
 
 
 def test_sigma_empty_family():
-    sig = khintchine_sigma([])
+    # no group stacks to N_L x 0 and 0 x N_R; no column gives k = 0
+    sig = khintchine_sigma(sp.csr_matrix((3, 0)), sp.csr_matrix((0, 4)))
     assert sig["sigma_sq"] == 0.0 and sig["proxy"] == 0.0
-    sig = khintchine_sigma([sp.csr_matrix((0, 4)), sp.csr_matrix((0, 4))])
+    sig = khintchine_sigma(sp.csr_matrix((3, 0)), sp.csr_matrix((6, 0)))
+    assert sig["sigma_sq"] == 0.0 and sig["proxy"] == 0.0
+    sig = khintchine_sigma(*stacked([sp.csr_matrix((0, 4)), sp.csr_matrix((0, 4))]))
     assert sig["sigma_sq"] == 0.0
 
 
@@ -344,7 +348,7 @@ def test_sigma_localized_perron_vector():
     cols = np.r_[np.arange(hub), hub + np.arange(length), hub + np.arange(length)]
     X = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
                       shape=(length + 1, hub + length))
-    sig = khintchine_sigma([X])
+    sig = khintchine_sigma(*stacked([X]))
     want_rows, want_cols = _dense_gram_tops([X])
     assert want_rows <= sig["row_norm"] <= want_rows * (1 + 1e-12)
     assert want_cols <= sig["col_norm"] <= want_cols * (1 + 1e-12)
@@ -382,7 +386,7 @@ def test_sigma_large_component_power_fallback(rng, monkeypatch):
         shape=(m, n),
     )
     mats = [chain, _random_counting(rng, m, n, 6 * m), _random_counting(rng, m, n, 6 * m)]
-    sig = khintchine_sigma(mats)
+    sig = khintchine_sigma(*stacked(mats))
     want_rows, want_cols = _dense_gram_tops(mats)
     assert sig["row_norm"] >= want_rows
     assert sig["col_norm"] >= want_cols
@@ -433,7 +437,7 @@ def test_khintchine_bound_values():
 
 def test_sigma_single_edge():
     m = sp.csr_matrix((np.ones(1), ([2], [3])), shape=(5, 6))
-    sig = khintchine_sigma([m])
+    sig = khintchine_sigma(*stacked([m]))
     assert sig["sigma_sq"] == pytest.approx(1.0, rel=1e-9)
 
 
@@ -444,7 +448,7 @@ def test_sigma_k_permutations():
         rows = np.arange(n)
         cols = (rows + shift) % n
         mats.append(sp.csr_matrix((np.ones(n), (rows, cols)), shape=(n, n)))
-    sig = khintchine_sigma(mats)
+    sig = khintchine_sigma(*stacked(mats))
     assert sig["sigma_sq"] == pytest.approx(k, rel=1e-9)
     assert sig["proxy"] == pytest.approx(k)  # max row/col degree 1 each
 
@@ -454,7 +458,7 @@ def test_sigma_proxy_dominates(rng):
         k = int(rng.integers(2, 5))
         mats = [random_sparse(rng, 15, 18, 40) for _ in range(k)]
         mats = [abs(m) for m in mats]  # counting matrices
-        sig = khintchine_sigma(mats)
+        sig = khintchine_sigma(*stacked(mats))
         assert sig["proxy"] * (1 + 1e-9) >= sig["sigma_sq"]
 
 
@@ -462,7 +466,7 @@ def test_khintchine_inequality_holds(rng):
     for t in range(10):
         k = int(rng.integers(2, 6))
         mats = [abs(random_sparse(rng, 12, 14, 30)) for _ in range(k)]
-        sig = khintchine_sigma(mats)
+        sig = khintchine_sigma(*stacked(mats))
         bound = khintchine_bound(sig["sigma_sq"], 12, 14)
         dense = np.stack([m.toarray() for m in mats])
         # E_b |sum_i b_i X_i| exactly, over every sign row, by LAPACK's SVD
@@ -557,8 +561,8 @@ def test_components_match_union_find(rng):
 
 
 def _stacked_gram(mats, transpose):
-    """The Gram matrix by the generic product on the stacked matrices, the
-    way ``_gram`` formed every S before it took a lone matrix as is."""
+    """The Gram matrix by the generic product on the stacked matrices, with
+    its zero sums dropped."""
     if transpose:
         X = sp.vstack(mats, format="csr")
         S = X.T @ X
@@ -582,7 +586,8 @@ def test_gram_arrays_equal_the_stacked_product(rng):
                  ([X, _random_counting(rng, m, n, 2 * m)], False),
                  ([X, _random_counting(rng, m, n, 2 * m)], True)]
         for mats, transpose in cases:
-            S, margin = spectral._gram(mats, transpose)
+            wide, tall = stacked(mats)
+            S, margin = spectral._gram(tall if transpose else wide, transpose)
             want = _stacked_gram(mats, transpose)
             for key in ("data", "indices", "indptr"):
                 got, ref = getattr(S, key), getattr(want, key)
